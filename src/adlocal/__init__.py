@@ -1,7 +1,7 @@
 """Exact verification of inner 2-local derivations on matrix rings.
 
 Finite exact-arithmetic base rings, the matrix ring machinery built on
-them, witness oracles and brute-force witness search, single-element
+them, witness oracles and linear-algebra witness search over Z_m, single-element
 witness extraction, corner-to-full extension of derivations and 2-local
 derivations, and two-generated subring checks, all wired into a
 deterministic batch CLI (``adlocal``).

@@ -114,12 +114,12 @@ def _ser(value):
     return str(value)
 
 
-def _fail_record(inputs, expected, got):
-    return {"inputs": _ser(inputs), "expected": _ser(expected), "got": _ser(got)}
+def _fail_record(inputs, expected, got, note):
+    return {"inputs": _ser(inputs), "expected": _ser(expected), "got": _ser(got), "note": note}
 
 
 def _report_failures(report):
-    return [_fail_record(f.inputs, f.expected, f.got) for f in report.failures]
+    return [_fail_record(f.inputs, f.expected, f.got, f.note) for f in report.failures]
 
 
 def _witness_targets(cfg, carrier):
@@ -143,7 +143,9 @@ def _run_extract_all(cfg, base):
             got = commutator(abar, x)
             want = commutator(a, x)
             if got != want:
-                failures.append(_fail_record((a, x), want, got))
+                failures.append(
+                    _fail_record((a, x), want, got, "extracted witness disagrees at x")
+                )
                 return checks, failures, witnesses
     return checks, failures, witnesses
 
@@ -201,7 +203,7 @@ def _run_extend_deriv(cfg, base):
         got = ext.evaluate(corner_embed(v, cfg.n))
         want = corner_embed(D.evaluate(v), cfg.n)
         if got != want:
-            failures.append(_fail_record((v,), want, got))
+            failures.append(_fail_record((v,), want, got, "extension disagrees on the corner"))
             return checks, failures, []
     return checks, failures, []
 
@@ -219,7 +221,9 @@ def _run_extend_2local(cfg, base):
             got = ext.value(corner_embed(v, cfg.n))
             want = corner_embed(oracle.value(v), cfg.n)
             if got != want:
-                failures.append(_fail_record((a, v), want, got))
+                failures.append(
+                    _fail_record((a, v), want, got, "extension disagrees on the corner")
+                )
                 return checks, failures, []
     # sampled global 2-locality: run on a constant-witness corner oracle,
     # whose per-pair answers patch into one map (adversarial minimal
@@ -242,7 +246,7 @@ def _run_prop9(cfg, base):
         try:
             c = extend_extract_compress(oracle, cfg.n, force=cfg.force)
         except VerificationFailedError as exc:
-            failures.append(_fail_record((a, exc.counterexample), None, None))
+            failures.append(_fail_record((a, exc.counterexample), None, None, str(exc)))
             return checks, failures, witnesses
         witnesses.append(c)
         checks += len(corner_ring.elements())
@@ -271,7 +275,9 @@ def _run_prop10(cfg, base):
         delta = {p: oracle.value(p) for p in S.elements}
         d = witness_search(ambient, [(x, delta[x]), (y, delta[y])])
         if d is None:
-            failures.append(_fail_record((x, y), (delta[x], delta[y]), None))
+            failures.append(
+                _fail_record((x, y), (delta[x], delta[y]), None, "no common witness")
+            )
             return checks, failures, witnesses
         rep = check_inner_on_subring(S, delta, d, seed=cfg.seed)
         checks += rep.checked
@@ -289,7 +295,9 @@ def _run_prop10(cfg, base):
         checks += rep0.checked
         if rep0.passed:
             failures.append(
-                _fail_record((e12, e21), "rejection of the identity map", "accepted")
+                _fail_record(
+                    (e12, e21), "rejection of the identity map", "accepted", "negative control"
+                )
             )
     return checks, failures, witnesses
 
@@ -319,10 +327,16 @@ def _run_two_local_check(cfg, base):
     checks += rep.checked
     e11 = matrix_unit(base, cfg.n, 1, 1)
     if rep.passed:
-        failures.append(_fail_record((e11, e11), "rejection of the identity map", "accepted"))
+        failures.append(
+            _fail_record(
+                (e11, e11), "rejection of the identity map", "accepted", "negative control"
+            )
+        )
     elif rep.failures[0].inputs != (e11, e11):
         failures.append(
-            _fail_record(rep.failures[0].inputs, (e11, e11), "wrong counterexample pair")
+            _fail_record(
+                rep.failures[0].inputs, (e11, e11), "wrong counterexample pair", "negative control"
+            )
         )
     return checks, failures, []
 
@@ -409,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("ADLOCAL_SEED", "0")),
-        help="root seed for every sampled budget (env ADLOCAL_SEED overrides the default)",
+        default=None,
+        help="root seed for every sampled budget (env ADLOCAL_SEED overrides the default 0)",
     )
     parser.add_argument("--pair-samples", type=int, default=100_000)
     parser.add_argument("--element-samples", type=int, default=10_000)
@@ -425,6 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is None:
+            env_seed = os.environ.get("ADLOCAL_SEED", "0")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise CliConfigError(f"ADLOCAL_SEED={env_seed!r} is not an integer") from None
         for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples"):
             if getattr(args, name) <= 0:
                 raise CliConfigError(f"--{name.replace('_', '-')} must be positive")

@@ -1,12 +1,18 @@
 """Derivations, inner derivations, witness oracles, and their checkers.
 
-The workhorse here is :func:`witness_search`, the brute-force constrained
-search that realizes every "there exists an element b such that [b, x] = t"
-statement: it scans the whole finite carrier in canonical order and returns
-the first (hence canonically minimal) solution.  Oracles built on top of it
-are deliberately adversarial - they answer with the minimal witness, never
-with the element that secretly induced the map - so downstream algorithms
-cannot cheat by recognizing their input.
+The workhorse here is :func:`witness_search`, which realizes every "there
+exists an element b such that [b, x] = t" statement and returns the
+canonically minimal solution.  Every carrier built from ``zmod``, ``poly``
+and ``mat:`` descriptors is the Z_m-module Z_m^N, its coordinates being
+the base-m digits of the canonical index, so canonical order is
+lexicographic order of coordinates.  The map b -> [b, x] is Z_m-linear,
+which makes the search one linear system over Z_m: its solutions form a
+coset of the kernel, and a particular solution reduced by the Howell form
+of the kernel is that coset's least element, the same element a scan of
+the carrier in canonical order would meet first.  Oracles built on top of
+it are deliberately adversarial - they answer with the minimal witness,
+never with the element that secretly induced the map - so downstream
+algorithms cannot cheat by recognizing their input.
 
 Verification domains list all matrix units first, then the staircase
 element, then the rest of the carrier (or a seeded sample for large
@@ -17,20 +23,13 @@ failure, which is what makes reported counterexamples deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .errors import CarrierTooLargeError, InfiniteRingError
-from .matrix import (
-    Matrix,
-    MatrixRing,
-    commutator,
-    matrix_index,
-    matrix_ring,
-    matrix_unit,
-    staircase,
-)
-from .rings import Ring, Zmod
+from .errors import CarrierTooLargeError, InfiniteRingError, PreconditionError
+from .matrix import Matrix, MatrixRing, matrix_ring, staircase
+from .rings import PolyQuot, Ring, Zmod
 from .sampling import rng_for
 
 DEFAULT_SEED = 0
@@ -41,6 +40,7 @@ PAIR_SAMPLE = 100_000
 TWO_LOCAL_PAIR_CAP = 4096
 TWO_LOCAL_PAIR_SAMPLE = 1_000
 ELEMENT_CAP = 1 << 16
+COORDINATE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -255,106 +255,216 @@ def check_derivation(
     return report
 
 
-def witness_search(carrier: Ring, constraints) -> Matrix | None:
-    """Canonically minimal b with b*x - x*b = t for every (x, t) constraint.
+def _module_rank(carrier: Ring) -> tuple:
+    """(m, N) such that the carrier's additive group is Z_m^N.
 
-    Scans the whole carrier in canonical order; None when no solution
-    exists.  Over Z_2 matrix carriers the scan runs incrementally (the
-    commutator is linear in b, and +1 on the canonical index is a bit
-    flip pattern), which is the same exhaustive scan, just cheap.
+    The coordinates of an element are the N base-m digits of its canonical
+    index, most significant first: a matrix index joins its entries'
+    indices row-major, and a truncated polynomial's index has its leading
+    coefficient most significant, so addition is digitwise mod m.
+    """
+    size, ring = 1, carrier
+    while type(ring) is MatrixRing:
+        size *= ring.n * ring.n
+        ring = ring.base
+    if type(ring) is Zmod:
+        return ring.modulus, size
+    if type(ring) is PolyQuot:
+        return ring.modulus, size * ring.degree
+    raise PreconditionError(
+        f"{carrier.spec} is not built from zmod, poly and mat descriptors; "
+        "witness search needs its Z_m coordinates"
+    )
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b); (b, 0, 1) when b divides a."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+class _Coordinates:
+    """A carrier as the Z_m-module Z_m^N, with the structure table of its
+    commutator in packed form.
+
+    A vector of Z_m entries packs into one int of ``width``-bit lanes, the
+    first entry in the most significant lane, so ``bit_length`` finds the
+    leading entry.  A lane holds any sum of at most max(N, 2) products of
+    two residues, and ``v - (((v * mu) >> shift) & qmask) * m`` takes every
+    lane of v mod m at once, for every m (a Barrett multiply-shift-mask):
+    with mu = ceil(2^shift / m) and 2^shift >= m times the lane bound,
+    floor(x * mu / 2^shift) is exactly floor(x / m), and x * mu still fits
+    in its lane, so ``qmask``, the low width - shift bits of each lane,
+    cuts out the quotients.
+
+    ``table[l]`` packs the coordinates of [E_k, E_l] for every basis
+    element E_k, as N rows of N lanes with row k above row k + 1; the
+    coordinates of [E_k, x] are then row k of the sum of x_l * table[l].
+    """
+
+    def __init__(self, carrier: Ring, m: int, size: int):
+        self.carrier, self.m, self.size = carrier, m, size
+        bound = max(size, 2) * (m - 1) ** 2
+        self.shift = bound.bit_length() + m.bit_length()
+        self.mu = -(-(1 << self.shift) // m)
+        self.width = width = (bound * self.mu).bit_length()
+        self.row_bits = size * width
+        basis = [carrier.element(m ** (size - 1 - k)) for k in range(size)]
+        mul, sub = carrier.mul, carrier.sub
+        self.table = [
+            sum(
+                self.pack(sub(mul(ek, el), mul(el, ek))) << ((size - 1 - k) * self.row_bits)
+                for k, ek in enumerate(basis)
+            )
+            for el in basis
+        ]
+
+    def pack(self, v) -> int:
+        """The coordinates of ``v`` in N lanes."""
+        i, m, width = self.carrier.index(v), self.m, self.width
+        out = bits = 0
+        while i:
+            i, d = divmod(i, m)
+            out |= d << bits
+            bits += width
+        return out
+
+    def solve(self, cons) -> int | None:
+        """Canonical index of the minimal b with [b, x] = t for every
+        (x, t) in ``cons``, or None.
+
+        Row k of the system is (coordinates of [E_k, x_1], ...,
+        [E_k, x_K] | e_k), so the rows span the pairs (bA | b).  They are
+        brought to weak Howell form (Howell 1986; the elimination follows
+        Storjohann and Mulders 1998): one pivot row per column, whose
+        pivot d divides m, such that the pivot rows right of any column
+        span every row combination that vanishes up to that column.  Then
+        (t_1 ... t_K | 0) reduces to (0 | -b) for a solution b exactly
+        when one exists, and the pivot rows in the second block span the
+        solutions of bA = 0.  Taking each coordinate of b mod its pivot,
+        left to right, gives the least element of b + kernel in
+        lexicographic order, which is canonical order.
+        """
+        m, size, width = self.m, self.size, self.width
+        mu, shift, row_bits, table = self.mu, self.shift, self.row_bits, self.table
+        blocks = len(cons)
+        lanes = (blocks + 1) * size
+        lane_mask = (1 << width) - 1
+        qmask = ((1 << (max(lanes, size * size) * width)) - 1) // lane_mask
+        qmask *= (1 << (width - shift)) - 1
+        row_mask = (1 << row_bits) - 1
+        index = self.carrier.index
+
+        rows = [1 << (k * width) for k in range(size - 1, -1, -1)]
+        target = 0
+        for block, (x, t) in enumerate(cons):
+            offset = (blocks - block) * row_bits
+            acc, i, l = 0, index(x), size
+            while i:
+                l -= 1
+                i, d = divmod(i, m)
+                if d:
+                    acc += d * table[l]
+            acc -= (((acc * mu) >> shift) & qmask) * m
+            for k in range(size):
+                rows[k] |= ((acc >> ((size - 1 - k) * row_bits)) & row_mask) << offset
+            target |= self.pack(t) << offset
+
+        # pivots by lane, lowest lane 0.  A lane without a pivot holds the
+        # row m * e_pos, zero mod m, so a first row there takes the same
+        # gcd step as a row meeting a pivot.
+        prow, pdiv = [0] * lanes, [m] * lanes
+        for r in rows:
+            while r:
+                pos = (r.bit_length() - 1) // width
+                a, b, p = r >> (pos * width), pdiv[pos], prow[pos]
+                if a % b == 0:
+                    r += (m - a // b) * p
+                else:
+                    # unimodular on (r, p): the new pivot is gcd(a, b), and
+                    # (m / g) * pivot lies in the span of the remainder and of
+                    # the old pivot's (m / b) * p, so no extra row is needed
+                    g, s, u = _xgcd(a, b)
+                    q = s % m * r + u % m * p
+                    prow[pos] = q - (((q * mu) >> shift) & qmask) * m
+                    pdiv[pos] = g
+                    r = (b // g) % m * r + (m - a // g) * p
+                r -= (((r * mu) >> shift) & qmask) * m
+
+        v = target
+        while v:
+            pos = (v.bit_length() - 1) // width
+            if pos < size:
+                break
+            a, b = v >> (pos * width), pdiv[pos]
+            if a % b:
+                return None
+            v += (m - a // b) * prow[pos]
+            v -= (((v * mu) >> shift) & qmask) * m
+
+        w = m * (row_mask // lane_mask) - v  # b = -v, lanes m - v_k before reduction
+        w -= (((w * mu) >> shift) & qmask) * m
+        found = 0
+        for pos in range(size - 1, -1, -1):
+            digit = (w >> (pos * width)) & lane_mask
+            d = pdiv[pos]
+            if digit >= d:
+                w += (m - digit // d) * prow[pos]
+                w -= (((w * mu) >> shift) & qmask) * m
+                digit %= d
+            found = found * m + digit
+        return found
+
+
+@lru_cache(maxsize=None)
+def _coordinates(carrier: Ring) -> _Coordinates:
+    """The interned coordinates of a carrier with at most COORDINATE_CAP of them."""
+    m, size = _module_rank(carrier)
+    if size > COORDINATE_CAP:
+        raise CarrierTooLargeError(
+            f"{carrier.spec} has {size} Z_{m} coordinates; witness search "
+            f"handles at most {COORDINATE_CAP}"
+        )
+    return _Coordinates(carrier, m, size)
+
+
+def witness_search(carrier: Ring, constraints) -> Matrix | None:
+    """Canonically minimal b with b*x - x*b = t for every (x, t) constraint,
+    or None when no element satisfies them all.
+
+    The carrier is Z_m^N in the coordinates of :func:`_module_rank`, and
+    b -> bx - xb is Z_m-linear, so this is one linear system over Z_m.
+    Canonical order is lexicographic order of coordinates, and the
+    solution set is a coset b + kernel; reducing a particular solution by
+    the Howell form of the kernel (Howell 1986) yields that coset's least
+    element, which is exactly the first solution a scan of the carrier in
+    canonical order would meet.  Carriers with more than COORDINATE_CAP
+    coordinates are refused with CarrierTooLargeError, carriers that are
+    not built from zmod, poly and mat descriptors with PreconditionError.
     """
     if carrier.cardinality is None:
         raise InfiniteRingError("witness search needs a finite carrier")
+    coords = _coordinates(carrier)
     cons = []
     for x, t in constraints:
         if (x, t) not in cons:
             cons.append((x, t))
     if not cons:
         return carrier.zero
-    if (
-        isinstance(carrier, MatrixRing)
-        and type(carrier.base) is Zmod
-        and carrier.base.modulus == 2
-        and carrier.n * carrier.n <= 64
-    ):
-        return _witness_search_mod2(carrier, cons)
-    mul, sub = carrier.mul, carrier.sub
-    for b in carrier.elements():
-        for x, t in cons:
-            if sub(mul(b, x), mul(x, b)) != t:
-                break
-        else:
-            return b
-    return None
-
-
-def _witness_search_mod2(carrier: MatrixRing, cons) -> Matrix | None:
-    base, n = carrier.base, carrier.n
-    nn = n * n
-    total = 1 << nn
-    data = []
-    for x, t in cons:
-        cols = [0] * nn
-        for bit in range(nn):
-            p = nn - 1 - bit
-            unit = matrix_unit(base, n, p // n + 1, p % n + 1)
-            cols[bit] = matrix_index(commutator(unit, x))
-        data.append((cols, matrix_index(t)))
-    if len(data) == 1:
-        (c1, t1), = data
-        f1 = 0
-        idx = 0
-        while True:
-            if f1 == t1:
-                return carrier.element(idx)
-            nxt = idx + 1
-            if nxt == total:
-                return None
-            diff, bit = idx ^ nxt, 0
-            while diff:
-                f1 ^= c1[bit]
-                diff >>= 1
-                bit += 1
-            idx = nxt
-    if len(data) == 2:
-        (c1, t1), (c2, t2) = data
-        f1 = f2 = 0
-        idx = 0
-        while True:
-            if f1 == t1 and f2 == t2:
-                return carrier.element(idx)
-            nxt = idx + 1
-            if nxt == total:
-                return None
-            diff, bit = idx ^ nxt, 0
-            while diff:
-                f1 ^= c1[bit]
-                f2 ^= c2[bit]
-                diff >>= 1
-                bit += 1
-            idx = nxt
-    folds = [0] * len(data)
-    idx = 0
-    while True:
-        if all(f == d[1] for f, d in zip(folds, data)):
-            return carrier.element(idx)
-        nxt = idx + 1
-        if nxt == total:
-            return None
-        diff, bit = idx ^ nxt, 0
-        while diff:
-            for k, (cols, _) in enumerate(data):
-                folds[k] ^= cols[bit]
-            diff >>= 1
-            bit += 1
-        idx = nxt
+    found = coords.solve(cons)
+    return None if found is None else carrier.element(found)
 
 
 def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
-    """Oracle inducing the inner derivation of ``a`` whose answers are
-    found by brute force, independently of ``a``: each pair gets the
-    canonically minimal implementing element, never ``a`` itself unless
-    that happens to be minimal.  Pairs are unordered for the search."""
+    """Oracle inducing the inner derivation of ``a`` whose answers come
+    from :func:`witness_search` on the two constraints of the pair, which
+    see only the values [a, x] and [a, y]: each pair gets the canonically
+    minimal implementing element, never ``a`` itself unless that happens
+    to be minimal.  Pairs are unordered for the search."""
     if carrier is None:
         carrier = matrix_ring(a.ring, a.n)
     mul, sub = carrier.mul, carrier.sub

@@ -1,7 +1,8 @@
 import json
+import time
 
-
-from adlocal.cli import ExperimentConfig, emit_report, main, run
+from adlocal import DerivationMap, check_two_local, matrix_ring, verification_domain, zmod
+from adlocal.cli import ExperimentConfig, _report_failures, emit_report, main, run
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,25 @@ def test_noncommutative_base_refused(capsys):
     assert doc["status"] == "error"
 
 
+def test_failure_records_carry_the_note(capsys):
+    # a forced extraction over the non-commutative base M2(Z2) fails on its
+    # second seeded witness
+    code, out, _ = run_cli(
+        capsys, "extract-all", "--ring", "mat:zmod:2:2", "--n", "2", "--force",
+        "--witness-samples", "2",
+    )
+    assert code == 2
+    (record,) = json.loads(out)["failures"]
+    assert list(record) == ["inputs", "expected", "got", "note"]
+    assert record["note"] == "extracted witness disagrees at x"
+    # records built from checker reports keep the checker's note
+    carrier = matrix_ring(zmod(2), 2)
+    ident = DerivationMap(carrier, lambda x: x, verification_domain(carrier))
+    (record,) = _report_failures(check_two_local(ident))
+    assert record["note"] == "no common witness"
+    assert record["inputs"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]]
+
+
 def test_bad_ring_spec(capsys):
     code, _, err = run_cli(capsys, "extract-all", "--ring", "gf:9", "--n", "2")
     assert code == 3
@@ -106,6 +126,33 @@ def test_env_seed_override(capsys, monkeypatch):
         capsys, "extract-all", "--ring", "zmod:2", "--n", "2", "--seed", "3"
     )
     assert json.loads(out)["seed"] == 3
+
+
+def test_bad_env_seed_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("ADLOCAL_SEED", "abc")
+    code, out, err = run_cli(capsys, "extract-all", "--ring", "zmod:2", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert "ADLOCAL_SEED" in err
+    # an explicit flag never reads the environment
+    code, out, _ = run_cli(
+        capsys, "extract-all", "--ring", "zmod:2", "--n", "2", "--seed", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == 3
+
+
+def test_extract_all_n5_finishes(capsys):
+    # M5(Z2) has 2^25 elements, which a scan of the carrier never finished
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "extract-all", "--ring", "zmod:2", "--n", "5",
+        "--witness-samples", "1", "--element-samples", "10",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    assert elapsed < 30, f"took {elapsed:.1f}s, budget 30s"
 
 
 def test_lemma3_cli(capsys):

@@ -1,10 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlocal import (
+    CarrierTooLargeError,
     DerivationMap,
     InfiniteRingError,
+    MatrixRing,
+    PreconditionError,
+    Ring,
     adversarial_oracle,
     check_derivation,
     check_oracle_consistency,
@@ -13,15 +19,16 @@ from adlocal import (
     identity_matrix,
     inner_derivation,
     maps_equal,
+    matrix_index,
     matrix_ring,
     matrix_unit,
+    parse_ring_spec,
     staircase,
     verification_domain,
     witness_search,
     zero_matrix,
     zmod,
 )
-from adlocal.deriv import _witness_search_mod2
 
 
 def zero2(z2):
@@ -91,9 +98,19 @@ def test_witness_search_infinite_refused():
         witness_search(FakeRing(), [])
 
 
+def _scan(carrier, constraints):
+    """Reference witness search: the first element of the carrier, in
+    canonical order, that satisfies every constraint."""
+    mul, sub = carrier.mul, carrier.sub
+    for b in carrier.elements():
+        if all(sub(mul(b, x), mul(x, b)) == t for x, t in constraints):
+            return b
+    return None
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
-def test_mod2_fast_path_matches_generic_scan(data):
+def test_witness_search_matches_brute_force_scan(data):
     carrier = matrix_ring(zmod(2), data.draw(st.sampled_from([2, 3])))
     card = carrier.cardinality
     k = data.draw(st.integers(1, 3))
@@ -102,13 +119,63 @@ def test_mod2_fast_path_matches_generic_scan(data):
         x = carrier.element(data.draw(st.integers(0, card - 1)))
         t = carrier.element(data.draw(st.integers(0, card - 1)))
         constraints.append((x, t))
-    fast = _witness_search_mod2(carrier, constraints)
-    slow = None
-    for b in carrier.elements():
-        if all(commutator(b, x) == t for x, t in constraints):
-            slow = b
-            break
-    assert fast == slow
+    assert witness_search(carrier, constraints) == _scan(carrier, constraints)
+
+
+@pytest.mark.parametrize("spec", ["mat:zmod:2:2", "mat:zmod:3:2", "zmod:4"])
+def test_witness_search_matches_scan_on_every_single_constraint(spec):
+    carrier = parse_ring_spec(spec)
+    els = carrier.elements()
+    for x in els:
+        for t in els:
+            assert witness_search(carrier, [(x, t)]) == _scan(carrier, [(x, t)]), (x, t)
+
+
+@pytest.mark.parametrize(
+    "spec, trials",
+    [
+        ("mat:zmod:4:2", 60),
+        ("mat:zmod:2:3", 60),
+        ("mat:poly:2:2:2", 60),
+        ("mat:zmod:6:2", 60),  # a modulus that is not a prime power
+        ("mat:mat:zmod:2:2:2", 12),  # 65,536 elements to scan
+    ],
+)
+def test_witness_search_matches_scan_on_seeded_systems(spec, trials):
+    carrier = parse_ring_spec(spec)
+    card = carrier.cardinality
+    rng = random.Random(f"witness-search-diff:{spec}")
+    solvable = 0
+    for trial in range(trials):
+        xs = [carrier.element(rng.randrange(card)) for _ in range(1 + trial % 3)]
+        if trial % 2:
+            a = carrier.element(rng.randrange(card))
+            constraints = [(x, commutator(a, x)) for x in xs]
+        else:
+            constraints = [(x, carrier.element(rng.randrange(card))) for x in xs]
+        found = witness_search(carrier, constraints)
+        assert found == _scan(carrier, constraints), constraints
+        solvable += found is not None
+    assert solvable >= trials // 2  # every consistent system has a witness
+
+
+def test_witness_search_carrier_bounds():
+    m8 = MatrixRing(zmod(2), 8)  # 64 coordinates, the largest accepted
+    x = staircase(zmod(2), 8)
+    a = m8.element(random.Random(8).randrange(m8.cardinality))
+    found = witness_search(m8, [(x, commutator(a, x))])
+    assert commutator(found, x) == commutator(a, x)
+    assert matrix_index(found) <= matrix_index(a)
+    with pytest.raises(CarrierTooLargeError):
+        witness_search(MatrixRing(zmod(2), 9), [])
+
+    class Custom(Ring):
+        spec = "custom"
+        cardinality = 2
+        commutative_declared = True
+
+    with pytest.raises(PreconditionError):
+        witness_search(Custom(), [(0, 0)])
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):
