@@ -87,7 +87,6 @@ from .rings import (
     PolyQuot,
     Ring,
     Zmod,
-    enumerate_elements,
     is_central,
     is_commutative,
     parse_ring_spec,

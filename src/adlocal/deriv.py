@@ -28,8 +28,8 @@ from itertools import product
 from typing import Callable
 
 from .errors import CarrierTooLargeError, InfiniteRingError, PreconditionError
-from .matrix import Matrix, MatrixRing, matrix_ring, staircase
-from .rings import PolyQuot, Ring, Zmod
+from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, matrix_ring, staircase
+from .rings import Ring
 from .sampling import rng_for
 
 DEFAULT_SEED = 0
@@ -40,7 +40,6 @@ PAIR_SAMPLE = 100_000
 TWO_LOCAL_PAIR_CAP = 4096
 TWO_LOCAL_PAIR_SAMPLE = 1_000
 ELEMENT_CAP = 1 << 16
-COORDINATE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,7 @@ def _domain_lead(carrier: Ring) -> list:
     return lead
 
 
+@lru_cache(maxsize=None)
 def verification_domain(
     carrier: Ring,
     seed: int = DEFAULT_SEED,
@@ -118,9 +118,6 @@ def verification_domain(
 ) -> tuple:
     """Units, then the staircase, then all remaining elements in canonical
     order (small carriers) or a seeded sample (large ones)."""
-    cached = getattr(carrier, "_vdomain", None)
-    if cached is not None and cached[0] == (seed, full_cap, sample):
-        return cached[1]
     lead = _domain_lead(carrier)
     card = carrier.cardinality
     if card is not None and card <= full_cap:
@@ -133,9 +130,7 @@ def verification_domain(
         if v not in seen:
             seen.add(v)
             out.append(v)
-    dom = tuple(out)
-    carrier._vdomain = ((seed, full_cap, sample), dom)
-    return dom
+    return tuple(out)
 
 
 def verification_elements(
@@ -253,28 +248,6 @@ def check_derivation(
         if len(report.failures) >= max_failures:
             break
     return report
-
-
-def _module_rank(carrier: Ring) -> tuple:
-    """(m, N) such that the carrier's additive group is Z_m^N.
-
-    The coordinates of an element are the N base-m digits of its canonical
-    index, most significant first: a matrix index joins its entries'
-    indices row-major, and a truncated polynomial's index has its leading
-    coefficient most significant, so addition is digitwise mod m.
-    """
-    size, ring = 1, carrier
-    while type(ring) is MatrixRing:
-        size *= ring.n * ring.n
-        ring = ring.base
-    if type(ring) is Zmod:
-        return ring.modulus, size
-    if type(ring) is PolyQuot:
-        return ring.modulus, size * ring.degree
-    raise PreconditionError(
-        f"{carrier.spec} is not built from zmod, poly and mat descriptors; "
-        "witness search needs its Z_m coordinates"
-    )
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -423,7 +396,13 @@ class _Coordinates:
 @lru_cache(maxsize=None)
 def _coordinates(carrier: Ring) -> _Coordinates:
     """The interned coordinates of a carrier with at most COORDINATE_CAP of them."""
-    m, size = _module_rank(carrier)
+    rank = _module_rank(carrier)
+    if rank is None:
+        raise PreconditionError(
+            f"{carrier.spec} is not built from zmod, poly and mat descriptors; "
+            "witness search needs its Z_m coordinates"
+        )
+    m, size = rank
     if size > COORDINATE_CAP:
         raise CarrierTooLargeError(
             f"{carrier.spec} has {size} Z_{m} coordinates; witness search "

@@ -1,12 +1,14 @@
 """Extension machinery: maps given on a corner grow to the full matrix ring.
 
-A derivation D on the top-left corner of the 2x2 block ring M_2(A) extends
-to the whole ring: it acts as given on the (1,1) corner, is transported to
-the (2,2) corner through the isomorphism a -> e21*a*e12, and the two
-off-diagonal block units get fixed images e12 -> e12, e21 -> -e21, which
-settles the remaining Pierce components entrywise.  Doubling this step and
-finally compressing with the idempotent e = e_11 + ... + e_nn extends a
-derivation from a 2x2 corner to M_n(R) for any n.
+A derivation D on the corner ring A extends to M_2(A) by one rule, applied
+Pierce block by Pierce block: D on the two diagonal blocks, D + id on the
+(1,2) block and D - id on the (2,1) block.  This is the map that acts as D
+on the (1,1) corner, is transported to the (2,2) corner through the
+isomorphism a -> e21*a*e12, and sends the off-diagonal units to the fixed
+images e12 -> e12, e21 -> -e21.  Doubling repeats the rule on the block
+decomposition of M_2m(R) into m x m blocks, and compressing with the
+idempotent e = e_11 + ... + e_nn finishes the extension from a 2x2 corner
+to M_n(R) for any n.
 
 The 2-local analogue answers each queried pair lazily: it picks one corner
 point per argument (first nonzero Pierce block, in the order (1,1), (2,2),
@@ -15,7 +17,7 @@ that pair of points, and replies with the witness of the extension of the
 corner witness's inner derivation.  Nothing is materialized globally.
 
 The roundtrip at the end extends a corner oracle to M_n(R), extracts one
-implementing element there, and compresses it back to the corner.
+implementing element there, and reads its top-left corner back.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .matrix import (
     MatrixRing,
     block_flatten,
     block_view,
-    corner_compress,
     corner_embed,
     corner_extract,
     join_blocks,
@@ -53,7 +54,7 @@ from .matrix import (
     matrix_unit,
     split_blocks,
 )
-from .rings import Ring, is_commutative
+from .rings import is_commutative
 
 MEMO_CAP = 4096
 
@@ -88,12 +89,36 @@ def phi_inv(x: Matrix) -> Matrix:
     return e12 * x * e21
 
 
-def _memoized_map(evaluate, ring: Ring):
-    card = ring.cardinality
+def _block_maps(D: DerivationMap) -> tuple:
+    """The three block maps of the corner rule: v -> D(v), D(v) + v and
+    D(v) - v, tabulated over the corner when it has at most MEMO_CAP
+    elements and computed on each call above that."""
+    A = D.carrier
+    ev, add, sub = D.evaluate, A.add, A.sub
+    card = A.cardinality
     if card is None or card > MEMO_CAP:
-        return evaluate
-    table = {x: evaluate(x) for x in ring.elements()}
-    return table.__getitem__
+        return ev, lambda v: add(ev(v), v), lambda v: sub(ev(v), v)
+    diag, plus, minus = {}, {}, {}
+    for v in A.elements():
+        img = ev(v)
+        diag[v], plus[v], minus[v] = img, add(img, v), sub(img, v)
+    return diag.__getitem__, plus.__getitem__, minus.__getitem__
+
+
+def _corner_rule(D: DerivationMap):
+    """The corner-extension rule on a 2x2 grid of corner elements:
+    ((b11, b12), (b21, b22)) -> ((D b11, (D+id) b12), ((D-id) b21, D b22))."""
+    dv, pv, mv = _block_maps(D)
+
+    def rule(grid):
+        (b11, b12), (b21, b22) = grid
+        return (dv(b11), pv(b12)), (mv(b21), dv(b22))
+
+    return rule
+
+
+def _map_on(ring, evaluate) -> DerivationMap:
+    return DerivationMap(ring, evaluate, verification_domain(ring))
 
 
 def extend_corner_derivation(D: DerivationMap, check: bool = True) -> DerivationMap:
@@ -111,19 +136,11 @@ def extend_corner_derivation(D: DerivationMap, check: bool = True) -> Derivation
         if not admission.passed:
             f = admission.failures[0]
             raise NotADerivationError(f"corner map fails {f.note} at {f.inputs}")
-    dv = _memoized_map(D.evaluate, A)
-    add, sub = A.add, A.sub
+    rule = _corner_rule(D)
     big = matrix_ring(A, 2)
 
     def evaluate(x):
-        (b11, b12), (b21, b22) = x.rows
-        return Matrix(
-            A,
-            (
-                (dv(b11), add(dv(b12), b12)),
-                (sub(dv(b21), b21), dv(b22)),
-            ),
-        )
+        return Matrix(A, rule(x.rows))
 
     witness = None
     if D.witness is not None:
@@ -142,38 +159,47 @@ def _chain_dimensions(start: int, n: int) -> tuple:
 
 
 def double_derivation(D: DerivationMap) -> DerivationMap:
-    """One doubling step: the corner extension of a derivation on M_m(R),
-    read back on flat 2m x 2m matrices through the block reinterpretation.
-
-    When the corner carrier is small the three per-block maps (the given
-    map, map + identity, map - identity) are tabulated once and evaluation
-    is pure block lookup; otherwise it composes block_view, the corner
-    extension, and block_flatten directly.  Both routes compute the same
-    map.
-    """
+    """One doubling step: the corner rule applied to the four m x m blocks
+    of a flat 2m x 2m matrix, for a derivation D on M_m(R).  This is the
+    corner extension of D read back through the block reinterpretation."""
     A = D.carrier
     if not isinstance(A, MatrixRing):
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
-    R, m = A.base, A.n
-    flat_ring = matrix_ring(R, 2 * m)
-    card = A.cardinality
-    if card is not None and card <= MEMO_CAP:
-        diag_t, plus_t, minus_t = {}, {}, {}
-        for v in A.elements():
-            img = D.evaluate(v)
-            diag_t[v], plus_t[v], minus_t[v] = img, img + v, img - v
+    m = A.n
+    rule = _corner_rule(D)
 
-        def evaluate(x):
-            (x11, x12), (x21, x22) = split_blocks(x, m)
-            return join_blocks(((diag_t[x11], plus_t[x12]), (minus_t[x21], diag_t[x22])))
+    def evaluate(x):
+        return join_blocks(rule(split_blocks(x, m)))
 
-    else:
-        block_ext = extend_corner_derivation(D, check=False)
+    return _map_on(matrix_ring(A.base, 2 * m), evaluate)
 
-        def evaluate(x, f=block_ext.evaluate, m=m):
-            return block_flatten(f(block_view(x, m)))
 
-    return DerivationMap(flat_ring, evaluate, verification_domain(flat_ring), witness=None)
+def _extension_chain(start, n: int, double, attr: str, wrap) -> ExtensionTrace:
+    """Double ``start``, a map or an oracle on M_m(R), up to the least power
+    of two top >= n, then compress to M_n(R) with the rank-n idempotent.
+    The compressed function reads the top-left n x n corner of the top
+    stage's function ``getattr(stage, attr)`` on corner-embedded arguments,
+    which serves the one argument of a map and the two of an oracle;
+    ``wrap(ring, f)`` makes the result from it."""
+    m = start.carrier.n
+    if n <= m:
+        raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
+    R = start.carrier.base
+    target = matrix_ring(R, n)  # an oversize target is refused before any doubling
+    dims = _chain_dimensions(m, n)
+    current, stages = start, []
+    for _ in dims[1:]:
+        current = double(current)
+        stages.append(current)
+    top = dims[-1]
+    if top == n:
+        return ExtensionTrace(dims, None, tuple(stages), current)
+
+    def compressed(*xs, f=getattr(current, attr)):
+        return corner_extract(f(*(corner_embed(x, top) for x in xs)), n)
+
+    idempotent = CornerContext(n, top, R).idempotent
+    return ExtensionTrace(dims, idempotent, tuple(stages), wrap(target, compressed))
 
 
 def extend_derivation_trace(
@@ -181,38 +207,13 @@ def extend_derivation_trace(
 ) -> ExtensionTrace:
     """Double a corner derivation up to the least power of two >= n, then
     compress with the rank-n idempotent; the result restricts to D."""
-    corner = D.carrier
-    m = corner.n
-    if n <= m:
-        raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
-    R = corner.base
-    dims = _chain_dimensions(m, n)
-    current = D
-    stages = []
-    for _ in dims[1:]:
-        current = double_derivation(current)
-        stages.append(current)
-
-    top = dims[-1]
-    if top == n:
-        result = current
-        idempotent = None
-    else:
-        ctx = CornerContext(n, top, R)
-        idempotent = ctx.idempotent
-        target = matrix_ring(R, n)
-
-        def evaluate(x, f=current.evaluate, top=top, n=n):
-            return corner_extract(f(corner_embed(x, top)), n)
-
-        result = DerivationMap(target, evaluate, verification_domain(target), witness=None)
-
+    trace = _extension_chain(D, n, double_derivation, "evaluate", _map_on)
     if validate:
-        admission = check_derivation(result, pair_cap=0, pair_samples=512)
+        admission = check_derivation(trace.result, pair_cap=0, pair_samples=512)
         if not admission.passed:
             f = admission.failures[0]
             raise NotADerivationError(f"extension fails {f.note} at {f.inputs}")
-    return ExtensionTrace(dims, idempotent, tuple(stages), result)
+    return trace
 
 
 def extend_derivation_to_n(D: DerivationMap, n: int, validate: bool = True) -> DerivationMap:
@@ -277,44 +278,25 @@ def extend_corner_two_local(oracle: WitnessOracle) -> WitnessOracle:
     return WitnessOracle(big, select)
 
 
+def _double_two_local(oracle: WitnessOracle) -> WitnessOracle:
+    """One 2-local doubling step: the corner 2-local extension of an oracle
+    on M_m(R), read on flat 2m x 2m matrices through the block view."""
+    A = oracle.carrier
+    m = A.n
+    block_select = extend_corner_two_local(oracle).select
+
+    def select(x, y):
+        return block_flatten(block_select(block_view(x, m), block_view(y, m)))
+
+    return WitnessOracle(matrix_ring(A.base, 2 * m), select)
+
+
 def extend_two_local_trace(oracle: WitnessOracle, n: int) -> ExtensionTrace:
     """Doubling chain of corner 2-local extensions, then compression by the
     rank-n idempotent.  Compressed answers are the top-left n x n corner of
     the full-size answers, which implement the compressed values on
     corner-supported elements."""
-    corner = oracle.carrier
-    m = corner.n
-    if n <= m:
-        raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
-    R = corner.base
-    dims = _chain_dimensions(m, n)
-    current = oracle
-    stages = []
-    for dim in dims[1:]:
-        half = dim // 2
-        block_oracle = extend_corner_two_local(current)
-        flat_ring = matrix_ring(R, dim)
-
-        def select(x, y, bo=block_oracle.select, h=half):
-            return block_flatten(bo(block_view(x, h), block_view(y, h)))
-
-        current = WitnessOracle(flat_ring, select)
-        stages.append(current)
-
-    top = dims[-1]
-    if top == n:
-        result = current
-        idempotent = None
-    else:
-        ctx = CornerContext(n, top, R)
-        idempotent = ctx.idempotent
-        target = matrix_ring(R, n)
-
-        def select(x, y, ts=current.select, top=top, n=n):
-            return corner_extract(ts(corner_embed(x, top), corner_embed(y, top)), n)
-
-        result = WitnessOracle(target, select)
-    return ExtensionTrace(dims, idempotent, tuple(stages), result)
+    return _extension_chain(oracle, n, _double_two_local, "select", WitnessOracle)
 
 
 def extend_two_local_to_n(oracle: WitnessOracle, n: int) -> WitnessOracle:
@@ -329,8 +311,8 @@ def extend_extract_compress(
     force: bool = False,
 ) -> Matrix:
     """Roundtrip: extend a corner oracle to M_n(R), extract one global
-    implementing element d there, compress c = e d e back to the corner,
-    and verify commutator(c, x) reproduces the corner map on every corner
+    implementing element d there, read its top-left corner c back (the
+    corner of the compression e d e), and verify commutator(c, x) reproduces the corner map on every corner
     element.  Returns c as a 2x2 matrix; a counterexample raises."""
     corner = oracle.carrier
     R = corner.base
@@ -341,9 +323,7 @@ def extend_extract_compress(
         )
     nabla = extend_two_local_to_n(oracle, n)
     d = extract_witness(nabla, n, i_o, j_o, force=force)
-    ctx = CornerContext(corner.n, n, R)
-    compressed = corner_compress(d, ctx)
-    c = corner_extract(compressed, corner.n)
+    c = corner_extract(d, corner.n)
     mul, sub = corner.mul, corner.sub
     for x in verification_elements(corner, seed=DEFAULT_SEED):
         if sub(mul(c, x), mul(x, c)) != oracle.value(x):

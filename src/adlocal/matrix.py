@@ -26,10 +26,11 @@ from functools import lru_cache
 from itertools import product
 from operator import getitem
 
-from .errors import DimensionError, ShapeMismatchError
-from .rings import ENUMERATION_CAP, Ring, ring_axiom_check
+from .errors import CarrierTooLargeError, DimensionError, ShapeMismatchError
+from .rings import ENUMERATION_CAP, PolyQuot, Ring, Zmod, ring_axiom_check
 
 ROW_TABLE_CAP = 256
+COORDINATE_CAP = 64
 
 
 class RowTable:
@@ -430,9 +431,41 @@ def _split_matrix_literal(text: str) -> list:
     return [[t.strip() for t in r] for r in rows]
 
 
+def _module_rank(carrier: Ring) -> tuple | None:
+    """(m, N) such that the carrier's additive group is Z_m^N, or None when
+    the carrier is not built from zmod, poly and mat descriptors.
+
+    The coordinates of an element are the N base-m digits of its canonical
+    index, most significant first: a matrix index joins its entries'
+    indices row-major, and a truncated polynomial's index has its leading
+    coefficient most significant, so addition is digitwise mod m.
+    """
+    size, ring = 1, carrier
+    while type(ring) is MatrixRing:
+        size *= ring.n * ring.n
+        ring = ring.base
+    if type(ring) is Zmod:
+        return ring.modulus, size
+    if type(ring) is PolyQuot:
+        return ring.modulus, size * ring.degree
+    return None
+
+
 @lru_cache(maxsize=None)
 def matrix_ring(base: Ring, n: int) -> MatrixRing:
-    """Interned M_n(R) descriptor, axiom-checked on first construction."""
+    """Interned M_n(R) descriptor, axiom-checked on first construction.
+
+    A carrier of more than COORDINATE_CAP Z_m coordinates is refused with
+    CarrierTooLargeError before anything is built.
+    """
+    rank = _module_rank(base)
+    if rank is not None:
+        m, size = rank[0], rank[1] * n * n
+        if size > COORDINATE_CAP:
+            raise CarrierTooLargeError(
+                f"mat:{base.spec}:{n} has {size} Z_{m} coordinates; "
+                f"at most {COORDINATE_CAP} are supported"
+            )
     ring = MatrixRing(base, n)
     ring_axiom_check(ring)
     return ring

@@ -263,13 +263,6 @@ class CommutativityEvidence:
         return self.commutative
 
 
-def enumerate_elements(ring: Ring) -> tuple:
-    """All elements of a finite ring, exactly once, in canonical order."""
-    if ring.cardinality is None:
-        raise InfiniteRingError(f"{ring.spec} has no finite enumeration")
-    return ring.elements()
-
-
 def is_commutative(ring: Ring) -> CommutativityEvidence:
     """Decide commutativity: exhaustive pairwise check for small finite rings.
 

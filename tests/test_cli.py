@@ -203,6 +203,35 @@ def test_prop9_cli(capsys):
     assert len(doc["witnesses"]) == 16
 
 
+def test_prop9_beyond_n4_reports_the_oracle_inconsistency(capsys):
+    # with minimal-witness corner answers the first doubling is consistent
+    # only on the points it was asked about; the second one asks elsewhere
+    code, out, err = run_cli(
+        capsys, "prop9", "--ring", "zmod:2", "--n", "5", "--witness-samples", "1"
+    )
+    assert code == 2
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["failures"][0]["note"] == (
+        "corner oracle implements two different values at one point"
+    )
+
+
+def test_oversize_carrier_fails_fast(capsys):
+    # M9(Z2) has 81 Z_2 coordinates, above the 64 any carrier may have
+    for experiment in ("extend-deriv", "extract-all"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, experiment, "--ring", "zmod:2", "--n", "9", "--pair-samples", "10"
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert json.loads(out)["status"] == "error"
+        assert "81 Z_2 coordinates" in err
+        assert elapsed < 15, f"{experiment} took {elapsed:.1f}s, budget 15s"
+
+
 def test_extend_deriv_cli(capsys):
     code, out, _ = run_cli(
         capsys, "extend-deriv", "--ring", "zmod:2", "--n", "3", "--pair-samples", "4000"

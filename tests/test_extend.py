@@ -14,6 +14,7 @@ from adlocal import (
     check_two_local,
     commutator,
     corner_embed,
+    double_derivation,
     extend_corner_derivation,
     extend_corner_two_local,
     extend_derivation_to_n,
@@ -31,6 +32,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
+from adlocal.extend import MEMO_CAP
 from adlocal.sampling import rng_for
 
 
@@ -151,6 +153,25 @@ def test_double_derivation_matches_block_composition(m2z2):
         sample = [m4.element(rng.randrange(m4.cardinality)) for _ in range(400)]
         for x in list(m4.units()) + sample:
             assert fast.evaluate(x) == block_flatten(block_ext.evaluate(block_view(x, 2)))
+
+
+def test_double_derivation_untabulated_corner(z2):
+    # M4(Z2) has 65,536 elements, above MEMO_CAP, so doubling into M8(Z2)
+    # computes the three block maps on each call instead of tabulating them
+    m4, m8 = matrix_ring(z2, 4), matrix_ring(z2, 8)
+    assert m4.cardinality > MEMO_CAP
+    rng = rng_for(4, "untabulated-doubling")
+    sample = [m8.element(rng.randrange(m8.cardinality)) for _ in range(150)]
+    for b in (matrix_unit(z2, 4, 1, 2), m4.element(rng.randrange(m4.cardinality))):
+        D = inner_derivation(b, m4)
+        doubled = double_derivation(D)
+        # the predicted witness diag(b + 1, b)
+        w = block_flatten(Matrix(m4, ((b + m4.one, m4.zero), (m4.zero, b))))
+        for x in m8.units() + tuple(sample):
+            assert doubled.evaluate(x) == commutator(w, x)
+        block_ext = extend_corner_derivation(D, check=False)
+        for x in sample[:50]:
+            assert doubled.evaluate(x) == block_flatten(block_ext.evaluate(block_view(x, 4)))
 
 
 def test_phi_is_corner_isomorphism(m2z2):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlocal import (
+    CarrierTooLargeError,
     CornerContext,
     DimensionError,
     ShapeMismatchError,
@@ -385,3 +386,10 @@ def test_block_view_above_row_table_cap(z3):
         assert block_view(x * y, 3) == block_view(x, 3) * block_view(y, 3)
         assert block_view(x + y, 3) == block_view(x, 3) + block_view(y, 3)
         assert block_flatten(block_view(x, 3)) == x
+
+
+def test_matrix_ring_refuses_more_than_64_coordinates(z2):
+    # refused before construction: M9(Z2) has 81 coordinates, M6(Z2[t]/(t^2)) 72
+    for base, n in ((z2, 9), (polyquot(2, 2), 6), (matrix_ring(z2, 2), 5)):
+        with pytest.raises(CarrierTooLargeError, match="at most 64"):
+            matrix_ring(base, n)

@@ -6,7 +6,6 @@ from adlocal import (
     InfiniteRingError,
     Ring,
     Zmod,
-    enumerate_elements,
     is_central,
     is_commutative,
     matrix_ring,
@@ -19,26 +18,26 @@ from adlocal import (
 
 
 def test_enumerate_z2():
-    assert enumerate_elements(zmod(2)) == (0, 1)
+    assert zmod(2).elements() == (0, 1)
 
 
 def test_enumerate_z3():
-    assert enumerate_elements(zmod(3)) == (0, 1, 2)
+    assert zmod(3).elements() == (0, 1, 2)
 
 
 def test_enumerate_poly_2_2_canonical_order():
     ring = polyquot(2, 2)
-    assert [ring.el_str(e) for e in enumerate_elements(ring)] == ["0", "1", "t", "t+1"]
+    assert [ring.el_str(e) for e in ring.elements()] == ["0", "1", "t", "t+1"]
 
 
 def test_enumeration_is_stable():
     ring = polyquot(3, 2)
-    assert enumerate_elements(ring) == enumerate_elements(ring)
+    assert ring.elements() == ring.elements()
 
 
 def test_zero_is_index_zero():
     for ring in (zmod(5), polyquot(2, 3), matrix_ring(zmod(2), 2)):
-        assert enumerate_elements(ring)[0] == ring.zero
+        assert ring.elements()[0] == ring.zero
         assert ring.index(ring.zero) == 0
 
 
@@ -130,7 +129,7 @@ def test_infinite_ring_enumeration_refused():
         commutative_declared = False
 
     with pytest.raises(InfiniteRingError):
-        enumerate_elements(Free())
+        Free().elements()
 
 
 def test_parse_ring_specs():
