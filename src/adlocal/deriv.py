@@ -288,12 +288,20 @@ class _Coordinates:
         self.row_bits = size * width
         basis = [carrier.element(m ** (size - 1 - k)) for k in range(size)]
         mul, sub = carrier.mul, carrier.sub
+        # [E_l, E_k] = -[E_k, E_l] and [E_k, E_k] = 0: pack the commutators
+        # with k < l and negate their lanes mod m for the mirror entries
+        ones = ((1 << self.row_bits) - 1) // ((1 << width) - 1)
+        qmask = ones * ((1 << (width - self.shift)) - 1)
+        comm = [[0] * size for _ in range(size)]
+        for k, ek in enumerate(basis):
+            for l in range(k + 1, size):
+                el = basis[l]
+                v = comm[k][l] = self.pack(sub(mul(ek, el), mul(el, ek)))
+                w = m * ones - v
+                comm[l][k] = w - (((w * self.mu) >> self.shift) & qmask) * m
         self.table = [
-            sum(
-                self.pack(sub(mul(ek, el), mul(el, ek))) << ((size - 1 - k) * self.row_bits)
-                for k, ek in enumerate(basis)
-            )
-            for el in basis
+            sum(comm[k][l] << ((size - 1 - k) * self.row_bits) for k in range(size))
+            for l in range(size)
         ]
 
     def pack(self, v) -> int:

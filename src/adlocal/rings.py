@@ -339,15 +339,18 @@ def ring_axiom_check(ring: Ring) -> None:
         a = ring.element(rng.randrange(card))
         b = ring.element(rng.randrange(card))
         c = ring.element(rng.randrange(card))
-        if add(add(a, b), c) != add(a, add(b, c)):
+        ab_sum, bc_sum = add(a, b), add(b, c)
+        if add(ab_sum, c) != add(a, bc_sum):
             raise ValueError(f"{ring.spec}: addition not associative")
-        if add(a, b) != add(b, a):
+        if ab_sum != add(b, a):
             raise ValueError(f"{ring.spec}: addition not commutative")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+        ab, bc = mul(a, b), mul(b, c)
+        if mul(ab, c) != mul(a, bc):
             raise ValueError(f"{ring.spec}: multiplication not associative")
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+        ac = mul(a, c)
+        if mul(a, bc_sum) != add(ab, ac):
             raise ValueError(f"{ring.spec}: left distributivity fails")
-        if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
+        if mul(ab_sum, c) != add(ac, bc):
             raise ValueError(f"{ring.spec}: right distributivity fails")
         if mul(one, a) != a or mul(a, one) != a:
             raise ValueError(f"{ring.spec}: unit law fails at {a!r}")

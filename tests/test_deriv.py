@@ -29,6 +29,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
+from adlocal.deriv import _coordinates
 
 
 def zero2(z2):
@@ -176,6 +177,25 @@ def test_witness_search_carrier_bounds():
 
     with pytest.raises(PreconditionError):
         witness_search(Custom(), [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "spec", ["mat:zmod:2:2", "mat:zmod:4:2", "mat:zmod:2:3", "mat:poly:2:2:2", "mat:mat:zmod:2:2:2"]
+)
+def test_structure_table_matches_full_build(spec):
+    # reference: all N^2 commutators [E_k, E_l], none mirrored
+    carrier = parse_ring_spec(spec)
+    coords = _coordinates(carrier)
+    m, size, row_bits = coords.m, coords.size, coords.row_bits
+    basis = [carrier.element(m ** (size - 1 - k)) for k in range(size)]
+    full = [
+        sum(
+            coords.pack(commutator(ek, el)) << ((size - 1 - k) * row_bits)
+            for k, ek in enumerate(basis)
+        )
+        for el in basis
+    ]
+    assert coords.table == full
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):

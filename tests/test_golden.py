@@ -25,6 +25,7 @@ CONFIGS = {
     "extend-2local-zmod2-n3": dict(experiment="extend-2local", ring="zmod:2", n=3),
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
+    "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),
     "extend-deriv-zmod2-n3": dict(experiment="extend-deriv", ring="zmod:2", n=3),
 }
 

@@ -15,6 +15,7 @@ from adlocal import (
     ring_axiom_check,
     zmod,
 )
+from adlocal.rings import AXIOM_EXHAUSTIVE_CAP
 
 
 def test_enumerate_z2():
@@ -78,6 +79,64 @@ def test_axiom_check_catches_broken_ring():
 
     with pytest.raises(ValueError):
         ring_axiom_check(Broken(5))
+
+
+class _AddNotAssociative(Zmod):
+    def add(self, a, b):
+        return (a + 2 * b) % self.modulus
+
+
+class _AddNotCommutative(Zmod):
+    def add(self, a, b):
+        return a
+
+
+class _MulNotAssociative(Zmod):
+    def mul(self, a, b):
+        return (a * b + 1) % self.modulus
+
+
+class _LeftProjection(Zmod):
+    def mul(self, a, b):
+        return a
+
+
+class _RightProjection(Zmod):
+    def mul(self, a, b):
+        return b
+
+
+class _WrongUnit(Zmod):
+    @property
+    def one(self):
+        return 2
+
+
+class _WrongNegAbove95(Zmod):
+    def neg(self, a):
+        return a if a > 95 else -a % self.modulus
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_AddNotAssociative, "addition not associative"),
+        (_AddNotCommutative, "addition not commutative"),
+        (_MulNotAssociative, "multiplication not associative"),
+        (_LeftProjection, "left distributivity fails"),
+        (_RightProjection, "right distributivity fails"),
+        (_WrongUnit, "unit law fails at 19"),
+        (_WrongNegAbove95, "additive inverse fails at 100"),
+    ],
+)
+def test_sampled_axiom_check_catches_broken_ring(broken, message):
+    # 101 elements: above AXIOM_EXHAUSTIVE_CAP, so the seeded triples run;
+    # the elements named are the first seeded draws that break the law
+    ring = broken(101)
+    assert ring.cardinality > AXIOM_EXHAUSTIVE_CAP
+    with pytest.raises(ValueError) as info:
+        ring_axiom_check(ring)
+    assert str(info.value) == f"zmod:101: {message}"
 
 
 def test_is_commutative_z6():

@@ -1,17 +1,23 @@
+from itertools import product
+
 import pytest
 
 from adlocal import (
     EmptyWordError,
+    PreconditionError,
     adversarial_oracle,
     check_inner_on_subring,
     commutator,
     generate_subring,
     matrix_ring,
+    matrix_unit,
+    polyquot,
     witness_search,
     word_eval,
     zero_matrix,
     zmod,
 )
+from adlocal.deriv import Failure, VerificationReport
 from adlocal.sampling import rng_for
 
 
@@ -156,3 +162,194 @@ def test_inner_map_on_closure_over_z4():
     d = witness_search(carrier, [(x, delta[x]), (y, delta[y])])
     assert d is not None
     assert check_inner_on_subring(S, delta, d).passed
+
+
+# Differential tests against brute-force references kept only here: the
+# generator-set fixpoint that re-spans every round, and the ordered scan of
+# all |S|^2 additivity pairs.
+
+DIFF_CARRIERS = {
+    "M2Z2": lambda: matrix_ring(zmod(2), 2),
+    "M2Z3": lambda: matrix_ring(zmod(3), 2),
+    "M2Z4": lambda: matrix_ring(zmod(4), 2),
+    "M3Z2": lambda: matrix_ring(zmod(2), 3),
+    "M2Z2t2": lambda: matrix_ring(polyquot(2, 2), 2),
+}
+
+
+def _additive_span(ambient, gens):
+    span, frontier = {ambient.zero}, [ambient.zero]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = ambient.add(v, g)
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+def _closure_reference(x, y, ambient):
+    mul = ambient.mul
+    gens = [x] if y == x else [x, y]
+    span = _additive_span(ambient, gens)
+    while True:
+        fresh = []
+        seen = set(span)
+        for g, h in product(gens, gens):
+            p = mul(g, h)
+            if p not in seen:
+                seen.add(p)
+                fresh.append(p)
+        if not fresh:
+            return tuple(sorted(span, key=ambient.index))
+        gens.extend(fresh)
+        span = _additive_span(ambient, gens)
+
+
+def _inner_reference(S, delta, d, pair_cap=262_144, pair_samples=10_000, seed=0):
+    ambient = S.ambient
+    add, mul, sub = ambient.add, ambient.mul, ambient.sub
+    values = {p: delta[p] for p in S.elements}
+    report = VerificationReport(
+        witness=d, notes=("d inside closure" if d in set(S.elements) else "d outside closure",)
+    )
+    elements = S.elements
+    count = len(elements)
+    if count * count <= pair_cap:
+        pairs = product(elements, elements)
+    else:
+        rng = rng_for(seed, f"additivity:{ambient.spec}")
+        pairs = (
+            (elements[rng.randrange(count)], elements[rng.randrange(count)])
+            for _ in range(pair_samples)
+        )
+        report.seed = seed
+    for u, v in pairs:
+        report.checked += 1
+        if values[add(u, v)] != add(values[u], values[v]):
+            report.failures.append(
+                Failure((u, v), add(values[u], values[v]), values[add(u, v)], "not additive")
+            )
+            return report
+    for g in S.generators:
+        if values[g] != sub(mul(d, g), mul(g, d)):
+            raise PreconditionError("delta disagrees with the commutator map of d at a generator")
+    for p in elements:
+        report.checked += 1
+        got = sub(mul(d, p), mul(p, d))
+        if values[p] != got:
+            report.failures.append(Failure((p,), values[p], got, "not implemented by d"))
+            return report
+    return report
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        r = check(*args, **kwargs)
+    except PreconditionError:
+        return "precondition"
+    failures = [(f.inputs, f.expected, f.got, f.note) for f in r.failures]
+    return r.passed, r.checked, failures, r.notes, r.seed, r.witness
+
+
+def _verdict(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    failures = outcome[2]
+    return failures[0][3] if failures else "pass"
+
+
+def _seeded_pairs(label, carrier, count):
+    rng = rng_for(7, f"twogen-diff:{label}")
+    card = carrier.cardinality
+    pairs = [(carrier.zero, carrier.zero)]
+    for _ in range(count):
+        x = carrier.element(rng.randrange(card))
+        pairs.append((x, x) if rng.random() < 0.15 else (x, carrier.element(rng.randrange(card))))
+    return pairs
+
+
+@pytest.mark.parametrize("label", sorted(DIFF_CARRIERS))
+def test_generate_subring_matches_reference(label):
+    carrier = DIFF_CARRIERS[label]()
+    for x, y in _seeded_pairs(label, carrier, 25):
+        S = generate_subring(x, y, carrier)
+        assert S.elements == _closure_reference(x, y, carrier)
+        # each span generator at least doubles the span of those before it
+        gens = S.span_generators
+        sizes = [len(_additive_span(carrier, gens[:k])) for k in range(len(gens) + 1)]
+        assert all(2 * a <= b for a, b in zip(sizes, sizes[1:]))
+        assert _additive_span(carrier, gens) == set(S.elements)
+        assert 1 << len(gens) <= len(S.elements)
+
+
+def _tables(S, rng):
+    """(name, delta, d) cases over S: inner tables that pass, tables that
+    break additivity at one element, at zero, or on a coset of the span of
+    some span generators (additive along those), and the identity table."""
+    ambient = S.ambient
+    card = ambient.cardinality
+    a = ambient.element(rng.randrange(card))
+    inner = {p: commutator(a, p) for p in S.elements}
+    bump = ambient.element(1 + rng.randrange(card - 1))
+    cases = [("inner", inner, a), ("other d", inner, ambient.element(rng.randrange(card)))]
+    u = S.elements[rng.randrange(len(S.elements))]
+    cases.append(("perturbed", {**inner, u: ambient.add(inner[u], bump)}, a))
+    cases.append(("perturbed at zero", {**inner, ambient.zero: bump}, a))
+    H = _additive_span(ambient, [g for g in S.span_generators if rng.random() < 0.5])
+    outside = [w for w in S.elements if w not in H]
+    if outside:
+        w = outside[rng.randrange(len(outside))]
+        coset = {ambient.add(w, h) for h in H}
+        table = {p: ambient.add(v, bump) if p in coset else v for p, v in inner.items()}
+        cases.append(("perturbed on a coset", table, a))
+    x, y = S.generators
+    d0 = witness_search(ambient, [(x, x), (y, y)])
+    if d0 is not None:
+        cases.append(("identity", {p: p for p in S.elements}, d0))
+    return cases
+
+
+@pytest.mark.parametrize("label", sorted(DIFF_CARRIERS))
+def test_check_inner_matches_pair_scan(label):
+    carrier = DIFF_CARRIERS[label]()
+    rng = rng_for(11, f"twogen-inner:{label}")
+    seen, verdicts = 0, set()
+    for x, y in _seeded_pairs(label, carrier, 40):
+        S = generate_subring(x, y, carrier)
+        if len(S.elements) > 128 or seen >= 10:
+            continue  # the reference scan of a passing table is |S|^2 additions
+        seen += 1
+        for name, delta, d in _tables(S, rng):
+            want = _outcome(_inner_reference, S, delta, d)
+            assert _outcome(check_inner_on_subring, S, delta, d) == want, name
+            verdicts.add(_verdict(want))
+    assert seen >= 5
+    assert {"pass", "not additive", "precondition"} <= verdicts
+
+
+def test_check_inner_sampled_branch_matches_reference(m3z2):
+    e12, e21 = matrix_unit(zmod(2), 3, 1, 2), matrix_unit(zmod(2), 3, 2, 1)
+    S = generate_subring(e12, e21, m3z2)
+    a = matrix_unit(zmod(2), 3, 1, 1)
+    inner = {p: commutator(a, p) for p in S.elements}
+    broken = {**inner, S.elements[5]: m3z2.add(inner[S.elements[5]], e12)}
+    for delta in (inner, broken):
+        kwargs = dict(pair_cap=len(S.elements), pair_samples=300, seed=4)
+        want = _outcome(_inner_reference, S, delta, a, **kwargs)
+        assert want[4] == 4
+        assert _outcome(check_inner_on_subring, S, delta, a, **kwargs) == want
+
+
+@pytest.mark.parametrize("label", ["M2Z2", "M2Z3"])
+def test_check_inner_zero_closure_with_nonzero_value(label):
+    carrier = DIFF_CARRIERS[label]()
+    zero = carrier.zero
+    S = generate_subring(zero, zero, carrier)
+    assert S.elements == (zero,) and S.span_generators == ()
+    delta = {zero: carrier.element(1)}
+    want = _outcome(_inner_reference, S, delta, zero)
+    doubled = carrier.add(delta[zero], delta[zero])
+    assert want[:3] == (False, 1, [((zero, zero), doubled, delta[zero], "not additive")])
+    assert _outcome(check_inner_on_subring, S, delta, zero) == want
