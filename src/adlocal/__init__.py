@@ -19,6 +19,7 @@ from .deriv import (
     check_two_local,
     inner_derivation,
     maps_equal,
+    pair_oracle,
     verification_domain,
     verification_elements,
     witness_search,
@@ -62,13 +63,11 @@ from .extract import (
     verify_unit_image_formula,
 )
 from .matrix import (
-    CornerContext,
     Matrix,
     MatrixRing,
     block_flatten,
     block_view,
     commutator,
-    corner_compress,
     corner_embed,
     corner_extract,
     identity_matrix,

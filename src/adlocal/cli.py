@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 
 from .deriv import (
     DerivationMap,
-    WitnessOracle,
     adversarial_oracle,
     check_derivation,
     check_two_local,
@@ -218,11 +217,8 @@ def _run_extend_2local(cfg, base):
                     _fail_record((a, v), want, got, "extension disagrees on the corner")
                 )
                 return checks, failures, []
-    # sampled global 2-locality: run on a constant-witness corner oracle,
-    # whose per-pair answers patch into one map (adversarial minimal
-    # witnesses provably do not extend to a globally 2-local map)
-    w = _corner_e12(base)
-    oracle = WitnessOracle(corner_ring, lambda x, y: w)
+    # sampled global 2-locality of the extension of one adversarial oracle
+    oracle = adversarial_oracle(_corner_e12(base), corner_ring)
     ext = extend_two_local_to_n(oracle, cfg.n)
     dmap = DerivationMap(carrier, ext.value, verification_domain(carrier, cfg.seed))
     rep = check_two_local(dmap, pair_cap=0, pair_samples=cfg.two_local_pairs, seed=cfg.seed)
@@ -239,8 +235,8 @@ def _run_prop9(cfg, base):
         try:
             c = extend_extract_compress(oracle, cfg.n, force=cfg.force)
         except (VerificationFailedError, InconsistentOracleError) as exc:
-            # beyond n = 4 the doubled minimal-witness oracle is queried off
-            # the points it was made consistent on, and the chain says so
+            # a pair of the extension without a common witness, or a corner
+            # read back wrong, is a counterexample and reported as a failure
             point = getattr(exc, "counterexample", None)
             failures.append(_fail_record((a, point), None, None, str(exc)))
             return checks, failures, witnesses

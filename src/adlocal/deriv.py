@@ -27,7 +27,12 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .errors import CarrierTooLargeError, InfiniteRingError, PreconditionError
+from .errors import (
+    CarrierTooLargeError,
+    InconsistentOracleError,
+    InfiniteRingError,
+    PreconditionError,
+)
 from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, matrix_ring, staircase
 from .rings import Ring
 from .sampling import rng_for
@@ -446,30 +451,42 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     return None if found is None else carrier.element(found)
 
 
-def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
-    """Oracle inducing the inner derivation of ``a`` whose answers come
-    from :func:`witness_search` on the two constraints of the pair, which
-    see only the values [a, x] and [a, y]: each pair gets the canonically
-    minimal implementing element, never ``a`` itself unless that happens
-    to be minimal.  Pairs are unordered for the search."""
-    if carrier is None:
-        carrier = matrix_ring(a.ring, a.n)
-    mul, sub = carrier.mul, carrier.sub
+def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
+    """Oracle of the map ``evaluate`` built from its values alone: each pair
+    gets the canonically minimal element implementing the map at both of
+    its points, from :func:`witness_search` on their two constraints.
+    Pairs are unordered for the search and answered once.  A pair with no
+    common witness raises InconsistentOracleError: the map is not 2-local
+    there."""
+    index = carrier.index
     memo: dict = {}
 
     def select(x, y):
-        if carrier.index(y) < carrier.index(x):
+        if index(y) < index(x):
             x, y = y, x
         key = (x, y)
         w = memo.get(key)
         if w is None:
-            tx = sub(mul(a, x), mul(x, a))
-            ty = sub(mul(a, y), mul(y, a))
-            w = witness_search(carrier, [(x, tx), (y, ty)])
-            memo[key] = w  # a itself satisfies the constraints, so never None
+            w = witness_search(carrier, [(x, evaluate(x)), (y, evaluate(y))])
+            if w is None:
+                raise InconsistentOracleError(
+                    "no element implements the map at both points of a pair"
+                )
+            memo[key] = w
         return w
 
     return WitnessOracle(carrier, select)
+
+
+def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
+    """Oracle inducing the inner derivation of ``a`` whose answers come
+    from :func:`pair_oracle`, which sees only the values [a, x] and
+    [a, y]: each pair gets the canonically minimal implementing element,
+    never ``a`` itself unless that happens to be minimal."""
+    if carrier is None:
+        carrier = matrix_ring(a.ring, a.n)
+    mul, sub = carrier.mul, carrier.sub
+    return pair_oracle(carrier, lambda x: sub(mul(a, x), mul(x, a)))
 
 
 def check_two_local(

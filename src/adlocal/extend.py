@@ -10,11 +10,11 @@ decomposition of M_2m(R) into m x m blocks, and compressing with the
 idempotent e = e_11 + ... + e_nn finishes the extension from a 2x2 corner
 to M_n(R) for any n.
 
-The 2-local analogue answers each queried pair lazily: it picks one corner
-point per argument (first nonzero Pierce block, in the order (1,1), (2,2),
-(1,2), (2,1), each transported into the corner), asks the corner oracle for
-that pair of points, and replies with the witness of the extension of the
-corner witness's inner derivation.  Nothing is materialized globally.
+A 2-local oracle extends by the same rule: the corner rule applied to the
+oracle's induced value map defines the extended map pointwise, and each
+queried pair of the extension is answered by witness search on the two
+values there.  A pair without a common witness would be a counterexample
+to the 2-locality of the extension and raises InconsistentOracleError.
 
 The roundtrip at the end extends a corner oracle to M_n(R), extracts one
 implementing element there, and reads its top-left corner back.
@@ -29,12 +29,12 @@ from .deriv import (
     DerivationMap,
     WitnessOracle,
     check_derivation,
+    pair_oracle,
     verification_domain,
     verification_elements,
 )
 from .errors import (
     DimensionError,
-    InconsistentOracleError,
     NonCommutativeBaseError,
     NotADerivationError,
     ShapeMismatchError,
@@ -42,13 +42,11 @@ from .errors import (
 )
 from .extract import extract_witness
 from .matrix import (
-    CornerContext,
     Matrix,
     MatrixRing,
-    block_flatten,
-    block_view,
     corner_embed,
     corner_extract,
+    identity_matrix,
     join_blocks,
     matrix_ring,
     matrix_unit,
@@ -89,12 +87,11 @@ def phi_inv(x: Matrix) -> Matrix:
     return e12 * x * e21
 
 
-def _block_maps(D: DerivationMap) -> tuple:
-    """The three block maps of the corner rule: v -> D(v), D(v) + v and
-    D(v) - v, tabulated over the corner when it has at most MEMO_CAP
-    elements and computed on each call above that."""
-    A = D.carrier
-    ev, add, sub = D.evaluate, A.add, A.sub
+def _block_maps(A, ev) -> tuple:
+    """The three block maps of the corner rule for the map ``ev`` on A:
+    v -> D(v), D(v) + v and D(v) - v, tabulated over A when it has at most
+    MEMO_CAP elements and computed on each call above that."""
+    add, sub = A.add, A.sub
     card = A.cardinality
     if card is None or card > MEMO_CAP:
         return ev, lambda v: add(ev(v), v), lambda v: sub(ev(v), v)
@@ -105,10 +102,11 @@ def _block_maps(D: DerivationMap) -> tuple:
     return diag.__getitem__, plus.__getitem__, minus.__getitem__
 
 
-def _corner_rule(D: DerivationMap):
-    """The corner-extension rule on a 2x2 grid of corner elements:
+def _corner_rule(A, ev):
+    """The corner-extension rule for the map D = ``ev`` on A, on a 2x2 grid
+    of elements of A:
     ((b11, b12), (b21, b22)) -> ((D b11, (D+id) b12), ((D-id) b21, D b22))."""
-    dv, pv, mv = _block_maps(D)
+    dv, pv, mv = _block_maps(A, ev)
 
     def rule(grid):
         (b11, b12), (b21, b22) = grid
@@ -136,7 +134,7 @@ def extend_corner_derivation(D: DerivationMap, check: bool = True) -> Derivation
         if not admission.passed:
             f = admission.failures[0]
             raise NotADerivationError(f"corner map fails {f.note} at {f.inputs}")
-    rule = _corner_rule(D)
+    rule = _corner_rule(A, D.evaluate)
     big = matrix_ring(A, 2)
 
     def evaluate(x):
@@ -158,20 +156,24 @@ def _chain_dimensions(start: int, n: int) -> tuple:
     return tuple(dims)
 
 
-def double_derivation(D: DerivationMap) -> DerivationMap:
-    """One doubling step: the corner rule applied to the four m x m blocks
-    of a flat 2m x 2m matrix, for a derivation D on M_m(R).  This is the
-    corner extension of D read back through the block reinterpretation."""
-    A = D.carrier
+def _doubled(A, ev):
+    """The corner rule for the map ``ev`` on M_m(R), applied to the four
+    m x m blocks of a flat 2m x 2m matrix: the corner extension read back
+    through the block reinterpretation."""
     if not isinstance(A, MatrixRing):
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
     m = A.n
-    rule = _corner_rule(D)
+    rule = _corner_rule(A, ev)
 
     def evaluate(x):
         return join_blocks(rule(split_blocks(x, m)))
 
-    return _map_on(matrix_ring(A.base, 2 * m), evaluate)
+    return matrix_ring(A.base, 2 * m), evaluate
+
+
+def double_derivation(D: DerivationMap) -> DerivationMap:
+    """One doubling step of a derivation D on M_m(R) to M_2m(R)."""
+    return _map_on(*_doubled(D.carrier, D.evaluate))
 
 
 def _extension_chain(start, n: int, double, attr: str, wrap) -> ExtensionTrace:
@@ -198,7 +200,7 @@ def _extension_chain(start, n: int, double, attr: str, wrap) -> ExtensionTrace:
     def compressed(*xs, f=getattr(current, attr)):
         return corner_extract(f(*(corner_embed(x, top) for x in xs)), n)
 
-    idempotent = CornerContext(n, top, R).idempotent
+    idempotent = corner_embed(identity_matrix(R, n), top)
     return ExtensionTrace(dims, idempotent, tuple(stages), wrap(target, compressed))
 
 
@@ -220,75 +222,23 @@ def extend_derivation_to_n(D: DerivationMap, n: int, validate: bool = True) -> D
     return extend_derivation_trace(D, n, validate).result
 
 
-def _ladder_point(x: Matrix, zero):
-    """The corner point that selects the per-query derivation: the first
-    nonzero Pierce block in the order (1,1), (2,2), (1,2), (2,1), each one
-    transported into the corner (the transport is positional, the block
-    content is untouched)."""
-    (x1, x12), (x21, x2) = x.rows
-    if x1 != zero:
-        return x1
-    if x2 != zero:
-        return x2
-    if x12 != zero:
-        return x12
-    return x21  # zero matrix falls through to the zero point
-
-
 def extend_corner_two_local(oracle: WitnessOracle) -> WitnessOracle:
     """Extend a corner witness oracle to M_2(A), pair by pair.
 
-    For a queried pair, the corner oracle is asked for the two ladder
-    points; its witness w defines the corner derivation whose extension
-    answers the query, and that extension is inner with witness
-    diag(w, w - 1).  Corner answers are checked for consistency as they
-    stream by: two answers implementing different values at the same
-    corner point expose an inconsistent oracle.
+    The extended map is the corner rule applied to the oracle's induced
+    map, and each queried pair is answered by :func:`pair_oracle` from the
+    extended values at its two points.  An inconsistent corner oracle shows
+    up as a pair without a common witness (InconsistentOracleError).
     """
     A = oracle.carrier
-    big = matrix_ring(A, 2)
-    mul, sub = A.mul, A.sub
-    zero, one = A.zero, A.one
-    seen: dict = {}
-    memo: dict = {}
-
-    def check_point(w, p):
-        val = sub(mul(w, p), mul(p, w))
-        ref = seen.setdefault(p, val)
-        if ref != val:
-            raise InconsistentOracleError(
-                "corner oracle implements two different values at one point"
-            )
-
-    def select(x, y):
-        if big.index(y) < big.index(x):
-            x, y = y, x
-        key = (x, y)
-        w_big = memo.get(key)
-        if w_big is None:
-            px = _ladder_point(x, zero)
-            py = _ladder_point(y, zero)
-            w = oracle.select(px, py)
-            check_point(w, px)
-            check_point(w, py)
-            w_big = Matrix(A, ((w, zero), (zero, sub(w, one))))
-            memo[key] = w_big
-        return w_big
-
-    return WitnessOracle(big, select)
+    rule = _corner_rule(A, oracle.value)
+    return pair_oracle(matrix_ring(A, 2), lambda x: Matrix(A, rule(x.rows)))
 
 
 def _double_two_local(oracle: WitnessOracle) -> WitnessOracle:
-    """One 2-local doubling step: the corner 2-local extension of an oracle
-    on M_m(R), read on flat 2m x 2m matrices through the block view."""
-    A = oracle.carrier
-    m = A.n
-    block_select = extend_corner_two_local(oracle).select
-
-    def select(x, y):
-        return block_flatten(block_select(block_view(x, m), block_view(y, m)))
-
-    return WitnessOracle(matrix_ring(A.base, 2 * m), select)
+    """One 2-local doubling step: the doubled induced map of an oracle on
+    M_m(R), answered pair by pair on flat 2m x 2m matrices."""
+    return pair_oracle(*_doubled(oracle.carrier, oracle.value))
 
 
 def extend_two_local_trace(oracle: WitnessOracle, n: int) -> ExtensionTrace:

@@ -41,11 +41,11 @@ class ExtractionState:
 def collect_unit_witnesses(oracle: WitnessOracle, n: int) -> dict:
     """a(ij) = select(e_ij, x_o) for every ordered pair of distinct indices.
 
-    Any InconsistentOracleError the oracle raises while answering (lazily
-    validated oracles do) propagates.  The collection itself imposes no
-    cross-witness condition: the assembly reads each witness only at the
-    entries its own pair pins down, so oracles that are well defined just
-    on the queried pairs still extract (compression discards the rest).
+    Any InconsistentOracleError the oracle raises while answering (oracles
+    built by pair_oracle do, at a pair without a common witness)
+    propagates.  The collection itself imposes no cross-witness condition:
+    the assembly reads each witness only at the entries its own pair pins
+    down.
     """
     if n < 2:
         raise DimensionError("unit witnesses need dimension at least 2")

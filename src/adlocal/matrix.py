@@ -21,7 +21,6 @@ by entry with the base ring's operations.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import getitem
@@ -542,42 +541,6 @@ def block_flatten(b: Matrix) -> Matrix:
     if not isinstance(b.ring, MatrixRing):
         raise ShapeMismatchError("block_flatten needs a matrix over a matrix ring")
     return join_blocks(b.rows)
-
-
-@dataclass(frozen=True)
-class CornerContext:
-    """Top-left m x m corner of M_n(R), with its compressing idempotent."""
-
-    m: int
-    n: int
-    ring: Ring
-
-    def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise DimensionError(f"corner size {self.m} outside 1..{self.n}")
-
-    @property
-    def idempotent(self) -> Matrix:
-        """e = e_11 + ... + e_mm inside M_n(R)."""
-        z, o = self.ring.zero, self.ring.one
-        rows = tuple(
-            tuple(o if (i == j and i < self.m) else z for j in range(self.n))
-            for i in range(self.n)
-        )
-        return Matrix(self.ring, rows)
-
-
-def corner_compress(x: Matrix, ctx: CornerContext) -> Matrix:
-    """e * x * e: zero outside the top-left m x m corner, same shape."""
-    if x.n != ctx.n:
-        raise ShapeMismatchError(f"expected dimension {ctx.n}, got {x.n}")
-    z = x.ring.zero
-    src = x.rows
-    rows = tuple(
-        tuple(src[i][j] if (i < ctx.m and j < ctx.m) else z for j in range(ctx.n))
-        for i in range(ctx.n)
-    )
-    return Matrix(x.ring, rows)
 
 
 def corner_extract(x: Matrix, m: int) -> Matrix:

@@ -2,14 +2,8 @@
 
 import random
 
-from .rings import Ring
-
 
 def rng_for(seed: int, label: str) -> random.Random:
     """Substream derived from the root seed; string seeding is stable."""
     return random.Random(f"{seed}:{label}")
 
-
-def sample_elements(ring: Ring, count: int, rng: random.Random) -> list:
-    card = ring.cardinality
-    return [ring.element(rng.randrange(card)) for _ in range(count)]

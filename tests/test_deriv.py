@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from adlocal import (
     CarrierTooLargeError,
     DerivationMap,
+    InconsistentOracleError,
     InfiniteRingError,
     MatrixRing,
     PreconditionError,
@@ -22,6 +23,7 @@ from adlocal import (
     matrix_index,
     matrix_ring,
     matrix_unit,
+    pair_oracle,
     parse_ring_spec,
     staircase,
     verification_domain,
@@ -228,6 +230,18 @@ def test_adversarial_oracle_full_consistency_sweep_z3(m2z3):
     for a in els[::9]:  # every ninth witness; each sweep runs 81^2 queries
         report = check_oracle_consistency(adversarial_oracle(a, m2z3), els)
         assert report.passed
+
+
+def test_pair_oracle_raises_where_the_map_is_not_two_local(m2z2, units2):
+    # the identity map has a witness at 0 but none at e11 ([b, e11] is
+    # never e11); both argument orders of a pair through e11 raise
+    oracle = pair_oracle(m2z2, lambda x: x)
+    zero = m2z2.zero
+    assert oracle.select(zero, zero) == zero
+    with pytest.raises(InconsistentOracleError):
+        oracle.select(units2[(1, 2)], units2[(1, 1)])
+    with pytest.raises(InconsistentOracleError):
+        oracle.select(units2[(1, 1)], units2[(1, 2)])
 
 
 def test_consistent_oracle_maps_zero_to_zero(m2z2, units2, z2):

@@ -20,9 +20,14 @@ CONFIGS = {
     "extract-all-matzmod22-n2-force": dict(
         experiment="extract-all", ring="mat:zmod:2:2", n=2, force=True
     ),
+    "prop9-zmod2-n3": dict(experiment="prop9", ring="zmod:2", n=3),
     "prop9-zmod2-n4": dict(experiment="prop9", ring="zmod:2", n=4),
+    "prop9-zmod2-n5": dict(experiment="prop9", ring="zmod:2", n=5),
     "lemma3-zmod2-n3": dict(experiment="lemma3", ring="zmod:2", n=3),
     "extend-2local-zmod2-n3": dict(experiment="extend-2local", ring="zmod:2", n=3),
+    "extend-2local-zmod2-n4": dict(
+        experiment="extend-2local", ring="zmod:2", n=4, two_local_pairs=200
+    ),
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
     "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),

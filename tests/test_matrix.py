@@ -4,13 +4,11 @@ from hypothesis import strategies as st
 
 from adlocal import (
     CarrierTooLargeError,
-    CornerContext,
     DimensionError,
     ShapeMismatchError,
     block_flatten,
     block_view,
     commutator,
-    corner_compress,
     corner_embed,
     corner_extract,
     identity_matrix,
@@ -169,35 +167,40 @@ def test_block_view_rejects_odd(z2):
         block_view(zero_matrix(z2, 3), 1)
 
 
+def corner_idempotent(ring, m, n):
+    """e = e_11 + ... + e_mm inside M_n(R), the idempotent of the corner."""
+    return corner_embed(identity_matrix(ring, m), n)
+
+
 def test_corner_compress_examples(z2):
-    ctx = CornerContext(2, 4, z2)
+    e = corner_idempotent(z2, 2, 4)
     x = matrix_unit(z2, 4, 1, 2) + matrix_unit(z2, 4, 3, 3)
-    assert corner_compress(x, ctx) == matrix_unit(z2, 4, 1, 2)
+    assert e * x * e == matrix_unit(z2, 4, 1, 2)
     inside = matrix_unit(z2, 4, 2, 1)
-    assert corner_compress(inside, ctx) == inside
-    assert corner_compress(matrix_unit(z2, 4, 1, 3), ctx) == zero_matrix(z2, 4)
+    assert e * inside * e == inside
+    assert e * matrix_unit(z2, 4, 1, 3) * e == zero_matrix(z2, 4)
 
 
 def test_corner_idempotent(z2):
-    ctx = CornerContext(2, 4, z2)
-    e = ctx.idempotent
+    e = corner_idempotent(z2, 2, 4)
     assert e * e == e
     rng = rng_for(3, "corner")
     m4 = matrix_ring(z2, 4)
     for _ in range(50):
         x = rand_elem(m4, rng)
-        assert corner_compress(x, ctx) == e * x * e
+        # compression keeps the top-left 2x2 corner and zeroes the rest
+        assert corner_embed(corner_extract(x, 2), 4) == e * x * e
 
 
 def test_corner_is_subring(z2):
     # compression is multiplicative on corner-supported elements
-    ctx = CornerContext(2, 4, z2)
+    e = corner_idempotent(z2, 2, 4)
     m2 = matrix_ring(z2, 2)
     rng = rng_for(4, "corner-mult")
     for _ in range(50):
         x = corner_embed(rand_elem(m2, rng), 4)
         y = corner_embed(rand_elem(m2, rng), 4)
-        assert corner_compress(x * y, ctx) == corner_compress(x, ctx) * corner_compress(y, ctx)
+        assert e * (x * y) * e == (e * x * e) * (e * y * e)
 
 
 def test_corner_embed_extract_roundtrip(z2):
@@ -209,8 +212,9 @@ def test_corner_embed_extract_roundtrip(z2):
 
 
 def test_corner_context_validation(z2):
-    with pytest.raises(DimensionError):
-        CornerContext(3, 2, z2)
+    # a corner larger than its ambient matrix has no idempotent
+    with pytest.raises(ShapeMismatchError):
+        corner_idempotent(z2, 3, 2)
 
 
 def test_canonical_matrix_order(m2z2, units2):
