@@ -21,6 +21,7 @@ BATTERY = [
     ("lemma2", "zmod:2", 3, {}),
     ("lemma3", "zmod:2", 3, {}),
     ("extend-deriv", "zmod:2", 3, {}),
+    ("extend-deriv", "zmod:2", 4, {}),
     ("extend-2local", "zmod:2", 4, {"two_local_pairs": 200}),
     ("prop9", "zmod:2", 4, {}),
     ("prop9", "zmod:2", 5, {}),

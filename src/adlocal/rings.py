@@ -267,8 +267,17 @@ def is_commutative(ring: Ring) -> CommutativityEvidence:
     """Decide commutativity: exhaustive pairwise check for small finite rings.
 
     Rings above the exhaustive cap (or infinite ones) fall back to the
-    declared flag, tagged as such.
+    declared flag, tagged as such.  The verdict is cached on the ring
+    object, not by spec: two objects with one spec need not share their
+    multiplication.
     """
+    cached = getattr(ring, "_commutativity", None)
+    if cached is None:
+        cached = ring._commutativity = _decide_commutativity(ring)
+    return cached
+
+
+def _decide_commutativity(ring: Ring) -> CommutativityEvidence:
     card = ring.cardinality
     if card is None or card > COMMUTATIVITY_EXHAUSTIVE_CAP:
         return CommutativityEvidence(ring.commutative_declared, "declared")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,8 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.deriv import _coordinates
+from adlocal.deriv import Failure, VerificationReport, _coordinates
+from adlocal.sampling import rng_for
 
 
 def zero2(z2):
@@ -309,3 +311,158 @@ def test_verification_domain_order(m2z2, units2, z2):
     assert len(set(dom)) == 16
     dom3 = verification_domain(matrix_ring(z2, 3))
     assert dom3[9] == staircase(z2, 3)
+
+
+# Differential tests of check_derivation against the ordered pair scan,
+# kept only here as the reference for its certificate.  The budgets give
+# every carrier a stream of at least |S| pairs, so the certificate runs;
+# M2(M2(Z2)) sits exactly at |S| = 16 + 65,520 pairs.
+
+DERIV_CARRIERS = {
+    "M2Z2": ("mat:zmod:2:2", {}),
+    "M2Z3": ("mat:zmod:3:2", {}),
+    "M2Z4": ("mat:zmod:4:2", dict(pair_cap=0, pair_samples=300)),
+    "M3Z2": ("mat:zmod:2:3", dict(pair_cap=0, pair_samples=600, seed=5)),
+    "M2Z2t2": ("mat:poly:2:2:2", dict(pair_cap=0, pair_samples=300, seed=3)),
+    "M2M2Z2": ("mat:mat:zmod:2:2:2", dict(pair_cap=0, pair_samples=65_520)),
+}
+
+
+def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0, max_failures=1):
+    carrier, evaluate, domain = D.carrier, D.evaluate, D.domain
+    add, mul = carrier.add, carrier.mul
+    if len(domain) * len(domain) <= pair_cap:
+        pairs, report = product(domain, domain), VerificationReport()
+    else:
+        rng = rng_for(seed, f"pairs:{carrier.spec}")
+        els, card, units = carrier.elements(), carrier.cardinality, carrier.units()
+        sampled = [
+            (els[rng.randrange(card)], els[rng.randrange(card)]) for _ in range(pair_samples)
+        ]
+        pairs, report = list(product(units, units)) + sampled, VerificationReport(seed=seed)
+    for x, y in pairs:
+        dx, dy = evaluate(x), evaluate(y)
+        report.checked += 1
+        if evaluate(add(x, y)) != add(dx, dy):
+            report.failures.append(Failure((x, y), add(dx, dy), evaluate(add(x, y)), "additivity"))
+        elif evaluate(mul(x, y)) != add(mul(dx, y), mul(x, dy)):
+            want = add(mul(dx, y), mul(x, dy))
+            report.failures.append(Failure((x, y), want, evaluate(mul(x, y)), "leibniz"))
+        if len(report.failures) >= max_failures:
+            break
+    return report
+
+
+def _deriv_outcome(report):
+    failures = [(f.inputs, f.expected, f.got, f.note) for f in report.failures]
+    return report.passed, report.checked, failures, report.seed
+
+
+def _deriv_maps(carrier, rng):
+    """(name, evaluate) cases: an inner map, the identity, the inner map
+    perturbed at one element, at zero and at the all-ones element (every
+    coordinate 1, off the walk of a tree missing any one coordinate), and
+    additive maps that break Leibniz: ad_a plus right multiplication by c,
+    ad_a plus a coordinate swap, and ad_a plus x -> e11 x e22, whose
+    Leibniz defect vanishes on every pair (E_k, E_k) but not on
+    (e12, e21)."""
+    add, mul, sub = carrier.add, carrier.mul, carrier.sub
+    card, index, element = carrier.cardinality, carrier.index, carrier.element
+    m = _coordinates(carrier).m
+    a = element(rng.randrange(card))
+    c = element(1 + rng.randrange(card - 1))
+    bump = element(1 + rng.randrange(card - 1))
+
+    def inner(x):
+        return sub(mul(a, x), mul(x, a))
+
+    def perturbed(at):
+        return lambda x: add(inner(x), bump) if x == at else inner(x)
+
+    def swap(x):
+        # exchange the two lowest base-m digits of the index: Z_m-linear
+        i = index(x)
+        lo, mid = i % m, i // m % m
+        return element(i - lo - mid * m + mid + lo * m)
+
+    u = element(1 + rng.randrange(card - 1))
+    ones = element((card - 1) // (m - 1))
+    units = carrier.units()
+    e11, e22 = units[0], units[carrier.n + 1]
+    return [
+        ("inner", inner),
+        ("identity", lambda x: x),
+        ("perturbed", perturbed(u)),
+        ("perturbed at zero", perturbed(carrier.zero)),
+        ("perturbed at all-ones", perturbed(ones)),
+        ("additive, right multiplication", lambda x: add(inner(x), mul(x, c))),
+        ("additive, coordinate swap", lambda x: add(inner(x), swap(x))),
+        ("additive, corner projection", lambda x: add(inner(x), mul(mul(e11, x), e22))),
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(DERIV_CARRIERS))
+def test_check_derivation_matches_pair_scan(label):
+    spec, budget = DERIV_CARRIERS[label]
+    carrier = parse_ring_spec(spec)
+    rng = rng_for(13, f"deriv-diff:{label}")
+    verdicts = set()
+    for name, evaluate in _deriv_maps(carrier, rng):
+        D = DerivationMap(carrier, evaluate, verification_domain(carrier))
+        want = _deriv_outcome(_scan_reference(D, **budget))
+        assert _deriv_outcome(check_derivation(D, **budget)) == want, name
+        verdicts.add(want[2][0][3] if want[2] else "pass")
+    assert verdicts == {"pass", "additivity", "leibniz"}
+
+
+@pytest.mark.parametrize("label", ["M2Z4", "M3Z2", "M2Z2t2"])
+def test_check_derivation_replays_a_stream_that_misses_the_fault(label):
+    # perturb the inner map at an element the sampled stream never
+    # evaluates: the certificate fails, and the replayed scan reads the
+    # whole stream and passes, as the scan alone would
+    spec, budget = DERIV_CARRIERS[label]
+    carrier = parse_ring_spec(spec)
+    inner = _deriv_maps(carrier, rng_for(13, f"deriv-diff:{label}"))[0][1]
+    seen = set()
+
+    def spy(x):
+        seen.add(x)
+        return inner(x)
+
+    domain = verification_domain(carrier)
+    _scan_reference(DerivationMap(carrier, spy, domain), **budget)
+    at = next(x for x in carrier.elements() if x not in seen)
+
+    def perturbed(x):
+        return carrier.add(inner(x), carrier.one) if x == at else inner(x)
+
+    D = DerivationMap(carrier, perturbed, domain)
+    want = _deriv_outcome(_scan_reference(D, **budget))
+    length = len(carrier.units()) ** 2 + budget["pair_samples"]
+    assert want == (True, length, [], budget.get("seed", 0))
+    assert _deriv_outcome(check_derivation(D, **budget)) == want
+
+
+def test_check_derivation_evaluation_budget():
+    # M4(Z2), the extend-m4 shape: a stream of 256 unit pairs and 400
+    # samples is far shorter than the 65,536 elements, so the certificate
+    # must not run; at 100,000 samples it does, evaluating D exactly once
+    # on every element
+    z2 = zmod(2)
+    m4 = matrix_ring(z2, 4)
+    a = staircase(z2, 4)
+    table = {x: commutator(a, x) for x in m4.elements()}
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return table[x]
+
+    D = DerivationMap(m4, evaluate, verification_domain(m4))
+    rep = check_derivation(D, pair_cap=0, pair_samples=400)
+    assert rep.passed and rep.checked == 656 and rep.seed == 0
+    assert len(calls) <= 4 * 656
+    calls.clear()
+    rep = check_derivation(D, pair_cap=0, pair_samples=100_000, seed=2)
+    assert rep.passed and rep.checked == 256 + 100_000 and rep.seed == 2
+    assert len(calls) == len(set(calls)) == m4.cardinality

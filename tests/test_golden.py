@@ -32,6 +32,7 @@ CONFIGS = {
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
     "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),
     "extend-deriv-zmod2-n3": dict(experiment="extend-deriv", ring="zmod:2", n=3),
+    "extend-deriv-zmod2-n4": dict(experiment="extend-deriv", ring="zmod:2", n=4),
 }
 
 

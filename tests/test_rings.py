@@ -162,6 +162,38 @@ def test_is_commutative_declared_above_cap():
     assert ev and ev.method == "declared"
 
 
+class _CountingZmod(Zmod):
+    def __init__(self, modulus):
+        super().__init__(modulus)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_is_commutative_caches_the_verdict_on_the_ring():
+    ring = _CountingZmod(7)
+    first = is_commutative(ring)
+    assert first and first.method == "exhaustive"
+    assert ring.muls == 2 * 7 * 7
+    ring.muls = 0
+    assert is_commutative(ring) is first
+    assert ring.muls == 0
+
+
+def test_commutativity_verdict_is_not_shared_by_spec():
+    # both orders: a verdict cached on one object must not answer for
+    # another object with the same spec
+    for first, second in ((_LeftProjection(3), Zmod(3)), (Zmod(3), _LeftProjection(3))):
+        assert first == second  # Ring equality compares spec
+        verdicts = {type(r): is_commutative(r) for r in (first, second)}
+        assert verdicts[Zmod] and verdicts[Zmod].method == "exhaustive"
+        broken = verdicts[_LeftProjection]
+        assert not broken and broken.method == "exhaustive"
+        assert broken.counterexample == (0, 1)
+
+
 def test_declared_flag_agrees_with_exhaustive_check():
     for ring in (zmod(6), polyquot(2, 3), matrix_ring(zmod(2), 2), matrix_ring(zmod(3), 2)):
         ev = is_commutative(ring)

@@ -353,3 +353,37 @@ def test_check_inner_zero_closure_with_nonzero_value(label):
     doubled = carrier.add(delta[zero], delta[zero])
     assert want[:3] == (False, 1, [((zero, zero), doubled, delta[zero], "not additive")])
     assert _outcome(check_inner_on_subring, S, delta, zero) == want
+
+
+def test_check_inner_certificate_checks_the_wrap_of_each_generator():
+    # over Z4, x = 2e11 and y = e11 give the span generators [2e11, e11],
+    # and 2*e11 falls back into the span of the first.  delta(e11) = e11
+    # and delta(2e11) = 0, extended along the coset tree (delta(3e11) =
+    # delta(2e11) + delta(e11)), passes every tree edge; only the relation
+    # check delta(2e11) = delta(e11) + delta(e11) rejects it
+    z4 = zmod(4)
+    carrier = matrix_ring(z4, 2)
+    e11 = matrix_unit(z4, 2, 1, 1)
+    x, y = carrier.add(e11, e11), e11
+    S = generate_subring(x, y, carrier)
+    assert S.span_generators == (x, y)
+    assert set(S.elements) == {carrier.zero, e11, x, carrier.add(x, e11)}
+    delta = {carrier.zero: carrier.zero, e11: e11, x: carrier.zero, carrier.add(x, e11): e11}
+    want = _outcome(_inner_reference, S, delta, carrier.zero)
+    assert want[0] is False and want[2][0][3] == "not additive"
+    assert _outcome(check_inner_on_subring, S, delta, carrier.zero) == want
+
+
+def test_check_inner_certificate_checks_a_wrap_to_zero():
+    # S = {0, 2e11} over Z4: 2 * (2e11) = 0, and delta(2e11) = e11 is not
+    # additive because e11 + e11 != delta(0)
+    z4 = zmod(4)
+    carrier = matrix_ring(z4, 2)
+    e11 = matrix_unit(z4, 2, 1, 1)
+    x = carrier.add(e11, e11)
+    S = generate_subring(x, x, carrier)
+    assert S.span_generators == (x,) and S.elements == (carrier.zero, x)
+    delta = {carrier.zero: carrier.zero, x: e11}
+    want = _outcome(_inner_reference, S, delta, carrier.zero)
+    assert want[:3] == (False, 4, [((x, x), x, carrier.zero, "not additive")])
+    assert _outcome(check_inner_on_subring, S, delta, carrier.zero) == want
