@@ -1,9 +1,9 @@
 """Batch experiment harness with deterministic JSON reports.
 
-Each experiment configures one carrier M_n(R), runs a verification suite,
-and emits a single JSON document with the fixed key order
-config, status, checks, failures, witnesses, seed, elapsed_ms.  Two runs
-with the same config produce identical bytes except elapsed_ms.
+Each experiment configures one carrier M_n(R), runs a verification suite
+up to its first failure, and emits a single JSON document with the fixed
+key order config, status, checks, failures, witnesses, seed, elapsed_ms.
+Two runs with the same config produce identical bytes except elapsed_ms.
 
 Exit codes: 0 pass, 2 verification failure (a mathematical counterexample),
 3 configuration error, 4 report I/O failure.
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .deriv import (
     DerivationMap,
@@ -114,6 +114,28 @@ def _report_failures(report):
     return [_fail_record(f.inputs, f.expected, f.got, f.note) for f in report.failures]
 
 
+# Each runner yields steps (checks, failure records, witness or None);
+# run() sums them and stops at the first step that carries failures.
+
+
+def _step(report, witness=None):
+    """A checker's report as one step."""
+    return report.checked, _report_failures(report), witness
+
+
+def _check(inputs, expected, got, note):
+    """One check as a step: its failure record when got differs from expected."""
+    return 1, [] if got == expected else [_fail_record(inputs, expected, got, note)], None
+
+
+def _accepted_control(report, inputs):
+    """The failure records of a negative control whose map should have been
+    rejected: one when the checker accepted it."""
+    if not report.passed:
+        return []
+    return [_fail_record(inputs, "rejection of the identity map", "accepted", "negative control")]
+
+
 def _witness_targets(cfg, carrier):
     card = carrier.cardinality
     if card is not None and card <= EXHAUSTIVE_WITNESS_CAP:
@@ -125,39 +147,27 @@ def _witness_targets(cfg, carrier):
 def _run_extract_all(cfg, base):
     carrier = matrix_ring(base, cfg.n)
     domain = verification_elements(carrier, cfg.seed, sample=cfg.element_samples)
-    checks, failures, witnesses = 0, [], []
     for a in _witness_targets(cfg, carrier):
         oracle = adversarial_oracle(a, carrier)
         abar = extract_witness(oracle, cfg.n, force=cfg.force)
-        witnesses.append(abar)
+        yield 0, [], abar
         for x in domain:
-            checks += 1
-            got = commutator(abar, x)
-            want = commutator(a, x)
-            if got != want:
-                failures.append(
-                    _fail_record((a, x), want, got, "extracted witness disagrees at x")
-                )
-                return checks, failures, witnesses
-    return checks, failures, witnesses
+            yield _check(
+                (a, x), commutator(a, x), commutator(abar, x), "extracted witness disagrees at x"
+            )
 
 
 def _run_lemma2(cfg, base):
     carrier = matrix_ring(base, cfg.n)
-    checks, failures = 0, []
     for a in _witness_targets(cfg, carrier):
         oracle = adversarial_oracle(a, carrier)
         table = collect_unit_witnesses(oracle, cfg.n)
         for i in range(1, cfg.n + 1):
             for j in range(1, cfg.n + 1):
-                if i == j:
-                    continue
-                rep = verify_unit_image_formula(oracle, cfg.n, i, j, unit_witnesses=table)
-                checks += rep.checked
-                if not rep.passed:
-                    failures.extend(_report_failures(rep))
-                    return checks, failures, []
-    return checks, failures, []
+                if i != j:
+                    yield _step(
+                        verify_unit_image_formula(oracle, cfg.n, i, j, unit_witnesses=table)
+                    )
 
 
 def _run_lemma3(cfg, base):
@@ -166,16 +176,11 @@ def _run_lemma3(cfg, base):
     buckets = {}
     for v in carrier.elements():
         buckets.setdefault(commutator(v, xo), []).append(v)
-    checks, failures = 0, []
     for group in buckets.values():
         for b in group:
             for c in group:
-                rep = verify_diagonal_differences(b, c)
-                checks += 1
-                if not rep.passed:
-                    failures.extend(_report_failures(rep))
-                    return checks, failures, []
-    return checks, failures, []
+                # one check per pair, however many index pairs it compares
+                yield 1, _report_failures(verify_diagonal_differences(b, c)), None
 
 
 def _corner_e12(base):
@@ -186,50 +191,39 @@ def _run_extend_deriv(cfg, base):
     corner_ring = matrix_ring(base, 2)
     D = inner_derivation(_corner_e12(base), corner_ring, cfg.seed)
     ext = extend_derivation_to_n(D, cfg.n, validate=False)
-    rep = check_derivation(ext, pair_samples=cfg.pair_samples, seed=cfg.seed)
-    checks, failures = rep.checked, _report_failures(rep)
-    if failures:
-        return checks, failures, []
+    yield _step(check_derivation(ext, pair_samples=cfg.pair_samples, seed=cfg.seed))
     for v in corner_ring.elements():
-        checks += 1
-        got = ext.evaluate(corner_embed(v, cfg.n))
-        want = corner_embed(D.evaluate(v), cfg.n)
-        if got != want:
-            failures.append(_fail_record((v,), want, got, "extension disagrees on the corner"))
-            return checks, failures, []
-    return checks, failures, []
+        yield _check(
+            (v,),
+            corner_embed(D.evaluate(v), cfg.n),
+            ext.evaluate(corner_embed(v, cfg.n)),
+            "extension disagrees on the corner",
+        )
 
 
 def _run_extend_2local(cfg, base):
     corner_ring = matrix_ring(base, 2)
     carrier = matrix_ring(base, cfg.n)
     corner_elements = corner_ring.elements()
-    checks, failures = 0, []
     for a in _witness_targets(cfg, corner_ring):
         oracle = adversarial_oracle(a, corner_ring)
         ext = extend_two_local_to_n(oracle, cfg.n)
         for v in corner_elements:
-            checks += 1
-            got = ext.value(corner_embed(v, cfg.n))
-            want = corner_embed(oracle.value(v), cfg.n)
-            if got != want:
-                failures.append(
-                    _fail_record((a, v), want, got, "extension disagrees on the corner")
-                )
-                return checks, failures, []
+            yield _check(
+                (a, v),
+                corner_embed(oracle.value(v), cfg.n),
+                ext.value(corner_embed(v, cfg.n)),
+                "extension disagrees on the corner",
+            )
     # sampled global 2-locality of the extension of one adversarial oracle
     oracle = adversarial_oracle(_corner_e12(base), corner_ring)
     ext = extend_two_local_to_n(oracle, cfg.n)
     dmap = DerivationMap(carrier, ext.value, verification_domain(carrier, cfg.seed))
-    rep = check_two_local(dmap, pair_cap=0, pair_samples=cfg.two_local_pairs, seed=cfg.seed)
-    checks += rep.checked
-    failures.extend(_report_failures(rep))
-    return checks, failures, []
+    yield _step(check_two_local(dmap, pair_cap=0, pair_samples=cfg.two_local_pairs, seed=cfg.seed))
 
 
 def _run_prop9(cfg, base):
     corner_ring = matrix_ring(base, 2)
-    checks, failures, witnesses = 0, [], []
     for a in _witness_targets(cfg, corner_ring):
         oracle = adversarial_oracle(a, corner_ring)
         try:
@@ -238,11 +232,9 @@ def _run_prop9(cfg, base):
             # a pair of the extension without a common witness, or a corner
             # read back wrong, is a counterexample and reported as a failure
             point = getattr(exc, "counterexample", None)
-            failures.append(_fail_record((a, point), None, None, str(exc)))
-            return checks, failures, witnesses
-        witnesses.append(c)
-        checks += len(corner_ring.elements())
-    return checks, failures, witnesses
+            yield 0, [_fail_record((a, point), None, None, str(exc))], None
+        else:
+            yield len(corner_ring.elements()), [], c
 
 
 def _run_prop10(cfg, base):
@@ -260,23 +252,15 @@ def _run_prop10(cfg, base):
                 ambient.element(rng.randrange(card)),
             )
         )
-    checks, failures, witnesses = 0, [], []
     for x, y, a in runs:
         S = generate_subring(x, y, ambient)
         oracle = adversarial_oracle(a, ambient)
         delta = {p: oracle.value(p) for p in S.elements}
         d = witness_search(ambient, [(x, delta[x]), (y, delta[y])])
         if d is None:
-            failures.append(
-                _fail_record((x, y), (delta[x], delta[y]), None, "no common witness")
-            )
-            return checks, failures, witnesses
-        rep = check_inner_on_subring(S, delta, d, seed=cfg.seed)
-        checks += rep.checked
-        witnesses.append(d)
-        if not rep.passed:
-            failures.extend(_report_failures(rep))
-            return checks, failures, witnesses
+            yield 0, [_fail_record((x, y), (delta[x], delta[y]), None, "no common witness")], None
+        else:
+            yield _step(check_inner_on_subring(S, delta, d, seed=cfg.seed), d)
     # negative control: the identity map must be rejected on <e12, e21>,
     # either for lack of any generator-pair witness or on the closure
     S0 = generate_subring(e12, e21, ambient)
@@ -284,14 +268,7 @@ def _run_prop10(cfg, base):
     d0 = witness_search(ambient, [(e12, e12), (e21, e21)])
     if d0 is not None:
         rep0 = check_inner_on_subring(S0, identity_table, d0)
-        checks += rep0.checked
-        if rep0.passed:
-            failures.append(
-                _fail_record(
-                    (e12, e21), "rejection of the identity map", "accepted", "negative control"
-                )
-            )
-    return checks, failures, witnesses
+        yield rep0.checked, _accepted_control(rep0, (e12, e21)), None
 
 
 def _run_two_local_check(cfg, base):
@@ -302,35 +279,25 @@ def _run_two_local_check(cfg, base):
     else:
         rng = rng_for(cfg.seed, f"two-local-maps:{carrier.spec}")
         targets = [carrier.element(rng.randrange(card)) for _ in range(16)]
-    checks, failures = 0, []
     for a in targets:
         rep = check_two_local(
             inner_derivation(a, carrier, cfg.seed),
             pair_samples=cfg.two_local_pairs,
             seed=cfg.seed,
         )
-        checks += rep.checked
-        if not rep.passed:
-            failures.extend(_report_failures(rep))
-            return checks, failures, []
+        yield _step(rep)
     # negative control: the identity map must be rejected at (e11, e11)
     ident = DerivationMap(carrier, lambda x: x, verification_domain(carrier, cfg.seed))
     rep = check_two_local(ident, pair_samples=cfg.two_local_pairs, seed=cfg.seed)
-    checks += rep.checked
     e11 = matrix_unit(base, cfg.n, 1, 1)
-    if rep.passed:
-        failures.append(
-            _fail_record(
-                (e11, e11), "rejection of the identity map", "accepted", "negative control"
-            )
-        )
-    elif rep.failures[0].inputs != (e11, e11):
-        failures.append(
+    failures = _accepted_control(rep, (e11, e11))
+    if not rep.passed and rep.failures[0].inputs != (e11, e11):
+        failures = [
             _fail_record(
                 rep.failures[0].inputs, (e11, e11), "wrong counterexample pair", "negative control"
             )
-        )
-    return checks, failures, []
+        ]
+    yield rep.checked, failures, None
 
 
 _RUNNERS = {
@@ -357,7 +324,14 @@ def run(config: ExperimentConfig) -> RunReport:
         if config.n < 2:
             raise CliConfigError("matrix experiments need n >= 2")
         base = parse_ring_spec(config.ring)
-        checks, failures, witnesses = _RUNNERS[config.experiment](config, base)
+        checks, failures, witnesses = 0, [], []
+        # failures ends as the records of the last step run: empty on a pass
+        for step_checks, failures, witness in _RUNNERS[config.experiment](config, base):
+            checks += step_checks
+            if witness is not None:
+                witnesses.append(witness)
+            if failures:
+                break
         status = "pass" if not failures else "fail"
     except _CONFIG_ERRORS as exc:
         print(f"adlocal: {exc}", file=sys.stderr)
@@ -375,17 +349,9 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def emit_report(report: RunReport, path: str | None = None, stream=None) -> str:
-    """Serialize with the fixed key order; write to the path or the stream."""
-    doc = {
-        "config": report.config,
-        "status": report.status,
-        "checks": report.checks,
-        "failures": report.failures,
-        "witnesses": report.witnesses,
-        "seed": report.seed,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    text = json.dumps(doc, indent=2) + "\n"
+    """Serialize with the fixed key order, that of the RunReport fields;
+    write to the path or the stream."""
+    text = json.dumps(asdict(report), indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -435,16 +401,7 @@ def main(argv=None) -> int:
         if args.gen_pairs < 0:
             raise CliConfigError("--gen-pairs must not be negative")
         config = ExperimentConfig(
-            ring=args.ring,
-            n=args.n,
-            experiment=args.experiment,
-            seed=args.seed,
-            pair_samples=args.pair_samples,
-            element_samples=args.element_samples,
-            two_local_pairs=args.two_local_pairs,
-            witness_samples=args.witness_samples,
-            gen_pairs=args.gen_pairs,
-            force=args.force,
+            **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
         )
     except CliConfigError as exc:
         print(f"adlocal: {exc}", file=sys.stderr)

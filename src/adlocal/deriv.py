@@ -16,8 +16,9 @@ algorithms cannot cheat by recognizing their input.
 
 Verification domains list all matrix units first, then the staircase
 element, then the rest of the carrier (or a seeded sample for large
-carriers).  Checks evaluate pairs in that order and stop at the first
-failure, which is what makes reported counterexamples deterministic.
+carriers).  Checks evaluate pairs in that order and return at the first
+failure, so a report carries at most one counterexample and it is
+deterministic: one counterexample settles a universal claim.
 :func:`check_derivation` first tries to certify every pair at once from
 the Z_m coordinate basis, and scans only when that fails.
 """
@@ -66,12 +67,26 @@ class VerificationReport:
     failures: list = field(default_factory=list)
     witness: Matrix | None = None
     seed: int | None = None
-    elapsed: float = 0.0
     notes: tuple = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup and stored, so
+    a hit is a plain dict lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 @dataclass
@@ -141,15 +156,12 @@ def verification_domain(
 
 
 def verification_elements(
-    carrier: Ring,
-    seed: int = DEFAULT_SEED,
-    cap: int = ELEMENT_CAP,
-    sample: int = DOMAIN_SAMPLE,
+    carrier: Ring, seed: int = DEFAULT_SEED, sample: int = DOMAIN_SAMPLE
 ) -> tuple:
-    """Element set for map-equality checks: exhaustive up to ``cap``,
+    """Element set for map-equality checks: exhaustive up to ELEMENT_CAP,
     otherwise units + staircase + a seeded sample."""
     card = carrier.cardinality
-    if card is not None and card <= cap:
+    if card is not None and card <= ELEMENT_CAP:
         return carrier.elements()
     return verification_domain(carrier, seed, full_cap=0, sample=sample)
 
@@ -284,11 +296,10 @@ def check_derivation(
     pair_cap: int = PAIR_CAP,
     pair_samples: int = PAIR_SAMPLE,
     seed: int = DEFAULT_SEED,
-    max_failures: int = 1,
 ) -> VerificationReport:
     """Verify additivity and the Leibniz rule on the ordered pairs of
-    :func:`_pair_stream`; failures are data, not errors, and ``checked``
-    counts the pairs the verdict covers.
+    :func:`_pair_stream` up to the first failing pair; failures are data,
+    not errors, and ``checked`` counts the pairs the verdict covers.
 
     A carrier with Z_m coordinates and at most min(ELEMENT_CAP, stream
     length) elements is first certified whole by
@@ -301,16 +312,7 @@ def check_derivation(
     """
     carrier = D.carrier
     add, mul = carrier.add, carrier.mul
-    evaluate = D.evaluate
-    memo: dict = {}
-
-    def ev(x):
-        v = memo.get(x)
-        if v is None:
-            v = evaluate(x)
-            memo[x] = v
-        return v
-
+    ev = _Memo(D.evaluate).__getitem__
     pairs, used_seed, length = _pair_stream(
         carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
     )
@@ -330,11 +332,11 @@ def check_derivation(
             report.failures.append(
                 Failure((x, y), add(dx, dy), ev(add(x, y)), "additivity")
             )
-        elif ev(mul(x, y)) != add(mul(dx, y), mul(x, dy)):
+            break
+        if ev(mul(x, y)) != add(mul(dx, y), mul(x, dy)):
             report.failures.append(
                 Failure((x, y), add(mul(dx, y), mul(x, dy)), ev(mul(x, y)), "leibniz")
             )
-        if len(report.failures) >= max_failures:
             break
     return report
 
@@ -539,25 +541,25 @@ def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
     """Oracle of the map ``evaluate`` built from its values alone: each pair
     gets the canonically minimal element implementing the map at both of
     its points, from :func:`witness_search` on their two constraints.
-    Pairs are unordered for the search and answered once.  A pair with no
-    common witness raises InconsistentOracleError: the map is not 2-local
-    there."""
+    Pairs are unordered for the search and answered once, and the map is
+    evaluated once per point.  A pair with no common witness raises
+    InconsistentOracleError: the map is not 2-local there."""
     index = carrier.index
-    memo: dict = {}
+    values = _Memo(evaluate)
+
+    def answer(pair):
+        x, y = pair
+        w = witness_search(carrier, [(x, values[x]), (y, values[y])])
+        if w is None:
+            raise InconsistentOracleError(
+                "no element implements the map at both points of a pair"
+            )
+        return w
+
+    answers = _Memo(answer)
 
     def select(x, y):
-        if index(y) < index(x):
-            x, y = y, x
-        key = (x, y)
-        w = memo.get(key)
-        if w is None:
-            w = witness_search(carrier, [(x, evaluate(x)), (y, evaluate(y))])
-            if w is None:
-                raise InconsistentOracleError(
-                    "no element implements the map at both points of a pair"
-                )
-            memo[key] = w
-        return w
+        return answers[(y, x) if index(y) < index(x) else (x, y)]
 
     return WitnessOracle(carrier, select)
 
@@ -578,10 +580,10 @@ def check_two_local(
     pair_cap: int = TWO_LOCAL_PAIR_CAP,
     pair_samples: int = TWO_LOCAL_PAIR_SAMPLE,
     seed: int = DEFAULT_SEED,
-    max_failures: int = 1,
 ) -> VerificationReport:
     """For ordered domain pairs (x, y), search for one element implementing
-    the map at both points; pass iff every pair has a witness.
+    the map at both points; pass iff every pair has a witness, and stop at
+    the first pair without one.
 
     Additivity of the map is deliberately not required.  When every pair
     returns the same witness the report records it.
@@ -589,16 +591,7 @@ def check_two_local(
     carrier = D.carrier
     if carrier.cardinality is None:
         raise InfiniteRingError("two-local check needs a finite carrier")
-    evaluate = D.evaluate
-    memo: dict = {}
-
-    def ev(x):
-        v = memo.get(x)
-        if v is None:
-            v = evaluate(x)
-            memo[x] = v
-        return v
-
+    ev = _Memo(D.evaluate).__getitem__
     pairs, used_seed, _ = _pair_stream(
         carrier, D.domain, pair_cap, pair_samples, seed, "two-local"
     )
@@ -612,51 +605,36 @@ def check_two_local(
             report.failures.append(
                 Failure((x, y), (ev(x), ev(y)), None, "no common witness")
             )
-            if len(report.failures) >= max_failures:
-                break
-        else:
-            if common is None:
-                common = w
-            elif w != common:
-                uniform = False
+            break
+        if common is None:
+            common = w
+        elif w != common:
+            uniform = False
     if report.passed and uniform:
         report.witness = common
     return report
 
 
-def check_oracle_consistency(
-    oracle: WitnessOracle,
-    xs,
-    ys=None,
-    max_failures: int = 1,
-) -> VerificationReport:
-    """Well-definedness of the induced map: commutator(select(x, y), x)
-    must not depend on y, and each answer must implement the induced
-    values at both points of its pair."""
+def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
+    """Well-definedness of the induced map on the pairs of ``xs``, up to the
+    first failing pair: commutator(select(x, y), x) must not depend on y,
+    and each answer must implement the induced values at both points of
+    its pair."""
     r = oracle.carrier
     mul, sub = r.mul, r.sub
-    ys = xs if ys is None else ys
-    values = {}
-
-    def val(x):
-        v = values.get(x)
-        if v is None:
-            v = oracle.value(x)
-            values[x] = v
-        return v
-
+    values = _Memo(oracle.value)
     report = VerificationReport()
     for x in xs:
-        vx = val(x)
-        for y in ys:
+        vx = values[x]
+        for y in xs:
             w = oracle.select(x, y)
             report.checked += 1
             got_x = sub(mul(w, x), mul(x, w))
-            got_y = sub(mul(w, y), mul(y, w))
             if got_x != vx:
                 report.failures.append(Failure((x, y), vx, got_x, "witness drifts at x"))
-            elif got_y != val(y):
-                report.failures.append(Failure((x, y), val(y), got_y, "witness drifts at y"))
-            if len(report.failures) >= max_failures:
+                return report
+            got_y = sub(mul(w, y), mul(y, w))
+            if got_y != values[y]:
+                report.failures.append(Failure((x, y), values[y], got_y, "witness drifts at y"))
                 return report
     return report

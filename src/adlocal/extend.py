@@ -28,6 +28,7 @@ from .deriv import (
     DEFAULT_SEED,
     DerivationMap,
     WitnessOracle,
+    _Memo,
     check_derivation,
     pair_oracle,
     verification_domain,
@@ -53,8 +54,6 @@ from .matrix import (
     split_blocks,
 )
 from .rings import is_commutative
-
-MEMO_CAP = 4096
 
 
 @dataclass
@@ -89,16 +88,12 @@ def phi_inv(x: Matrix) -> Matrix:
 
 def _block_maps(A, ev) -> tuple:
     """The three block maps of the corner rule for the map ``ev`` on A:
-    v -> D(v), D(v) + v and D(v) - v, tabulated over A when it has at most
-    MEMO_CAP elements and computed on each call above that."""
+    v -> D(v), D(v) + v and D(v) - v, each computed on its first use and
+    stored, so D runs once per block value met."""
     add, sub = A.add, A.sub
-    card = A.cardinality
-    if card is None or card > MEMO_CAP:
-        return ev, lambda v: add(ev(v), v), lambda v: sub(ev(v), v)
-    diag, plus, minus = {}, {}, {}
-    for v in A.elements():
-        img = ev(v)
-        diag[v], plus[v], minus[v] = img, add(img, v), sub(img, v)
+    diag = _Memo(ev)
+    plus = _Memo(lambda v: add(diag[v], v))
+    minus = _Memo(lambda v: sub(diag[v], v))
     return diag.__getitem__, plus.__getitem__, minus.__getitem__
 
 

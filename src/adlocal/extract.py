@@ -147,7 +147,6 @@ def verify_unit_image_formula(
     i: int,
     j: int,
     unit_witnesses: dict | None = None,
-    max_failures: int = 1,
 ) -> VerificationReport:
     """Check that the induced unit image decomposes against the assembled
     off-diagonal sum:
@@ -158,7 +157,8 @@ def verify_unit_image_formula(
     the eight component identities behind that decomposition, querying the
     extra witnesses select(e_im, e_ij) and select(e_mj, e_ij) for every
     index m distinct from i and j; for n = 2 there is no such m and the
-    replay is an empty quantifier.
+    replay is an empty quantifier.  The check stops at the first identity
+    that fails.
     """
     if i == j:
         raise ValueError("needs distinct indices")
@@ -180,7 +180,7 @@ def verify_unit_image_formula(
         report.checked += 1
         if lhs != rhs:
             report.failures.append(Failure(inputs, rhs, lhs, tag))
-        return len(report.failures) < max_failures
+        return report.passed
 
     rhs = (
         S * e[(i, j)]
@@ -230,10 +230,11 @@ def verify_unit_image_formula(
     return report
 
 
-def verify_diagonal_differences(b: Matrix, c: Matrix, max_failures: int = 1) -> VerificationReport:
+def verify_diagonal_differences(b: Matrix, c: Matrix) -> VerificationReport:
     """Two elements with the same commutator against the staircase element
     must have identical diagonal differences: c_kk - c_ll = b_kk - b_ll
-    for every pair of distinct indices."""
+    for every pair of distinct indices, checked up to the first pair that
+    differs."""
     if b.n != c.n or b.ring != c.ring:
         raise PreconditionError("operands live in different matrix rings")
     base, n = b.ring, b.n
@@ -252,6 +253,5 @@ def verify_diagonal_differences(b: Matrix, c: Matrix, max_failures: int = 1) -> 
             rhs = sub(b_rows[k][k], b_rows[l][l])
             if lhs != rhs:
                 report.failures.append(Failure((b, c), rhs, lhs, f"diagonal pair ({k + 1},{l + 1})"))
-                if len(report.failures) >= max_failures:
-                    return report
+                return report
     return report

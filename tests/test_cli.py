@@ -2,6 +2,7 @@ import json
 import time
 
 from adlocal import DerivationMap, check_two_local, matrix_ring, verification_domain, zmod
+from adlocal import cli
 from adlocal.cli import ExperimentConfig, _report_failures, emit_report, main, run
 
 
@@ -98,6 +99,25 @@ def test_failure_records_carry_the_note(capsys):
     (record,) = _report_failures(check_two_local(ident))
     assert record["note"] == "no common witness"
     assert record["inputs"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]]
+
+
+def test_run_stops_at_the_first_failing_step(monkeypatch):
+    # checks are summed and witnesses kept up to and including the first
+    # step that carries failures; no later step is drawn
+    steps = [(2, [], "w1"), (3, [{"note": "first"}], "w2"), (5, [{"note": "second"}], "w3")]
+    drawn = []
+
+    def runner(cfg, base):
+        for step in steps:
+            drawn.append(step)
+            yield step
+
+    monkeypatch.setitem(cli._RUNNERS, "lemma3", runner)
+    report = run(ExperimentConfig(ring="zmod:2", n=2, experiment="lemma3"))
+    assert (report.status, report.checks) == ("fail", 5)
+    assert report.failures == [{"note": "first"}]
+    assert report.witnesses == ["w1", "w2"]
+    assert drawn == steps[:2]
 
 
 def test_bad_ring_spec(capsys):

@@ -13,6 +13,7 @@ from adlocal import (
     MatrixRing,
     PreconditionError,
     Ring,
+    WitnessOracle,
     adversarial_oracle,
     check_derivation,
     check_oracle_consistency,
@@ -246,6 +247,90 @@ def test_pair_oracle_raises_where_the_map_is_not_two_local(m2z2, units2):
         oracle.select(units2[(1, 1)], units2[(1, 2)])
 
 
+def test_pair_oracle_evaluates_each_point_once(m2z2, units2):
+    a, x, y = units2[(1, 2)], units2[(1, 1)], units2[(2, 1)]
+    calls = []
+
+    def evaluate(v):
+        calls.append(v)
+        return commutator(a, v)
+
+    oracle = pair_oracle(m2z2, evaluate)
+    w = oracle.select(x, x)
+    assert oracle.select(x, y) == oracle.select(y, x)
+    assert oracle.value(x) == commutator(w, x) == commutator(a, x)
+    assert sorted(calls, key=m2z2.index) == sorted([x, y], key=m2z2.index)
+
+
+def _drifting(oracle, shift, faults):
+    """The oracle with ``shift`` added to its answers at the ordered pairs
+    in ``faults``."""
+
+    def select(x, y):
+        w = oracle.select(x, y)
+        return w + shift if (x, y) in faults else w
+
+    return WitnessOracle(oracle.carrier, select)
+
+
+def _stream_position(els, x, y):
+    """Position of the pair (x, y) in the ordered pair stream of els, from 1."""
+    return els.index(x) * len(els) + els.index(y) + 1
+
+
+def test_check_oracle_consistency_stops_at_first_drift_at_x(m2z2, units2):
+    # e12 does not commute with e11, so shifting an answer at (e11, y) by
+    # it breaks the value at e11; (e11, e21) comes first in the stream
+    els = m2z2.elements()
+    e11, e12, e21 = units2[(1, 1)], units2[(1, 2)], units2[(2, 1)]
+    base = adversarial_oracle(e12, m2z2)
+    oracle = _drifting(base, e12, {(e11, e12), (e11, e21)})
+    report = check_oracle_consistency(oracle, els)
+    drifted = base.select(e11, e21) + e12
+    assert report.failures == [
+        Failure((e11, e21), base.value(e11), commutator(drifted, e11), "witness drifts at x")
+    ]
+    assert report.checked == _stream_position(els, e11, e21)
+
+
+def test_check_oracle_consistency_stops_at_first_drift_at_y(m2z2, units2):
+    # at x = 0 every answer implements the value 0, so shifting the answers
+    # at (0, e11) and (0, e21) by e12 breaks only the value at y
+    els = m2z2.elements()
+    zero, e11, e12, e21 = m2z2.zero, units2[(1, 1)], units2[(1, 2)], units2[(2, 1)]
+    base = adversarial_oracle(e12, m2z2)
+    oracle = _drifting(base, e12, {(zero, e11), (zero, e21)})
+    report = check_oracle_consistency(oracle, els)
+    drifted = base.select(zero, e21) + e12
+    assert report.failures == [
+        Failure((zero, e21), base.value(e21), commutator(drifted, e21), "witness drifts at y")
+    ]
+    assert report.checked == _stream_position(els, zero, e21)
+
+
+def test_check_two_local_stops_at_first_failing_pair(m2z2, units2):
+    # adding x to [e12, x] at two elements of trace 1 leaves no witness
+    # there (a commutator has trace 0); the first failing pair pairs the
+    # first domain element with the earlier fault in domain order
+    a = units2[(1, 2)]
+    faults = (m2z2.element(5), m2z2.element(12))
+    domain = verification_domain(m2z2)
+    assert domain.index(faults[0]) < domain.index(faults[1])
+
+    def evaluate(x):
+        return commutator(a, x) + x if x in faults else commutator(a, x)
+
+    report = check_two_local(DerivationMap(m2z2, evaluate, domain))
+    first = domain[0]
+    assert report.failures == [
+        Failure(
+            (first, faults[0]), (evaluate(first), evaluate(faults[0])), None, "no common witness"
+        )
+    ]
+    assert report.checked == domain.index(faults[0]) + 1
+    assert report.witness is None
+
+
 def test_consistent_oracle_maps_zero_to_zero(m2z2, units2, z2):
     for a in (units2[(1, 2)], units2[(1, 1)], identity_matrix(z2, 2)):
         oracle = adversarial_oracle(a)
@@ -328,7 +413,7 @@ DERIV_CARRIERS = {
 }
 
 
-def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0, max_failures=1):
+def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0):
     carrier, evaluate, domain = D.carrier, D.evaluate, D.domain
     add, mul = carrier.add, carrier.mul
     if len(domain) * len(domain) <= pair_cap:
@@ -348,7 +433,7 @@ def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0, max_failu
         elif evaluate(mul(x, y)) != add(mul(dx, y), mul(x, dy)):
             want = add(mul(dx, y), mul(x, dy))
             report.failures.append(Failure((x, y), want, evaluate(mul(x, y)), "leibniz"))
-        if len(report.failures) >= max_failures:
+        if report.failures:
             break
     return report
 

@@ -33,7 +33,6 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.extend import MEMO_CAP
 from adlocal.sampling import rng_for
 
 
@@ -157,10 +156,9 @@ def test_double_derivation_matches_block_composition(m2z2):
 
 
 def test_double_derivation_untabulated_corner(z2):
-    # M4(Z2) has 65,536 elements, above MEMO_CAP, so doubling into M8(Z2)
-    # computes the three block maps on each call instead of tabulating them
+    # doubling into M8(Z2) from M4(Z2), whose 65,536 elements are never
+    # tabulated: the block maps are computed at the blocks met
     m4, m8 = matrix_ring(z2, 4), matrix_ring(z2, 8)
-    assert m4.cardinality > MEMO_CAP
     rng = rng_for(4, "untabulated-doubling")
     sample = [m8.element(rng.randrange(m8.cardinality)) for _ in range(150)]
     for b in (matrix_unit(z2, 4, 1, 2), m4.element(rng.randrange(m4.cardinality))):
@@ -173,6 +171,25 @@ def test_double_derivation_untabulated_corner(z2):
         block_ext = extend_corner_derivation(D, check=False)
         for x in sample[:50]:
             assert doubled.evaluate(x) == block_flatten(block_ext.evaluate(block_view(x, 4)))
+
+
+def test_double_derivation_evaluates_each_block_value_once(z2):
+    m4 = matrix_ring(z2, 4)
+    b = matrix_unit(z2, 4, 1, 2)
+    inner = inner_derivation(b, m4)
+    calls = []
+
+    def evaluate(v):
+        calls.append(v)
+        return inner.evaluate(v)
+
+    doubled = double_derivation(DerivationMap(m4, evaluate, inner.domain))
+    p, q, r = (m4.element(i) for i in (1, 2, 3))
+    x = block_flatten(Matrix(m4, ((p, q), (r, p))))
+    w = block_flatten(Matrix(m4, ((b + m4.one, m4.zero), (m4.zero, b))))
+    assert doubled.evaluate(x) == doubled.evaluate(x) == commutator(w, x)
+    # D runs once at each of the three distinct blocks p, q and r
+    assert sorted(calls, key=m4.index) == [p, q, r]
 
 
 def test_phi_is_corner_isomorphism(m2z2):

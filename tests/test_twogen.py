@@ -140,6 +140,29 @@ def test_check_inner_reports_non_additive(m2z2, units2, z2):
     assert report.failures[0].note == "not additive"
 
 
+def test_check_inner_stops_at_first_unimplemented_element(m2z2, units2):
+    # delta = [d, p] + tr(p) e12 is additive and agrees with [d, p] at the
+    # trace-0 generators, but d fails at each of the eight elements of
+    # trace 1; the report keeps only the first of them in canonical order
+    e12, e21 = units2[(1, 2)], units2[(2, 1)]
+    S = generate_subring(e12, e21)
+    d = units2[(1, 1)]
+
+    def delta(p):
+        shift = e12 if p.entry(1, 1) != p.entry(2, 2) else m2z2.zero
+        return commutator(d, p) + shift
+
+    faults = [p for p in S.elements if delta(p) != commutator(d, p)]
+    assert len(faults) == 8
+    report = check_inner_on_subring(S, delta, d)
+    first = faults[0]
+    assert report.failures == [
+        Failure((first,), delta(first), commutator(d, first), "not implemented by d")
+    ]
+    # the |S|^2 certified additivity pairs, then the elements up to first
+    assert report.checked == len(S.elements) ** 2 + S.elements.index(first) + 1
+
+
 def test_check_inner_precondition(m2z2, units2):
     from adlocal import PreconditionError
 
