@@ -9,7 +9,14 @@ lexicographic order of coordinates.  The map b -> [b, x] is Z_m-linear,
 which makes the search one linear system over Z_m: its solutions form a
 coset of the kernel, and a particular solution reduced by the Howell form
 of the kernel is that coset's least element, the same element a scan of
-the carrier in canonical order would meet first.  Oracles built on top of
+the carrier in canonical order would meet first.  The elimination depends
+only on the carrier and the ordered points x, not on the targets, and the
+same points recur across calls (a closure's delta table, the extraction
+pairs of every hidden element, the corner points of every extension
+oracle), so each form is built once and reused from a process-wide
+least-recently-used cache holding at most ECHELON_CACHE_BITS bits of pivot
+rows; a reused form is the one a fresh elimination would build, so
+results do not depend on the cache.  Oracles built on top of
 it are deliberately adversarial - they answer with the minimal witness,
 never with the element that secretly induced the map - so downstream
 algorithms cannot cheat by recognizing their input.
@@ -25,6 +32,7 @@ the Z_m coordinate basis, and scans only when that fails.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -48,6 +56,7 @@ PAIR_SAMPLE = 100_000
 TWO_LOCAL_PAIR_CAP = 4096
 TWO_LOCAL_PAIR_SAMPLE = 1_000
 ELEMENT_CAP = 1 << 16
+ECHELON_CACHE_BITS = 1 << 20  # pivot-row bits the witness-search cache may hold
 
 
 @dataclass(frozen=True)
@@ -351,6 +360,14 @@ def _xgcd(a: int, b: int) -> tuple:
     return a, s0, t0
 
 
+@lru_cache(maxsize=1024)
+def _quotient_mask(width: int, shift: int, lanes: int) -> int:
+    """The quotient bits of ``lanes`` lanes of ``width`` bits, the low
+    width - shift bits of each, for the Barrett step of :class:`_Coordinates`."""
+    ones = ((1 << (lanes * width)) - 1) // ((1 << width) - 1)
+    return ones * ((1 << (width - shift)) - 1)
+
+
 class _Coordinates:
     """A carrier as the Z_m-module Z_m^N, with the structure table of its
     commutator in packed form.
@@ -405,37 +422,26 @@ class _Coordinates:
             bits += width
         return out
 
-    def solve(self, cons) -> int | None:
-        """Canonical index of the minimal b with [b, x] = t for every
-        (x, t) in ``cons``, or None.
+    def echelon(self, points) -> tuple:
+        """Weak Howell form ``(prow, pdiv)`` of the system for the points
+        with canonical indices ``points``, in order; see :meth:`solve`.
 
-        Row k of the system is (coordinates of [E_k, x_1], ...,
-        [E_k, x_K] | e_k), so the rows span the pairs (bA | b).  They are
-        brought to weak Howell form (Howell 1986; the elimination follows
-        Storjohann and Mulders 1998): one pivot row per column, whose
-        pivot d divides m, such that the pivot rows right of any column
-        span every row combination that vanishes up to that column.  Then
-        (t_1 ... t_K | 0) reduces to (0 | -b) for a solution b exactly
-        when one exists, and the pivot rows in the second block span the
-        solutions of bA = 0.  Taking each coordinate of b mod its pivot,
-        left to right, gives the least element of b + kernel in
-        lexicographic order, which is canonical order.
+        ``prow[pos]`` is the pivot row whose leading lane is ``pos``
+        (lowest lane 0) and ``pdiv[pos]`` its pivot, a divisor of m; a lane
+        without a pivot has row 0 and pivot m.  ``pdiv`` is bytes when
+        m < 256.
         """
         m, size, width = self.m, self.size, self.width
         mu, shift, row_bits, table = self.mu, self.shift, self.row_bits, self.table
-        blocks = len(cons)
+        blocks = len(points)
         lanes = (blocks + 1) * size
-        lane_mask = (1 << width) - 1
-        qmask = ((1 << (max(lanes, size * size) * width)) - 1) // lane_mask
-        qmask *= (1 << (width - shift)) - 1
+        qmask = _quotient_mask(width, shift, max(lanes, size * size))
         row_mask = (1 << row_bits) - 1
-        index = self.carrier.index
 
         rows = [1 << (k * width) for k in range(size - 1, -1, -1)]
-        target = 0
-        for block, (x, t) in enumerate(cons):
+        for block, i in enumerate(points):
             offset = (blocks - block) * row_bits
-            acc, i, l = 0, index(x), size
+            acc, l = 0, size
             while i:
                 l -= 1
                 i, d = divmod(i, m)
@@ -444,11 +450,9 @@ class _Coordinates:
             acc -= (((acc * mu) >> shift) & qmask) * m
             for k in range(size):
                 rows[k] |= ((acc >> ((size - 1 - k) * row_bits)) & row_mask) << offset
-            target |= self.pack(t) << offset
 
-        # pivots by lane, lowest lane 0.  A lane without a pivot holds the
-        # row m * e_pos, zero mod m, so a first row there takes the same
-        # gcd step as a row meeting a pivot.
+        # A lane without a pivot holds the row m * e_pos, zero mod m, so a
+        # first row there takes the same gcd step as a row meeting a pivot.
         prow, pdiv = [0] * lanes, [m] * lanes
         for r in rows:
             while r:
@@ -466,8 +470,42 @@ class _Coordinates:
                     pdiv[pos] = g
                     r = (b // g) % m * r + (m - a // g) * p
                 r -= (((r * mu) >> shift) & qmask) * m
+        return tuple(prow), bytes(pdiv) if m < 256 else tuple(pdiv)
 
-        v = target
+    def solve(self, cons) -> int | None:
+        """Canonical index of the minimal b with [b, x] = t for every
+        (x, t) in ``cons``, or None.
+
+        Row k of the system is (coordinates of [E_k, x_1], ...,
+        [E_k, x_K] | e_k), so the rows span the pairs (bA | b).  They are
+        brought to weak Howell form (Howell 1986; the elimination follows
+        Storjohann and Mulders 1998): one pivot row per column, whose
+        pivot d divides m, such that the pivot rows right of any column
+        span every row combination that vanishes up to that column.  Then
+        (t_1 ... t_K | 0) reduces to (0 | -b) for a solution b exactly
+        when one exists, and the pivot rows in the second block span the
+        solutions of bA = 0.  Taking each coordinate of b mod its pivot,
+        left to right, gives the least element of b + kernel in
+        lexicographic order, which is canonical order.
+
+        The form depends on the ordered points x_1 ... x_K alone, not on
+        the targets, so it comes from :meth:`echelon` through the
+        process-wide cache ``_ECHELONS``; a reused form is the one a fresh
+        elimination would build, so the answer does not depend on the
+        cache.
+        """
+        m, size, width = self.m, self.size, self.width
+        mu, shift, row_bits = self.mu, self.shift, self.row_bits
+        index = self.carrier.index
+        prow, pdiv, _ = _ECHELONS.echelon(self, tuple([index(x) for x, _ in cons]))
+        blocks = len(cons)
+        qmask = _quotient_mask(width, shift, (blocks + 1) * size)
+        lane_mask = (1 << width) - 1
+        row_mask = (1 << row_bits) - 1
+
+        v = 0
+        for block, (_, t) in enumerate(cons):
+            v |= self.pack(t) << ((blocks - block) * row_bits)
         while v:
             pos = (v.bit_length() - 1) // width
             if pos < size:
@@ -490,6 +528,44 @@ class _Coordinates:
                 digit %= d
             found = found * m + digit
         return found
+
+
+class _EchelonCache:
+    """Least-recently-used store of :meth:`_Coordinates.echelon` results
+    with their pivot rows' total bit length, ``(prow, pdiv, bits)``, keyed
+    by the interned coordinates and the ordered point indices.
+
+    ``bits``, the total bit length of the stored pivot rows, is kept at
+    most ECHELON_CACHE_BITS by evicting the least recently used entries
+    (a form larger than the bound alone is not kept).  ``eliminations``
+    and ``reuses`` count the forms built and the forms served again.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.entries = OrderedDict()
+        self.bits = self.eliminations = self.reuses = 0
+
+    def echelon(self, coords: _Coordinates, points: tuple) -> tuple:
+        key = (coords, points)
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            self.reuses += 1
+            return entry
+        prow, pdiv = coords.echelon(points)
+        bits = sum(map(int.bit_length, prow))
+        entry = self.entries[key] = prow, pdiv, bits
+        self.eliminations += 1
+        self.bits += bits
+        while self.bits > ECHELON_CACHE_BITS:
+            self.bits -= self.entries.popitem(last=False)[1][2]
+        return entry
+
+
+_ECHELONS = _EchelonCache()
 
 
 @lru_cache(maxsize=None)
@@ -520,9 +596,13 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     solution set is a coset b + kernel; reducing a particular solution by
     the Howell form of the kernel (Howell 1986) yields that coset's least
     element, which is exactly the first solution a scan of the carrier in
-    canonical order would meet.  Carriers with more than COORDINATE_CAP
-    coordinates are refused with CarrierTooLargeError, carriers that are
-    not built from zmod, poly and mat descriptors with PreconditionError.
+    canonical order would meet.  The Howell form of the points is reused
+    across calls with the same carrier and the same ordered points (see
+    :meth:`_Coordinates.solve`), within ECHELON_CACHE_BITS bits, and the
+    result is the same with or without it.  Carriers with more than
+    COORDINATE_CAP coordinates are refused with CarrierTooLargeError,
+    carriers that are not built from zmod, poly and mat descriptors with
+    PreconditionError.
     """
     if carrier.cardinality is None:
         raise InfiniteRingError("witness search needs a finite carrier")

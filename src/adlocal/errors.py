@@ -46,7 +46,7 @@ class VerificationFailedError(AdlocalError):
 
 
 class ClosureBudgetError(AdlocalError):
-    """Subring closure exceeded the ambient cardinality bound."""
+    """A subring closure would have more than ELEMENT_CAP elements."""
 
 
 class EmptyWordError(AdlocalError):

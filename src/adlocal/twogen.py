@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .deriv import DEFAULT_SEED, Failure, VerificationReport, _additive_on_span
+from .deriv import DEFAULT_SEED, ELEMENT_CAP, Failure, VerificationReport, _additive_on_span
 from .errors import ClosureBudgetError, EmptyWordError, InfiniteRingError, PreconditionError
 from .matrix import Matrix, matrix_ring
 from .rings import Ring
@@ -50,14 +50,15 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
     turns H into the union of the cosets H + k*g and so at least doubles
     it.  A product of two span elements is by distributivity a sum of
     generator products, so H is closed once all of those lie in it.
-    Negatives come free in a finite additive group.
+    Negatives come free in a finite additive group.  A closure of more
+    than ELEMENT_CAP elements is refused with ClosureBudgetError before
+    the span grows past the cap.
     """
     if ambient is None:
         ambient = matrix_ring(x.ring, x.n)
     if not (ambient.contains(x) and ambient.contains(y)):
         raise ValueError("generators do not live in the ambient ring")
-    cap = ambient.cardinality
-    if cap is None:
+    if ambient.cardinality is None:
         raise InfiniteRingError("closure needs a finite ambient ring")
     add, mul = ambient.add, ambient.mul
     span, gens = {ambient.zero}, []
@@ -67,10 +68,10 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
             return
         gens.append(g)
         base, step = list(span), g
-        while step not in span:
+        while step not in span:  # base + step is disjoint from span
+            if len(span) + len(base) > ELEMENT_CAP:
+                raise ClosureBudgetError(f"closure has more than {ELEMENT_CAP} elements")
             span.update(add(h, step) for h in base)
-            if len(span) > cap:
-                raise ClosureBudgetError("closure exceeded the ambient cardinality")
             step = add(step, g)
 
     absorb(x)

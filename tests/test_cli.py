@@ -249,6 +249,20 @@ def test_oversize_carrier_fails_fast(capsys):
         assert elapsed < 15, f"{experiment} took {elapsed:.1f}s, budget 15s"
 
 
+def test_oversize_closure_fails_fast(capsys):
+    # a random generator pair of M5(Z2) closes to far more than ELEMENT_CAP
+    # elements; the closure is refused before it grows past the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "prop10", "--ring", "zmod:2", "--n", "5", "--gen-pairs", "1"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert json.loads(out)["status"] == "error"
+    assert "closure has more than 65536 elements" in err
+    assert elapsed < 10, f"prop10 took {elapsed:.1f}s, budget 10s"
+
+
 def test_extend_deriv_cli(capsys):
     code, out, _ = run_cli(
         capsys, "extend-deriv", "--ring", "zmod:2", "--n", "3", "--pair-samples", "4000"

@@ -19,6 +19,7 @@ from adlocal import (
     check_oracle_consistency,
     check_two_local,
     commutator,
+    generate_subring,
     identity_matrix,
     inner_derivation,
     maps_equal,
@@ -33,7 +34,8 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.deriv import Failure, VerificationReport, _coordinates
+from adlocal import deriv
+from adlocal.deriv import _ECHELONS, Failure, VerificationReport, _coordinates
 from adlocal.sampling import rng_for
 
 
@@ -201,6 +203,101 @@ def test_structure_table_matches_full_build(spec):
         for el in basis
     ]
     assert coords.table == full
+
+
+_CACHE_CARRIERS = ["mat:zmod:2:2", "mat:zmod:3:2", "mat:zmod:4:2", "mat:poly:2:2:2"]
+
+
+def _cache_queries(carrier, rng):
+    """Constraint lists over M2 carriers that share their point tuples:
+    for each point tuple, solvable targets [a, x] for two elements a and
+    unsolvable seeded ones.  Points are drawn from the first 16 canonical
+    indices, which every carrier has, so the same index tuples recur on
+    every carrier; each pair of distinct points is also asked in the
+    other order."""
+    card = carrier.cardinality
+    queries = []
+    for _ in range(6):
+        x, y = (carrier.element(i) for i in rng.sample(range(16), 2))
+        for points in ((x,), (x, y), (y, x)):
+            a, b = (carrier.element(rng.randrange(card)) for _ in range(2))
+            queries.append([(p, commutator(a, p)) for p in points])
+            queries.append([(p, commutator(b, p)) for p in points])
+            queries.append([(p, carrier.element(rng.randrange(card))) for p in points])
+    return queries
+
+
+def _cached_bits():
+    """The total bit length of the cached pivot rows, recounted; each
+    entry's own count must agree."""
+    entries = _ECHELONS.entries.values()
+    assert all(bits == sum(map(int.bit_length, prow)) for prow, _, bits in entries)
+    return sum(bits for _, _, bits in entries)
+
+
+def _search_through_the_cache(carrier, constraints):
+    """witness_search, after checking that the cache serves its points the
+    form a fresh elimination builds (a form served for other points would
+    be caught here, before the search reduces targets through it)."""
+    coords = _coordinates(carrier)
+    points = tuple(carrier.index(x) for x, _ in constraints)
+    assert _ECHELONS.echelon(coords, points)[:2] == coords.echelon(points), (carrier.spec, points)
+    return witness_search(carrier, constraints)
+
+
+def test_witness_search_cold_and_warm_cache_match_scan():
+    carriers = [parse_ring_spec(spec) for spec in _CACHE_CARRIERS]
+    rng = random.Random("echelon-cache")
+    cases = [(c, q, _scan(c, q)) for c in carriers for q in _cache_queries(c, rng)]
+    assert any(want is None for _, _, want in cases)
+    assert sum(want is not None for _, _, want in cases) >= len(cases) // 2
+    for carrier, q, want in cases:  # cold: a fresh elimination every time
+        _ECHELONS.clear()
+        assert witness_search(carrier, q) == want, (carrier.spec, q)
+    _ECHELONS.clear()
+    for _ in range(2):  # warm: all carriers through one cache, twice
+        for carrier, q, want in cases:
+            assert _search_through_the_cache(carrier, q) == want, (carrier.spec, q)
+    assert _ECHELONS.reuses > _ECHELONS.eliminations
+    assert _ECHELONS.eliminations == len(_ECHELONS.entries)
+
+
+def test_witness_search_cache_evicts_within_its_bound(monkeypatch):
+    bound = 4_000
+    monkeypatch.setattr(deriv, "ECHELON_CACHE_BITS", bound)
+    carriers = [parse_ring_spec(spec) for spec in _CACHE_CARRIERS]
+    rng = random.Random("echelon-cache-eviction")
+    cases = [(c, q, _scan(c, q)) for c in carriers for q in _cache_queries(c, rng)]
+    _ECHELONS.clear()
+    for _ in range(2):
+        for carrier, q, want in cases:
+            assert _search_through_the_cache(carrier, q) == want, (carrier.spec, q)
+            assert _ECHELONS.bits == _cached_bits() <= bound
+    assert len(_ECHELONS.entries) < _ECHELONS.eliminations  # entries were evicted
+    assert _ECHELONS.reuses > 0
+
+
+def test_witness_search_cache_keeps_no_form_larger_than_its_bound(monkeypatch, m2z2, units2):
+    monkeypatch.setattr(deriv, "ECHELON_CACHE_BITS", 1)
+    _ECHELONS.clear()
+    found = witness_search(m2z2, [(units2[(1, 2)], units2[(1, 2)]), (units2[(2, 1)], units2[(2, 1)])])
+    assert found == units2[(2, 2)]
+    assert (_ECHELONS.entries, _ECHELONS.bits, _ECHELONS.eliminations) == ({}, 0, 1)
+
+
+def test_delta_table_rebuild_reuses_every_elimination(m3z2, z2):
+    # the corner subring <e12, e21> of M3(Z2), isomorphic to M2(Z2)
+    S = generate_subring(matrix_unit(z2, 3, 1, 2), matrix_unit(z2, 3, 2, 1), m3z2)
+    assert len(S.elements) == 16
+    hidden = [m3z2.element(i) for i in (0o123, 0o456)]
+    _ECHELONS.clear()
+    counts = []
+    for a in hidden:
+        before = _ECHELONS.eliminations, _ECHELONS.reuses
+        oracle = adversarial_oracle(a, m3z2)
+        assert all(oracle.value(p) == commutator(a, p) for p in S.elements)
+        counts.append((_ECHELONS.eliminations - before[0], _ECHELONS.reuses - before[1]))
+    assert counts == [(16, 0), (0, 16)]
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from adlocal import (
+    ClosureBudgetError,
     EmptyWordError,
     PreconditionError,
     adversarial_oracle,
@@ -17,6 +18,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
+from adlocal import twogen
 from adlocal.deriv import Failure, VerificationReport
 from adlocal.sampling import rng_for
 
@@ -25,6 +27,16 @@ def test_closure_of_offdiagonal_units_is_everything(m2z2, units2):
     S = generate_subring(units2[(1, 2)], units2[(2, 1)])
     assert len(S.elements) == 16
     assert set(S.elements) == set(m2z2.elements())
+
+
+def test_closure_budget_is_element_cap(monkeypatch, units2):
+    # <e12, e21> is all 16 elements of M2(Z2): built under a cap of 16,
+    # refused under 15
+    monkeypatch.setattr(twogen, "ELEMENT_CAP", 16)
+    assert len(generate_subring(units2[(1, 2)], units2[(2, 1)]).elements) == 16
+    monkeypatch.setattr(twogen, "ELEMENT_CAP", 15)
+    with pytest.raises(ClosureBudgetError, match="more than 15 elements"):
+        generate_subring(units2[(1, 2)], units2[(2, 1)])
 
 
 def test_closure_of_idempotent_and_zero(z2, units2):
