@@ -53,17 +53,6 @@ from .rings import parse_ring_spec
 from .sampling import rng_for
 from .twogen import check_inner_on_subring, generate_subring
 
-EXPERIMENTS = (
-    "extract-all",
-    "lemma2",
-    "lemma3",
-    "extend-deriv",
-    "extend-2local",
-    "prop9",
-    "prop10",
-    "two-local-check",
-)
-
 EXHAUSTIVE_WITNESS_CAP = 512
 
 
@@ -79,6 +68,15 @@ class ExperimentConfig:
     witness_samples: int = 100
     gen_pairs: int = 50
     force: bool = False
+
+
+# budget fields of ExperimentConfig that must be positive; with gen_pairs,
+# which may be 0, each is a CLI flag of the same name
+_SAMPLE_BUDGETS = ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 @dataclass
@@ -136,12 +134,18 @@ def _accepted_control(report, inputs):
     return [_fail_record(inputs, "rejection of the identity map", "accepted", "negative control")]
 
 
+def _draws(cfg, carrier, label, count):
+    """``count`` seeded elements of the carrier from the substream ``label``."""
+    rng = rng_for(cfg.seed, f"{label}:{carrier.spec}")
+    card = carrier.cardinality
+    return [carrier.element(rng.randrange(card)) for _ in range(count)]
+
+
 def _witness_targets(cfg, carrier):
     card = carrier.cardinality
     if card is not None and card <= EXHAUSTIVE_WITNESS_CAP:
         return carrier.elements()
-    rng = rng_for(cfg.seed, f"witnesses:{carrier.spec}")
-    return [carrier.element(rng.randrange(card)) for _ in range(cfg.witness_samples)]
+    return _draws(cfg, carrier, "witnesses", cfg.witness_samples)
 
 
 def _run_extract_all(cfg, base):
@@ -241,18 +245,8 @@ def _run_prop10(cfg, base):
     ambient = matrix_ring(base, cfg.n)
     e12 = matrix_unit(base, cfg.n, 1, 2)
     e21 = matrix_unit(base, cfg.n, 2, 1)
-    runs = [(e12, e21, e12)]
-    rng = rng_for(cfg.seed, f"gen-pairs:{ambient.spec}")
-    card = ambient.cardinality
-    for _ in range(cfg.gen_pairs):
-        runs.append(
-            (
-                ambient.element(rng.randrange(card)),
-                ambient.element(rng.randrange(card)),
-                ambient.element(rng.randrange(card)),
-            )
-        )
-    for x, y, a in runs:
+    triples = iter(_draws(cfg, ambient, "gen-pairs", 3 * cfg.gen_pairs))
+    for x, y, a in [(e12, e21, e12), *zip(triples, triples, triples)]:
         S = generate_subring(x, y, ambient)
         oracle = adversarial_oracle(a, ambient)
         delta = {p: oracle.value(p) for p in S.elements}
@@ -260,7 +254,7 @@ def _run_prop10(cfg, base):
         if d is None:
             yield 0, [_fail_record((x, y), (delta[x], delta[y]), None, "no common witness")], None
         else:
-            yield _step(check_inner_on_subring(S, delta, d, seed=cfg.seed), d)
+            yield _step(check_inner_on_subring(S, delta, d), d)
     # negative control: the identity map must be rejected on <e12, e21>,
     # either for lack of any generator-pair witness or on the closure
     S0 = generate_subring(e12, e21, ambient)
@@ -277,8 +271,7 @@ def _run_two_local_check(cfg, base):
     if card is not None and card <= 64:
         targets = carrier.elements()
     else:
-        rng = rng_for(cfg.seed, f"two-local-maps:{carrier.spec}")
-        targets = [carrier.element(rng.randrange(card)) for _ in range(16)]
+        targets = _draws(cfg, carrier, "two-local-maps", 16)
     for a in targets:
         rep = check_two_local(
             inner_derivation(a, carrier, cfg.seed),
@@ -315,7 +308,8 @@ _CONFIG_ERRORS = (ValueError, CliConfigError, AdlocalError)
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch one experiment; exceptions become status "error"."""
+    """Dispatch one experiment; an unknown experiment, n < 2, a budget
+    out of range and every configuration exception become status "error"."""
     start = time.perf_counter()
     echo = asdict(config)
     try:
@@ -323,6 +317,11 @@ def run(config: ExperimentConfig) -> RunReport:
             raise CliConfigError(f"unknown experiment {config.experiment!r}")
         if config.n < 2:
             raise CliConfigError("matrix experiments need n >= 2")
+        for name in _SAMPLE_BUDGETS:
+            if getattr(config, name) <= 0:
+                raise CliConfigError(f"{_flag(name)} must be positive")
+        if config.gen_pairs < 0:
+            raise CliConfigError("--gen-pairs must not be negative")
         base = parse_ring_spec(config.ring)
         checks, failures, witnesses = 0, [], []
         # failures ends as the records of the last step run: empty on a pass
@@ -367,7 +366,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adlocal", description=__doc__)
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=list(_RUNNERS))
     parser.add_argument("--ring", required=True, help="zmod:<m> | poly:<m>:<k> | mat:<spec>:<n>")
     parser.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
     parser.add_argument(
@@ -376,11 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="root seed for every sampled budget (env ADLOCAL_SEED overrides the default 0)",
     )
-    parser.add_argument("--pair-samples", type=int, default=100_000)
-    parser.add_argument("--element-samples", type=int, default=10_000)
-    parser.add_argument("--two-local-pairs", type=int, default=1_000)
-    parser.add_argument("--witness-samples", type=int, default=100)
-    parser.add_argument("--gen-pairs", type=int, default=50)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for name in (*_SAMPLE_BUDGETS, "gen_pairs"):
+        parser.add_argument(_flag(name), type=int, default=defaults[name])
     parser.add_argument("--force", action="store_true", help="probe non-commutative base rings")
     parser.add_argument("--json", dest="json_path", default=None, help="write the report here")
     return parser
@@ -395,11 +392,6 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise CliConfigError(f"ADLOCAL_SEED={env_seed!r} is not an integer") from None
-        for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples"):
-            if getattr(args, name) <= 0:
-                raise CliConfigError(f"--{name.replace('_', '-')} must be positive")
-        if args.gen_pairs < 0:
-            raise CliConfigError("--gen-pairs must not be negative")
         config = ExperimentConfig(
             **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
         )

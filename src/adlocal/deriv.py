@@ -141,38 +141,35 @@ def _domain_lead(carrier: Ring) -> list:
 
 
 @lru_cache(maxsize=None)
-def verification_domain(
-    carrier: Ring,
-    seed: int = DEFAULT_SEED,
-    full_cap: int = FULL_DOMAIN_CAP,
-    sample: int = DOMAIN_SAMPLE,
-) -> tuple:
-    """Units, then the staircase, then all remaining elements in canonical
-    order (small carriers) or a seeded sample (large ones)."""
-    lead = _domain_lead(carrier)
+def _sampled_domain(carrier: Ring, seed: int, sample: int) -> tuple:
+    """Units, then the staircase, then ``sample`` seeded draws of the
+    carrier, each element once, in the order first met."""
+    rng = rng_for(seed, f"domain:{carrier.spec}")
     card = carrier.cardinality
-    if card is not None and card <= full_cap:
-        rest = carrier.elements()
-    else:
-        rng = rng_for(seed, f"domain:{carrier.spec}")
-        rest = [carrier.element(rng.randrange(card)) for _ in range(sample)]
-    seen, out = set(), []
-    for v in list(lead) + list(rest):
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+    draws = [carrier.element(rng.randrange(card)) for _ in range(sample)]
+    return tuple(dict.fromkeys(_domain_lead(carrier) + draws))
+
+
+@lru_cache(maxsize=None)
+def verification_domain(carrier: Ring, seed: int = DEFAULT_SEED) -> tuple:
+    """Units, then the staircase, then all remaining elements in canonical
+    order (carriers of at most FULL_DOMAIN_CAP elements) or DOMAIN_SAMPLE
+    seeded draws (larger ones)."""
+    card = carrier.cardinality
+    if card is not None and card <= FULL_DOMAIN_CAP:
+        return tuple(dict.fromkeys(_domain_lead(carrier) + list(carrier.elements())))
+    return _sampled_domain(carrier, seed, DOMAIN_SAMPLE)
 
 
 def verification_elements(
     carrier: Ring, seed: int = DEFAULT_SEED, sample: int = DOMAIN_SAMPLE
 ) -> tuple:
     """Element set for map-equality checks: exhaustive up to ELEMENT_CAP,
-    otherwise units + staircase + a seeded sample."""
+    otherwise units + staircase + ``sample`` seeded draws."""
     card = carrier.cardinality
     if card is not None and card <= ELEMENT_CAP:
         return carrier.elements()
-    return verification_domain(carrier, seed, full_cap=0, sample=sample)
+    return _sampled_domain(carrier, seed, sample)
 
 
 def inner_derivation(a, carrier: Ring | None = None, seed: int = DEFAULT_SEED) -> DerivationMap:

@@ -248,13 +248,7 @@ def extend_two_local_to_n(oracle: WitnessOracle, n: int) -> WitnessOracle:
     return extend_two_local_trace(oracle, n).result
 
 
-def extend_extract_compress(
-    oracle: WitnessOracle,
-    n: int,
-    i_o: int = 1,
-    j_o: int = 2,
-    force: bool = False,
-) -> Matrix:
+def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) -> Matrix:
     """Roundtrip: extend a corner oracle to M_n(R), extract one global
     implementing element d there, read its top-left corner c back (the
     corner of the compression e d e), and verify commutator(c, x) reproduces the corner map on every corner
@@ -267,7 +261,7 @@ def extend_extract_compress(
             "over commutative base rings (force=True probes anyway)"
         )
     nabla = extend_two_local_to_n(oracle, n)
-    d = extract_witness(nabla, n, i_o, j_o, force=force)
+    d = extract_witness(nabla, n, force=force)
     c = corner_extract(d, corner.n)
     mul, sub = corner.mul, corner.sub
     for x in verification_elements(corner, seed=DEFAULT_SEED):

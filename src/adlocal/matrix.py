@@ -26,7 +26,7 @@ from itertools import product
 from operator import getitem
 
 from .errors import CarrierTooLargeError, DimensionError, ShapeMismatchError
-from .rings import ENUMERATION_CAP, PolyQuot, Ring, Zmod, ring_axiom_check
+from .rings import PolyQuot, Ring, Zmod, ring_axiom_check
 
 ROW_TABLE_CAP = 256
 COORDINATE_CAP = 64
@@ -354,19 +354,14 @@ class MatrixRing(Ring):
         rows = tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n))
         return Matrix(base, rows)
 
-    def elements(self):
-        cached = getattr(self, "_elements", None)
-        if cached is not None:
-            return cached
+    def _listed(self):
         rt = self._rt
-        if rt is None or self.cardinality > ENUMERATION_CAP:
-            return super().elements()  # by element(), or raises with the right diagnostics
+        if rt is None:
+            return super()._listed()
         # itertools.product varies the last slot fastest, which is exactly
         # ascending canonical order with row 1 most significant.
         base, n = self.base, self.n
-        codes = product(range(rt.size), repeat=n)
-        self._elements = tuple(_coded(base, n, rt, c) for c in codes)
-        return self._elements
+        return tuple(_coded(base, n, rt, c) for c in product(range(rt.size), repeat=n))
 
     def contains(self, a):
         return (

@@ -82,9 +82,13 @@ class Ring:
                 raise CarrierTooLargeError(
                     f"{self.spec} has {card} elements; refusing to enumerate"
                 )
-            cached = tuple(self.element(i) for i in range(card))
-            self._elements = cached
+            cached = self._elements = self._listed()
         return cached
+
+    def _listed(self) -> tuple:
+        """All elements in canonical order, listed afresh; subclasses may
+        list them faster."""
+        return tuple(map(self.element, range(self.cardinality)))
 
     def __eq__(self, other):
         if self is other:

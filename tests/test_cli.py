@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from adlocal import DerivationMap, check_two_local, matrix_ring, verification_domain, zmod
 from adlocal import cli
 from adlocal.cli import ExperimentConfig, _report_failures, emit_report, main, run
@@ -284,3 +286,23 @@ def test_negative_budget_rejected(capsys):
         capsys, "extract-all", "--ring", "zmod:2", "--n", "2", "--pair-samples", "0"
     )
     assert code == 3
+
+
+BAD_BUDGETS = [
+    (name, value)
+    for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
+    for value in (0, -3)
+] + [("gen_pairs", -1)]
+
+
+@pytest.mark.parametrize("name,value", BAD_BUDGETS)
+def test_budget_out_of_range_is_a_config_error(capsys, name, value):
+    # run() itself refuses the budget, so every caller gets status "error"
+    report = run(ExperimentConfig(ring="zmod:2", n=2, experiment="extract-all", **{name: value}))
+    assert (report.status, report.checks) == ("error", 0)
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, "extract-all", "--ring", "zmod:2", "--n", "2", flag, str(value))
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["status"], doc["checks"], doc["config"][name]) == ("error", 0, value)
+    assert flag in err

@@ -30,6 +30,7 @@ from adlocal import (
     parse_ring_spec,
     staircase,
     verification_domain,
+    verification_elements,
     witness_search,
     zero_matrix,
     zmod,
@@ -493,6 +494,27 @@ def test_verification_domain_order(m2z2, units2, z2):
     assert len(set(dom)) == 16
     dom3 = verification_domain(matrix_ring(z2, 3))
     assert dom3[9] == staircase(z2, 3)
+
+
+def test_sampled_domains_are_lead_then_distinct_draws(z3):
+    # M3(Z3), 19,683 elements, is above FULL_DOMAIN_CAP, and M4(Z3) above
+    # ELEMENT_CAP; 10,000 draws from M3(Z3) repeat many elements
+    m3z3, m4z3 = matrix_ring(z3, 3), matrix_ring(z3, 4)
+    for carrier in (m3z3, m4z3):
+        rng = rng_for(0, f"domain:{carrier.spec}")
+        want, seen = [], set()
+        for v in [*carrier.units(), staircase(z3, carrier.n)] + [
+            carrier.element(rng.randrange(carrier.cardinality)) for _ in range(10_000)
+        ]:
+            if v not in seen:
+                seen.add(v)
+                want.append(v)
+        assert verification_domain(carrier) == tuple(want)
+    assert len(verification_domain(m3z3)) < 10_010
+    # verification_elements draws the same stream, as many times as asked
+    assert verification_elements(m4z3) == verification_domain(m4z3)
+    few = verification_elements(m4z3, sample=5)
+    assert len(few) == 22 and few == tuple(want[:22])
 
 
 # Differential tests of check_derivation against the ordered pair scan,

@@ -201,7 +201,8 @@ def test_inner_map_on_closure_over_z4():
 
 # Differential tests against brute-force references kept only here: the
 # generator-set fixpoint that re-spans every round, and the ordered scan of
-# all |S|^2 additivity pairs.
+# all |S|^2 additivity pairs, or of the pairs (u, g) with g a span
+# generator above the pair cap.
 
 DIFF_CARRIERS = {
     "M2Z2": lambda: matrix_ring(zmod(2), 2),
@@ -242,7 +243,7 @@ def _closure_reference(x, y, ambient):
         span = _additive_span(ambient, gens)
 
 
-def _inner_reference(S, delta, d, pair_cap=262_144, pair_samples=10_000, seed=0):
+def _inner_reference(S, delta, d, pair_cap=262_144):
     ambient = S.ambient
     add, mul, sub = ambient.add, ambient.mul, ambient.sub
     values = {p: delta[p] for p in S.elements}
@@ -251,15 +252,8 @@ def _inner_reference(S, delta, d, pair_cap=262_144, pair_samples=10_000, seed=0)
     )
     elements = S.elements
     count = len(elements)
-    if count * count <= pair_cap:
-        pairs = product(elements, elements)
-    else:
-        rng = rng_for(seed, f"additivity:{ambient.spec}")
-        pairs = (
-            (elements[rng.randrange(count)], elements[rng.randrange(count)])
-            for _ in range(pair_samples)
-        )
-        report.seed = seed
+    # delta additive on every (u, g) is additive on all of S
+    pairs = product(elements, elements if count * count <= pair_cap else S.span_generators)
     for u, v in pairs:
         report.checked += 1
         if values[add(u, v)] != add(values[u], values[v]):
@@ -267,6 +261,7 @@ def _inner_reference(S, delta, d, pair_cap=262_144, pair_samples=10_000, seed=0)
                 Failure((u, v), add(values[u], values[v]), values[add(u, v)], "not additive")
             )
             return report
+    report.checked = count * count
     for g in S.generators:
         if values[g] != sub(mul(d, g), mul(g, d)):
             raise PreconditionError("delta disagrees with the commutator map of d at a generator")
@@ -364,17 +359,51 @@ def test_check_inner_matches_pair_scan(label):
     assert {"pass", "not additive", "precondition"} <= verdicts
 
 
-def test_check_inner_sampled_branch_matches_reference(m3z2):
-    e12, e21 = matrix_unit(zmod(2), 3, 1, 2), matrix_unit(zmod(2), 3, 2, 1)
-    S = generate_subring(e12, e21, m3z2)
-    a = matrix_unit(zmod(2), 3, 1, 1)
-    inner = {p: commutator(a, p) for p in S.elements}
-    broken = {**inner, S.elements[5]: m3z2.add(inner[S.elements[5]], e12)}
-    for delta in (inner, broken):
-        kwargs = dict(pair_cap=len(S.elements), pair_samples=300, seed=4)
-        want = _outcome(_inner_reference, S, delta, a, **kwargs)
-        assert want[4] == 4
-        assert _outcome(check_inner_on_subring, S, delta, a, **kwargs) == want
+@pytest.mark.parametrize("label", sorted(DIFF_CARRIERS))
+def test_check_inner_generator_pair_scan_matches_reference(monkeypatch, label):
+    # with the pair cap at 0 every closure counts as large, so a table the
+    # certificate rejects is scanned on the pairs (u, g) with g a span generator
+    monkeypatch.setattr(twogen, "PAIR_CAP", 0)
+    carrier = DIFF_CARRIERS[label]()
+    rng = rng_for(13, f"twogen-inner-large:{label}")
+    seen, verdicts = 0, set()
+    for x, y in _seeded_pairs(label, carrier, 40):
+        S = generate_subring(x, y, carrier)
+        if len(S.elements) > 128 or seen >= 10:
+            continue
+        seen += 1
+        for name, delta, d in _tables(S, rng):
+            want = _outcome(_inner_reference, S, delta, d, pair_cap=0)
+            assert _outcome(check_inner_on_subring, S, delta, d) == want, name
+            verdicts.add(_verdict(want))
+    assert seen >= 5
+    assert {"pass", "not additive", "precondition"} <= verdicts
+
+
+def test_check_inner_certifies_large_closures():
+    # closures of 1,024 and 4,096 elements of M2(Z2[t]/(t^3)), whose |S|^2
+    # pairs are far above the pair cap, are certified whole
+    carrier = matrix_ring(polyquot(2, 3), 2)
+    card = carrier.cardinality
+    rng = rng_for(0, "twogen-large")
+    closures = {}
+    while len(closures) < 2:
+        x, y = carrier.element(rng.randrange(card)), carrier.element(rng.randrange(card))
+        S = generate_subring(x, y, carrier)
+        if len(S.elements) in (1024, 4096):
+            closures.setdefault(len(S.elements), S)
+    for size, S in sorted(closures.items()):
+        a = carrier.element(rng.randrange(card))
+        inner = {p: commutator(a, p) for p in S.elements}
+        got = _outcome(check_inner_on_subring, S, inner, a)
+        assert got == _outcome(_inner_reference, S, inner, a)
+        assert got[:3] == (True, size**2 + size, [])
+        u = S.elements[rng.randrange(size)]
+        broken = {**inner, u: carrier.add(inner[u], carrier.one)}
+        got = _outcome(check_inner_on_subring, S, broken, a)
+        assert got == _outcome(_inner_reference, S, broken, a)
+        ((inputs, _, _, note),) = got[2]
+        assert note == "not additive" and inputs[1] in S.span_generators
 
 
 @pytest.mark.parametrize("label", ["M2Z2", "M2Z3"])
