@@ -15,6 +15,7 @@ BATTERY = [
     ("extract-all", "zmod:2", 2, {}),
     ("extract-all", "zmod:3", 2, {}),
     ("extract-all", "zmod:2", 3, {}),
+    ("extract-all", "zmod:2", 5, {"witness_samples": 3}),
     ("extract-all", "poly:2:3", 2, {}),
     ("lemma2", "zmod:2", 2, {}),
     ("lemma2", "zmod:3", 2, {}),
@@ -34,6 +35,15 @@ BATTERY = [
 STATUS_CODE = {"pass": 0, "fail": 2, "error": 3}
 
 
+def report_name(experiment: str, ring: str, n: int, extra: dict) -> str:
+    """The report file of one battery entry: experiment, ring and n, then
+    each extra setting in sorted order (``_force`` for a flag), so entries
+    that differ only in their extras write different files."""
+    parts = [experiment, ring.replace(":", "-"), f"n{n}"]
+    parts += [key if value is True else f"{key}-{value}" for key, value in sorted(extra.items())]
+    return "_".join(parts) + ".json"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports", help="directory for the JSON reports")
@@ -46,8 +56,7 @@ def main() -> None:
     for experiment, ring, n, extra in BATTERY:
         config = ExperimentConfig(ring=ring, n=n, experiment=experiment, seed=args.seed, **extra)
         report = run(config)
-        name = f"{experiment}_{ring.replace(':', '-')}_n{n}.json"
-        emit_report(report, path=str(outdir / name))
+        emit_report(report, path=str(outdir / report_name(experiment, ring, n, extra)))
         print(
             f"{report.status:5s}  {experiment:16s} ring={ring:10s} n={n} "
             f"checks={report.checks} ({report.elapsed_ms} ms)"

@@ -275,9 +275,22 @@ def _additive_on_span(add, zero, value, generators) -> bool:
     return True
 
 
-def _certified_derivation(carrier: Ring, rank: tuple, ev) -> bool:
+def _coordinate_basis(carrier: Ring) -> list | None:
+    """The Z_m coordinate basis E_k = element(m^k), k = 0, ..., N-1, of a
+    carrier with the coordinates of :func:`_module_rank`, in canonical
+    order, or None for a carrier without them.  Every element is a sum of
+    multiples of the E_k, so two additive maps that agree on the basis
+    agree on the carrier."""
+    rank = _module_rank(carrier)
+    if rank is None:
+        return None
+    m, size = rank
+    return [carrier.element(m**k) for k in range(size)]
+
+
+def _certified_derivation(carrier: Ring, ev) -> bool:
     """True iff ``ev`` is a derivation of the whole carrier, decided from
-    its Z_m coordinate basis E_k (see :func:`_module_rank`).
+    its Z_m coordinate basis E_k (see :func:`_coordinate_basis`).
 
     Leibniz is checked on the N^2 basis pairs (E_k, E_l) and additivity
     along the coset tree of the basis.  When + and * distribute, the
@@ -286,9 +299,8 @@ def _certified_derivation(carrier: Ring, rank: tuple, ev) -> bool:
     basis pairs go first: a map that fails there, such as the identity,
     costs no walk of the carrier.
     """
-    m, size = rank
     add, mul = carrier.add, carrier.mul
-    basis = [carrier.element(m**k) for k in range(size)]
+    basis = _coordinate_basis(carrier)
     for x in basis:
         dx = ev(x)
         for y in basis:
@@ -323,11 +335,10 @@ def check_derivation(
         carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
     )
     report = VerificationReport(seed=used_seed)
-    rank = _module_rank(carrier)
     if (
-        rank is not None
+        _module_rank(carrier) is not None
         and carrier.cardinality <= min(ELEMENT_CAP, length)
-        and _certified_derivation(carrier, rank, ev)
+        and _certified_derivation(carrier, ev)
     ):
         report.checked = length
         return report
@@ -391,7 +402,7 @@ class _Coordinates:
         self.mu = -(-(1 << self.shift) // m)
         self.width = width = (bound * self.mu).bit_length()
         self.row_bits = size * width
-        basis = [carrier.element(m ** (size - 1 - k)) for k in range(size)]
+        basis = _coordinate_basis(carrier)[::-1]
         mul, sub = carrier.mul, carrier.sub
         # [E_l, E_k] = -[E_k, E_l] and [E_k, E_k] = 0: pack the commutators
         # with k < l and negate their lanes mod m for the mirror entries

@@ -252,7 +252,13 @@ def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) 
     """Roundtrip: extend a corner oracle to M_n(R), extract one global
     implementing element d there, read its top-left corner c back (the
     corner of the compression e d e), and verify commutator(c, x) reproduces the corner map on every corner
-    element.  Returns c as a 2x2 matrix; a counterexample raises."""
+    element.  Returns c as a 2x2 matrix; a counterexample raises.
+
+    The check scans the elements rather than proving agreement on a basis,
+    as ``extract-all`` and :func:`check_inner_on_subring` do: one side is
+    ``oracle.value``, the 2-local map under test, which is not known to be
+    additive, so agreement on a generating set would not carry over to the
+    other elements."""
     corner = oracle.carrier
     R = corner.base
     if not is_commutative(R) and not force:

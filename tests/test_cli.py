@@ -3,7 +3,19 @@ import time
 
 import pytest
 
-from adlocal import DerivationMap, check_two_local, matrix_ring, verification_domain, zmod
+from adlocal import (
+    DerivationMap,
+    adversarial_oracle,
+    check_two_local,
+    commutator,
+    matrix,
+    matrix_ring,
+    matrix_unit,
+    parse_ring_spec,
+    verification_domain,
+    verification_elements,
+    zmod,
+)
 from adlocal import cli
 from adlocal.cli import ExperimentConfig, _report_failures, emit_report, main, run
 
@@ -306,3 +318,96 @@ def test_budget_out_of_range_is_a_config_error(capsys, name, value):
     doc = json.loads(out)
     assert (doc["status"], doc["checks"], doc["config"][name]) == ("error", 0, value)
     assert flag in err
+
+
+# extract-all proves [abar, x] = [a, x] on the Z_m coordinate basis and
+# scans the domain only when the proof fails; the reference below is the
+# element scan it replaces.
+
+
+def _extract_all_reference(cfg):
+    """Checks, failure records and witnesses of the scan of every x of the
+    domain for every witness, up to the first failing x."""
+    carrier = matrix_ring(parse_ring_spec(cfg.ring), cfg.n)
+    domain = verification_elements(carrier, cfg.seed, sample=cfg.element_samples)
+    checks, witnesses = 0, []
+    for a in cli._witness_targets(cfg, carrier):
+        abar = cli.extract_witness(adversarial_oracle(a, carrier), cfg.n, force=cfg.force)
+        witnesses.append(cli._ser(abar))
+        for x in domain:
+            checks += 1
+            want, got = commutator(a, x), commutator(abar, x)
+            if got != want:
+                note = "extracted witness disagrees at x"
+                return checks, [cli._fail_record((a, x), want, got, note)], witnesses
+    return checks, [], witnesses
+
+
+def _shifted_extraction(monkeypatch, z, keep=True):
+    """Make extract-all extract abar = (its extraction, or the hidden a
+    when not ``keep``) + z."""
+    extract, make_oracle, hidden = cli.extract_witness, cli.adversarial_oracle, []
+
+    def oracle_of(a, carrier):
+        hidden.append(a)
+        return make_oracle(a, carrier)
+
+    def shifted(oracle, n, force=False):
+        base = extract(oracle, n, force=force) if keep else hidden[-1]
+        return oracle.carrier.add(base, z)
+
+    monkeypatch.setattr(cli, "adversarial_oracle", oracle_of)
+    monkeypatch.setattr(cli, "extract_witness", shifted)
+
+
+@pytest.mark.parametrize(
+    "ring,force",
+    [("zmod:2", False), ("poly:2:2", False), ("mat:zmod:2:2", True)],
+)
+def test_extract_all_shifted_witness_fails_at_the_scans_first_x(monkeypatch, ring, force):
+    z = matrix_unit(parse_ring_spec(ring), 2, 1, 2)  # not central
+    _shifted_extraction(monkeypatch, z)
+    cfg = ExperimentConfig(ring=ring, n=2, experiment="extract-all", force=force)
+    report = run(cfg)
+    checks, failures, witnesses = _extract_all_reference(cfg)
+    assert report.status == "fail" and failures
+    assert (report.checks, report.failures, report.witnesses) == (checks, failures, witnesses)
+
+
+@pytest.mark.parametrize("ring", ["zmod:3", "poly:2:2", "mat:zmod:2:2"])
+def test_extract_all_matches_the_element_scan(ring):
+    # passing runs count |domain| checks per witness, as the scan did; the
+    # forced run over M2(Z2) fails on its second witness, as the scan did
+    force = ring.startswith("mat")
+    cfg = ExperimentConfig(ring=ring, n=2, experiment="extract-all", force=force, witness_samples=4)
+    report = run(cfg)
+    checks, failures, witnesses = _extract_all_reference(cfg)
+    assert (report.checks, report.failures, report.witnesses) == (checks, failures, witnesses)
+
+
+def test_extract_all_sampled_domain_without_a_failing_x_reports_the_basis(monkeypatch):
+    # over M2(M2(Z2)), z = diag(e11, e11) commutes with every matrix unit,
+    # whose entries are 0 and 1, but not with every coordinate basis
+    # element E_k = element(2^k).  A domain of the matrix units alone, as a
+    # sample of a larger carrier can be, holds no x where abar = a + z
+    # disagrees with a; the scan of the basis after it reports the first
+    # E_k that does.
+    base = parse_ring_spec("mat:zmod:2:2")
+    carrier = matrix_ring(base, 2)
+    e11 = matrix_unit(zmod(2), 2, 1, 1)
+    z = matrix(base, [[e11, base.zero], [base.zero, e11]])
+    _shifted_extraction(monkeypatch, z, keep=False)
+    monkeypatch.setattr(cli, "verification_elements", lambda carrier, seed, sample: carrier.units())
+    cfg = ExperimentConfig(ring="mat:zmod:2:2", n=2, experiment="extract-all", force=True)
+    report = run(cfg)
+    # E_0 = e22 (x) e22 commutes with z, E_1 = e22 (x) e21 does not
+    e0, e1 = carrier.element(1), carrier.element(2)
+    assert commutator(z, e0) == carrier.zero != commutator(z, e1)
+    a = cli._witness_targets(cfg, carrier)[0]
+    abar = carrier.add(a, z)
+    assert report.status == "fail" and report.checks == len(carrier.units()) + 2
+    assert report.failures == [
+        cli._fail_record(
+            (a, e1), commutator(a, e1), commutator(abar, e1), "extracted witness disagrees at x"
+        )
+    ]

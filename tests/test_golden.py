@@ -17,6 +17,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = {
     "extract-all-zmod3-n2": dict(experiment="extract-all", ring="zmod:3", n=2),
     "extract-all-poly22-n2": dict(experiment="extract-all", ring="poly:2:2", n=2),
+    "extract-all-zmod2-n5-w3": dict(
+        experiment="extract-all", ring="zmod:2", n=5, witness_samples=3
+    ),
     "extract-all-matzmod22-n2-force": dict(
         experiment="extract-all", ring="mat:zmod:2:2", n=2, force=True
     ),

@@ -18,9 +18,27 @@ def _load(name):
 run_experiments = _load("run_experiments")
 extraction_demo = _load("extraction_demo")
 
-PASSING = (("lemma2", "zmod:2", 2, {}), "pass")
-FAILING = (("extract-all", "mat:zmod:2:2", 2, {"force": True, "witness_samples": 2}), "fail")
-ERRORING = (("extract-all", "zmod:2", 2, {"witness_samples": 0}), "error")
+from adlocal.cli import ExperimentConfig, run
+
+PASSING = (("lemma2", "zmod:2", 2, {}), "pass", "lemma2_zmod-2_n2.json")
+FAILING = (
+    ("extract-all", "mat:zmod:2:2", 2, {"force": True, "witness_samples": 2}),
+    "fail",
+    "extract-all_mat-zmod-2-2_n2_force_witness_samples-2.json",
+)
+ERRORING = (
+    ("extract-all", "zmod:2", 2, {"witness_samples": 0}),
+    "error",
+    "extract-all_zmod-2_n2_witness_samples-0.json",
+)
+
+
+def _run_battery(monkeypatch, tmp_path, battery):
+    monkeypatch.setattr(run_experiments, "BATTERY", battery)
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        run_experiments.main()
+    return exit_info.value.code
 
 
 @pytest.mark.parametrize(
@@ -28,18 +46,27 @@ ERRORING = (("extract-all", "zmod:2", 2, {"witness_samples": 0}), "error")
     [([PASSING, FAILING], 2), ([PASSING, ERRORING], 3), ([ERRORING, FAILING, PASSING], 3)],
 )
 def test_run_experiments_exits_with_the_worst_status(monkeypatch, tmp_path, capsys, runs, worst):
-    monkeypatch.setattr(run_experiments, "BATTERY", [entry for entry, _ in runs])
-    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--out", str(tmp_path)])
-    with pytest.raises(SystemExit) as exit_info:
-        run_experiments.main()
-    assert exit_info.value.code == worst
-    # one report per run, named by experiment, ring and n
+    assert _run_battery(monkeypatch, tmp_path, [entry for entry, _, _ in runs]) == worst
+    # one report per run, named by experiment, ring, n and the sorted extras
     got = {path.name: json.loads(path.read_text())["status"] for path in tmp_path.iterdir()}
-    assert got == {
-        f"{experiment}_{ring.replace(':', '-')}_n{n}.json": status
-        for (experiment, ring, n, _), status in runs
-    }
+    assert got == {name: status for _, status, name in runs}
     assert len(capsys.readouterr().out.splitlines()) == len(runs)
+
+
+def test_run_experiments_keeps_entries_that_differ_only_in_budgets(monkeypatch, tmp_path):
+    # before the extras were part of the name, the second entry's report
+    # replaced the first one's
+    battery = [("prop10", "zmod:2", 2, {"gen_pairs": 1}), ("prop10", "zmod:2", 2, {"gen_pairs": 2})]
+    assert _run_battery(monkeypatch, tmp_path, battery) == 0
+    got = {path.name: json.loads(path.read_text()) for path in tmp_path.iterdir()}
+    assert sorted(got) == ["prop10_zmod-2_n2_gen_pairs-1.json", "prop10_zmod-2_n2_gen_pairs-2.json"]
+    for pairs in (1, 2):
+        report = got[f"prop10_zmod-2_n2_gen_pairs-{pairs}.json"]
+        want = run(ExperimentConfig(ring="zmod:2", n=2, experiment="prop10", gen_pairs=pairs))
+        assert report["config"]["gen_pairs"] == pairs
+        assert report["checks"] == want.checks
+    checks = [got[name]["checks"] for name in sorted(got)]
+    assert checks[0] != checks[1]
 
 
 def test_extraction_demo_runs(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from adlocal import (
 )
 from adlocal import twogen
 from adlocal.deriv import Failure, VerificationReport
+from adlocal.matrix import _module_rank
 from adlocal.sampling import rng_for
 
 
@@ -451,3 +452,60 @@ def test_check_inner_certificate_checks_a_wrap_to_zero():
     want = _outcome(_inner_reference, S, delta, carrier.zero)
     assert want[:3] == (False, 4, [((x, x), x, carrier.zero, "not additive")])
     assert _outcome(check_inner_on_subring, S, delta, carrier.zero) == want
+
+
+def _additive_not_inner(S, a, rng):
+    """delta = [a, .] + lam(.) * c with lam a Z_m-linear functional of the
+    coordinates that vanishes at both generators: additive, equal to
+    [a, .] at x and y, and unequal to it somewhere on S.  None when no
+    functional of 30 draws does that."""
+    ambient = S.ambient
+    card, (m, size) = ambient.cardinality, _module_rank(ambient)
+
+    def coords(p):
+        i = ambient.index(p)
+        return [(i // m**k) % m for k in range(size)]
+
+    def times(k, c):
+        acc = ambient.zero
+        for _ in range(k):
+            acc = ambient.add(acc, c)
+        return acc
+
+    inner = {p: commutator(a, p) for p in S.elements}
+    for _ in range(30):
+        w = [rng.randrange(m) for _ in range(size)]
+        c = ambient.element(1 + rng.randrange(card - 1))
+        lam = {p: sum(u * v for u, v in zip(w, coords(p))) % m for p in S.elements}
+        delta = {p: ambient.add(inner[p], times(lam[p], c)) for p in S.elements}
+        if all(lam[g] == 0 for g in S.generators) and delta != inner:
+            return delta
+    return None
+
+
+@pytest.mark.parametrize("label", ["M2Z2", "M2Z3", "M2Z4"])
+def test_check_inner_generator_proof_matches_reference(label):
+    # agreement with [d, .] is proved on the span generators; inner tables
+    # and additive tables that agree with [a, .] only at x and y must give
+    # the element scan's report, its count and its first failure
+    carrier = DIFF_CARRIERS[label]()
+    rng = rng_for(17, f"twogen-agree:{label}")
+    if label == "M2Z2":
+        pairs = list(product(carrier.elements(), carrier.elements()))
+    else:
+        pairs = _seeded_pairs(label, carrier, 60)
+    verdicts = {"pass": 0, "not implemented by d": 0}
+    for x, y in pairs:
+        S = generate_subring(x, y, carrier)
+        if len(S.elements) > 128:
+            continue  # the reference scan of a passing table is |S|^2 additions
+        a = carrier.element(rng.randrange(carrier.cardinality))
+        cases = [{p: commutator(a, p) for p in S.elements}]
+        bumped = _additive_not_inner(S, a, rng)
+        if bumped is not None:
+            cases.append(bumped)
+        for delta in cases:
+            want = _outcome(_inner_reference, S, delta, a)
+            assert _outcome(check_inner_on_subring, S, delta, a) == want
+            verdicts[_verdict(want)] += 1
+    assert min(verdicts.values()) >= 5, verdicts
