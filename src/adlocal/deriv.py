@@ -10,8 +10,9 @@ which makes the search one linear system over Z_m: its solutions form a
 coset of the kernel, and a particular solution reduced by the Howell form
 of the kernel is that coset's least element, the same element a scan of
 the carrier in canonical order would meet first.  The elimination depends
-only on the carrier and the ordered points x, not on the targets, and the
-same points recur across calls (a closure's delta table, the extraction
+only on the carrier and the points x, not on the targets; constraints are
+solved in canonical point order, so (x, y) and (y, x) share one form, and
+the same points recur across calls (a closure's delta table, the extraction
 pairs of every hidden element, the corner points of every extension
 oracle), so each form is built once and reused from a process-wide
 least-recently-used cache holding at most ECHELON_CACHE_BITS bits of pivot
@@ -34,8 +35,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from operator import itemgetter
 from typing import Callable
 
 from .errors import (
@@ -126,9 +128,7 @@ class WitnessOracle:
 
     def value(self, x):
         """Induced value at x: the commutator of select(x, x) against x."""
-        w = self.select(x, x)
-        r = self.carrier
-        return r.sub(r.mul(w, x), r.mul(x, w))
+        return self.carrier.commutator(self.select(x, x), x)
 
 
 def _domain_lead(carrier: Ring) -> list:
@@ -178,11 +178,7 @@ def inner_derivation(a, carrier: Ring | None = None, seed: int = DEFAULT_SEED) -
         if not isinstance(a, Matrix):
             raise TypeError("carrier required for non-matrix elements")
         carrier = matrix_ring(a.ring, a.n)
-    mul, sub = carrier.mul, carrier.sub
-
-    def evaluate(x, a=a):
-        return sub(mul(a, x), mul(x, a))
-
+    evaluate = partial(carrier.commutator, a)
     return DerivationMap(carrier, evaluate, verification_domain(carrier, seed), witness=a)
 
 
@@ -403,7 +399,7 @@ class _Coordinates:
         self.width = width = (bound * self.mu).bit_length()
         self.row_bits = size * width
         basis = _coordinate_basis(carrier)[::-1]
-        mul, sub = carrier.mul, carrier.sub
+        commutator = carrier.commutator
         # [E_l, E_k] = -[E_k, E_l] and [E_k, E_k] = 0: pack the commutators
         # with k < l and negate their lanes mod m for the mirror entries
         ones = ((1 << self.row_bits) - 1) // ((1 << width) - 1)
@@ -411,8 +407,7 @@ class _Coordinates:
         comm = [[0] * size for _ in range(size)]
         for k, ek in enumerate(basis):
             for l in range(k + 1, size):
-                el = basis[l]
-                v = comm[k][l] = self.pack(sub(mul(ek, el), mul(el, ek)))
+                v = comm[k][l] = self.pack(commutator(ek, basis[l]))
                 w = m * ones - v
                 comm[l][k] = w - (((w * self.mu) >> self.shift) & qmask) * m
         self.table = [
@@ -496,16 +491,20 @@ class _Coordinates:
         left to right, gives the least element of b + kernel in
         lexicographic order, which is canonical order.
 
-        The form depends on the ordered points x_1 ... x_K alone, not on
-        the targets, so it comes from :meth:`echelon` through the
-        process-wide cache ``_ECHELONS``; a reused form is the one a fresh
-        elimination would build, so the answer does not depend on the
-        cache.
+        The solution set does not depend on the order of the
+        constraints, so they are taken in canonical order of their points
+        x_1 ... x_K.  The form depends on those points alone, not on the
+        targets, so it comes from :meth:`echelon` through the process-wide
+        cache ``_ECHELONS``; a reused form is the one a fresh elimination
+        would build, so the answer does not depend on the cache.
         """
         m, size, width = self.m, self.size, self.width
         mu, shift, row_bits = self.mu, self.shift, self.row_bits
         index = self.carrier.index
-        prow, pdiv, _ = _ECHELONS.echelon(self, tuple([index(x) for x, _ in cons]))
+        points = [index(x) for x, _ in cons]
+        if len(points) > 1:
+            points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
+        prow, pdiv, _ = _ECHELONS.echelon(self, tuple(points))
         blocks = len(cons)
         qmask = _quotient_mask(width, shift, (blocks + 1) * size)
         lane_mask = (1 << width) - 1
@@ -541,7 +540,7 @@ class _Coordinates:
 class _EchelonCache:
     """Least-recently-used store of :meth:`_Coordinates.echelon` results
     with their pivot rows' total bit length, ``(prow, pdiv, bits)``, keyed
-    by the interned coordinates and the ordered point indices.
+    by the interned coordinates and the point indices in canonical order.
 
     ``bits``, the total bit length of the stored pivot rows, is kept at
     most ECHELON_CACHE_BITS by evicting the least recently used entries
@@ -605,7 +604,7 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     the Howell form of the kernel (Howell 1986) yields that coset's least
     element, which is exactly the first solution a scan of the carrier in
     canonical order would meet.  The Howell form of the points is reused
-    across calls with the same carrier and the same ordered points (see
+    across calls with the same carrier and the same points (see
     :meth:`_Coordinates.solve`), within ECHELON_CACHE_BITS bits, and the
     result is the same with or without it.  Carriers with more than
     COORDINATE_CAP coordinates are refused with CarrierTooLargeError,
@@ -659,8 +658,7 @@ def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
     never ``a`` itself unless that happens to be minimal."""
     if carrier is None:
         carrier = matrix_ring(a.ring, a.n)
-    mul, sub = carrier.mul, carrier.sub
-    return pair_oracle(carrier, lambda x: sub(mul(a, x), mul(x, a)))
+    return pair_oracle(carrier, partial(carrier.commutator, a))
 
 
 def check_two_local(
@@ -708,8 +706,7 @@ def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
     first failing pair: commutator(select(x, y), x) must not depend on y,
     and each answer must implement the induced values at both points of
     its pair."""
-    r = oracle.carrier
-    mul, sub = r.mul, r.sub
+    commutator = oracle.carrier.commutator
     values = _Memo(oracle.value)
     report = VerificationReport()
     for x in xs:
@@ -717,11 +714,11 @@ def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
         for y in xs:
             w = oracle.select(x, y)
             report.checked += 1
-            got_x = sub(mul(w, x), mul(x, w))
+            got_x = commutator(w, x)
             if got_x != vx:
                 report.failures.append(Failure((x, y), vx, got_x, "witness drifts at x"))
                 return report
-            got_y = sub(mul(w, y), mul(y, w))
+            got_y = commutator(w, y)
             if got_y != values[y]:
                 report.failures.append(Failure((x, y), values[y], got_y, "witness drifts at y"))
                 return report

@@ -269,9 +269,9 @@ def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) 
     nabla = extend_two_local_to_n(oracle, n)
     d = extract_witness(nabla, n, force=force)
     c = corner_extract(d, corner.n)
-    mul, sub = corner.mul, corner.sub
+    commutator = corner.commutator
     for x in verification_elements(corner, seed=DEFAULT_SEED):
-        if sub(mul(c, x), mul(x, c)) != oracle.value(x):
+        if commutator(c, x) != oracle.value(x):
             raise VerificationFailedError(
                 "compressed witness fails to implement the corner map",
                 counterexample=x,

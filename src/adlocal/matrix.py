@@ -16,6 +16,11 @@ significant.  Joining the n row codes in base |R|^n gives the matrix's
 canonical index.  Arithmetic on such matrices is lookup in per-(R, n)
 row tables; above the cap, matrices store their rows and compute entry
 by entry with the base ring's operations.
+
+:func:`commutator` is the one kernel for [a, x] = a*x - x*a: on row codes
+it builds each output row in one pass, adding the left-scaled rows of
+``terms`` for a*x and the negated left-scaled rows of ``negterms`` for
+-x*a; above the cap it is ``a * x - x * a``.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ class RowTable:
     lists, for each nonzero entry x of row c at position k, the pair
     (k, scaled) where ``scaled[d]`` is the row d multiplied by x on the
     left, so that products stay right over non-commutative bases.
+    ``negterms[c]`` is the same with ``scaled[d]`` the negation of that
+    row, -(x*d), so a difference of products needs no negation pass.
     """
 
-    __slots__ = ("size", "rows", "code", "add", "neg", "terms")
+    __slots__ = ("size", "rows", "code", "add", "neg", "terms", "negterms")
 
     def __init__(self, base: Ring, n: int):
         els = base.elements()
@@ -65,8 +72,12 @@ class RowTable:
             tuple(of_digits(tuple(map(mul_t[x].__getitem__, d))) for d in digits)
             for x in range(card)
         ]
+        negscale = [tuple(map(self.neg.__getitem__, scaled)) for scaled in scale]
         # index 0 is the zero element: it contributes nothing to a product
         self.terms = tuple(tuple((k, scale[x]) for k, x in enumerate(d) if x) for d in digits)
+        self.negterms = tuple(
+            tuple((k, negscale[x]) for k, x in enumerate(d) if x) for d in digits
+        )
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +281,27 @@ def staircase(ring: Ring, n: int) -> Matrix:
 
 
 def commutator(a: Matrix, x: Matrix) -> Matrix:
-    """a*x - x*a."""
+    """[a, x] = a*x - x*a.
+
+    When a and x share a row table, row i is built in one pass over row
+    codes: the sum over k of a_ik * (row k of x), from ``terms``, plus
+    the sum over k of -(x_ik * (row k of a)), from ``negterms``.  Both
+    scale on the left, so the result is right over non-commutative bases.
+    Any other operands take ``a * x - x * a``.
+    """
+    rt = a._rt
+    if rt is not None and x.__class__ is Matrix and x._rt is rt:
+        add, terms, negterms = rt.add, rt.terms, rt.negterms
+        ours, theirs = a._data, x._data
+        out = []
+        for c, d in zip(ours, theirs):
+            acc = 0
+            for k, scaled in terms[c]:
+                acc = add[acc][scaled[theirs[k]]]
+            for k, scaled in negterms[d]:
+                acc = add[acc][scaled[ours[k]]]
+            out.append(acc)
+        return _coded(a.ring, a.n, rt, tuple(out))
     return a * x - x * a
 
 
@@ -317,12 +348,16 @@ class MatrixRing(Ring):
         self._rt = row_table(base, n)
         self._zero = zero_matrix(base, n)
         self._one = identity_matrix(base, n)
+        self._units = tuple(
+            matrix_unit(base, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+        )
 
     # the Matrix operators themselves, with no Python frame in between
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
+    commutator = staticmethod(commutator)
 
     @property
     def zero(self):
@@ -381,15 +416,7 @@ class MatrixRing(Ring):
 
     def units(self) -> tuple:
         """All matrix units in row-major order e_11, e_12, ..., e_nn."""
-        cached = getattr(self, "_units", None)
-        if cached is None:
-            cached = tuple(
-                matrix_unit(self.base, self.n, i, j)
-                for i in range(1, self.n + 1)
-                for j in range(1, self.n + 1)
-            )
-            self._units = cached
-        return cached
+        return self._units
 
 
 def _split_matrix_literal(text: str) -> list:

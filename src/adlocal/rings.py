@@ -71,6 +71,10 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def commutator(self, a, x):
+        """[a, x] = a*x - x*a; matrix rings use one fused kernel."""
+        return self.sub(self.mul(a, x), self.mul(x, a))
+
     def elements(self) -> tuple:
         """All elements in canonical order; cached after the first call."""
         cached = getattr(self, "_elements", None)

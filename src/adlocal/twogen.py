@@ -133,7 +133,7 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     d landed inside the closure.
     """
     ambient = S.ambient
-    add, mul, sub = ambient.add, ambient.mul, ambient.sub
+    add, commutator = ambient.add, ambient.commutator
     lookup = delta.__getitem__ if isinstance(delta, dict) else delta
     values = {p: lookup(p) for p in S.elements}
 
@@ -156,17 +156,17 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
                 return report
 
     for g in S.generators:
-        if values[g] != sub(mul(d, g), mul(g, d)):
+        if values[g] != commutator(d, g):
             raise PreconditionError(
                 "delta disagrees with the commutator map of d at a generator"
             )
 
-    if all(values[g] == sub(mul(d, g), mul(g, d)) for g in S.span_generators):
+    if all(values[g] == commutator(d, g) for g in S.span_generators):
         report.checked += count
         return report
     for p in elements:
         report.checked += 1
-        got = sub(mul(d, p), mul(p, d))
+        got = commutator(d, p)
         if values[p] != got:
             report.failures.append(Failure((p,), values[p], got, "not implemented by d"))
             return report

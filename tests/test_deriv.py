@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -239,9 +239,10 @@ def _cached_bits():
 def _search_through_the_cache(carrier, constraints):
     """witness_search, after checking that the cache serves its points the
     form a fresh elimination builds (a form served for other points would
-    be caught here, before the search reduces targets through it)."""
+    be caught here, before the search reduces targets through it).  The
+    search keys its form on the point indices in canonical order."""
     coords = _coordinates(carrier)
-    points = tuple(carrier.index(x) for x, _ in constraints)
+    points = tuple(sorted(carrier.index(x) for x, _ in constraints))
     assert _ECHELONS.echelon(coords, points)[:2] == coords.echelon(points), (carrier.spec, points)
     return witness_search(carrier, constraints)
 
@@ -261,6 +262,24 @@ def test_witness_search_cold_and_warm_cache_match_scan():
             assert _search_through_the_cache(carrier, q) == want, (carrier.spec, q)
     assert _ECHELONS.reuses > _ECHELONS.eliminations
     assert _ECHELONS.eliminations == len(_ECHELONS.entries)
+
+
+def test_reordered_points_share_one_elimination():
+    rng = random.Random("reordered-points")
+    for spec in _CACHE_CARRIERS:
+        carrier = parse_ring_spec(spec)
+        card = carrier.cardinality
+        for _ in range(4):
+            x, y, z = (carrier.element(i) for i in rng.sample(range(card), 3))
+            a = carrier.element(rng.randrange(card))
+            t = carrier.element(rng.randrange(card))
+            solvable = [(p, commutator(a, p)) for p in (x, y, z)]
+            for q in (solvable[:2], [(x, t), solvable[1]], solvable):
+                want = _scan(carrier, q)
+                _ECHELONS.clear()
+                orders = [list(order) for order in permutations(q)]
+                assert [witness_search(carrier, o) for o in orders] == [want] * len(orders)
+                assert (_ECHELONS.eliminations, _ECHELONS.reuses) == (1, len(orders) - 1)
 
 
 def test_witness_search_cache_evicts_within_its_bound(monkeypatch):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from adlocal import (
     CarrierTooLargeError,
     DimensionError,
+    MatrixRing,
+    Ring,
     ShapeMismatchError,
     block_flatten,
     block_view,
@@ -18,6 +20,7 @@ from adlocal import (
     matrix_ring,
     matrix_to_strings,
     matrix_unit,
+    parse_ring_spec,
     pierce_component,
     polyquot,
     staircase,
@@ -379,6 +382,64 @@ def test_entrywise_arithmetic_above_row_table_cap():
     els = carrier.elements()
     assert [x.rows for x in els] == [_ref_rows(carrier.base, 1, i) for i in range(257)]
     assert [matrix_index(x) for x in els] == list(range(257))
+
+
+# Differential test of the commutator kernel against the operators and
+# against entrywise arithmetic: the fused row-code pass on carriers with a
+# row table (M2(M2(Z2)) has a non-commutative base), the fallback above it.
+
+
+def _ref_commutator(a, x):
+    ring = a.ring
+    return _ref_sub(Matrix(ring, _ref_mul(a, x)), Matrix(ring, _ref_mul(x, a)))
+
+
+def _assert_commutator_matches(carrier, a, x):
+    got = commutator(a, x)
+    assert got == a * x - x * a
+    _assert_same_key(got, a.ring, _ref_commutator(a, x))
+    assert carrier.commutator(a, x) == got
+    assert Ring.commutator(carrier, a, x) == got
+
+
+@pytest.mark.parametrize("label", ["M2(Z2)", "M2(Z3)"])
+def test_commutator_kernel_all_pairs(label):
+    carrier = SMALL_CARRIERS[label]()
+    assert carrier._rt is not None
+    els = carrier.elements()
+    for a in els:
+        for x in els:
+            _assert_commutator_matches(carrier, a, x)
+
+
+COMMUTATOR_SAMPLED = {
+    "M3(Z2)": lambda: matrix_ring(zmod(2), 3),
+    "M2(Z4)": lambda: matrix_ring(zmod(4), 2),
+    "M2(Z2[t]/(t^3))": lambda: matrix_ring(polyquot(2, 3), 2),
+    "M4(Z2)": lambda: matrix_ring(zmod(2), 4),
+    "M2(M2(Z2))": lambda: parse_ring_spec("mat:mat:zmod:2:2:2"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COMMUTATOR_SAMPLED))
+def test_commutator_kernel_sampled_pairs(label):
+    carrier = COMMUTATOR_SAMPLED[label]()
+    assert carrier._rt is not None
+    rng = rng_for(0, f"commutator:{label}")
+    for _ in range(1000):
+        _assert_commutator_matches(carrier, rand_elem(carrier, rng), rand_elem(carrier, rng))
+
+
+def test_commutator_falls_back_above_row_table_cap():
+    # M3(Z7) has 7^3 possible rows, beyond the row tables
+    z7 = zmod(7)
+    rng = rng_for(0, "commutator:M3(Z7)")
+    draw = lambda: Matrix(z7, tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3)))
+    carrier = MatrixRing(z7, 3)  # no axiom check: matrix_ring's sampled one takes about 2 s
+    for _ in range(300):
+        a, x = draw(), draw()
+        assert a._rt is None
+        _assert_commutator_matches(carrier, a, x)
 
 
 def test_block_view_above_row_table_cap(z3):

@@ -255,3 +255,12 @@ def test_cardinalities():
     assert polyquot(2, 3).cardinality == 8
     assert matrix_ring(zmod(2), 3).cardinality == 512
     assert matrix_ring(polyquot(2, 3), 2).cardinality == 4096
+
+
+@pytest.mark.parametrize("ring", [zmod(6), polyquot(3, 2)], ids=lambda r: r.spec)
+def test_ring_commutator_default(ring):
+    # commutative bases: every commutator vanishes
+    els = ring.elements()
+    for a in els:
+        for x in els:
+            assert ring.commutator(a, x) == ring.sub(ring.mul(a, x), ring.mul(x, a)) == ring.zero
