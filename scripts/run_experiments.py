@@ -26,9 +26,11 @@ BATTERY = [
     ("extend-2local", "zmod:2", 4, {"two_local_pairs": 200}),
     ("prop9", "zmod:2", 4, {}),
     ("prop9", "zmod:2", 5, {}),
+    ("prop9", "poly:2:2", 3, {"witness_samples": 4}),
     ("prop10", "zmod:2", 2, {"gen_pairs": 10}),
     ("prop10", "zmod:4", 2, {"gen_pairs": 25}),
     ("prop10", "zmod:2", 3, {"gen_pairs": 25}),
+    ("prop10", "zmod:2", 4, {"gen_pairs": 1}),
     ("two-local-check", "zmod:2", 2, {}),
 ]
 

@@ -48,7 +48,6 @@ from .extend import (
     extend_derivation_trace,
     extend_extract_compress,
     extend_two_local_to_n,
-    extend_two_local_trace,
     phi,
     phi_inv,
 )

@@ -120,14 +120,20 @@ class WitnessOracle:
     """An inner 2-local derivation, represented by its pair oracle.
 
     ``select(x, y)`` yields one element implementing the map at both x
-    and y.  The induced map is read off the diagonal query.
+    and y.  An oracle built from its map (see :func:`pair_oracle`) carries
+    that map in ``induced``; an oracle given only by ``select`` has its
+    map read off the diagonal query.
     """
 
     carrier: Ring
     select: Callable
+    induced: Callable | None = None
 
     def value(self, x):
-        """Induced value at x: the commutator of select(x, x) against x."""
+        """Induced value at x: ``induced(x)`` when the oracle carries its
+        map, else the commutator of select(x, x) against x."""
+        if self.induced is not None:
+            return self.induced(x)
         return self.carrier.commutator(self.select(x, x), x)
 
 
@@ -628,10 +634,11 @@ def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
     """Oracle of the map ``evaluate`` built from its values alone: each pair
     gets the canonically minimal element implementing the map at both of
     its points, from :func:`witness_search` on their two constraints.
-    Pairs are unordered for the search and answered once, and the map is
-    evaluated once per point.  A pair with no common witness raises
-    InconsistentOracleError: the map is not 2-local there."""
-    index = carrier.index
+    Each ordered pair is answered once; the search sorts its constraints,
+    so (x, y) and (y, x) share one elimination and one answer.  The map is
+    evaluated once per point, and the oracle carries it as its induced
+    map.  A pair with no common witness raises InconsistentOracleError:
+    the map is not 2-local there."""
     values = _Memo(evaluate)
 
     def answer(pair):
@@ -646,9 +653,9 @@ def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
     answers = _Memo(answer)
 
     def select(x, y):
-        return answers[(y, x) if index(y) < index(x) else (x, y)]
+        return answers[x, y]
 
-    return WitnessOracle(carrier, select)
+    return WitnessOracle(carrier, select, values.__getitem__)
 
 
 def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:

@@ -10,11 +10,11 @@ decomposition of M_2m(R) into m x m blocks, and compressing with the
 idempotent e = e_11 + ... + e_nn finishes the extension from a 2x2 corner
 to M_n(R) for any n.
 
-A 2-local oracle extends by the same rule: the corner rule applied to the
-oracle's induced value map defines the extended map pointwise, and each
-queried pair of the extension is answered by witness search on the two
-values there.  A pair without a common witness would be a counterexample
-to the 2-locality of the extension and raises InconsistentOracleError.
+A 2-local oracle extends through its induced map: that map extends by the
+same doubling and compression, and each queried pair of the extension is
+answered by witness search in M_n(R) on the two extended values there.  A
+pair without a common witness would be a counterexample to the 2-locality
+of the extension and raises InconsistentOracleError.
 
 The roundtrip at the end extends a corner oracle to M_n(R), extracts one
 implementing element there, and reads its top-left corner back.
@@ -60,7 +60,7 @@ from .rings import is_commutative
 class ExtensionTrace:
     """Audit record of a doubling chain: the dimensions visited, the final
     compressing idempotent (None when the target is a power of two), and
-    the intermediate extended maps or oracles."""
+    the doubled map of each stage."""
 
     dimensions: tuple
     idempotent: Matrix | None
@@ -151,62 +151,51 @@ def _chain_dimensions(start: int, n: int) -> tuple:
     return tuple(dims)
 
 
-def _doubled(A, ev):
-    """The corner rule for the map ``ev`` on M_m(R), applied to the four
-    m x m blocks of a flat 2m x 2m matrix: the corner extension read back
-    through the block reinterpretation."""
+def double_derivation(D: DerivationMap) -> DerivationMap:
+    """One doubling step of a derivation D on M_m(R) to M_2m(R): the corner
+    rule for D applied to the four m x m blocks of a flat 2m x 2m matrix,
+    which is the corner extension read back through the block
+    reinterpretation."""
+    A = D.carrier
     if not isinstance(A, MatrixRing):
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
     m = A.n
-    rule = _corner_rule(A, ev)
+    rule = _corner_rule(A, D.evaluate)
 
     def evaluate(x):
         return join_blocks(rule(split_blocks(x, m)))
 
-    return matrix_ring(A.base, 2 * m), evaluate
-
-
-def double_derivation(D: DerivationMap) -> DerivationMap:
-    """One doubling step of a derivation D on M_m(R) to M_2m(R)."""
-    return _map_on(*_doubled(D.carrier, D.evaluate))
-
-
-def _extension_chain(start, n: int, double, attr: str, wrap) -> ExtensionTrace:
-    """Double ``start``, a map or an oracle on M_m(R), up to the least power
-    of two top >= n, then compress to M_n(R) with the rank-n idempotent.
-    The compressed function reads the top-left n x n corner of the top
-    stage's function ``getattr(stage, attr)`` on corner-embedded arguments,
-    which serves the one argument of a map and the two of an oracle;
-    ``wrap(ring, f)`` makes the result from it."""
-    m = start.carrier.n
-    if n <= m:
-        raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
-    R = start.carrier.base
-    target = matrix_ring(R, n)  # an oversize target is refused before any doubling
-    dims = _chain_dimensions(m, n)
-    current, stages = start, []
-    for _ in dims[1:]:
-        current = double(current)
-        stages.append(current)
-    top = dims[-1]
-    if top == n:
-        return ExtensionTrace(dims, None, tuple(stages), current)
-
-    def compressed(*xs, f=getattr(current, attr)):
-        return corner_extract(f(*(corner_embed(x, top) for x in xs)), n)
-
-    idempotent = corner_embed(identity_matrix(R, n), top)
-    return ExtensionTrace(dims, idempotent, tuple(stages), wrap(target, compressed))
+    return _map_on(matrix_ring(A.base, 2 * m), evaluate)
 
 
 def extend_derivation_trace(
     D: DerivationMap, n: int, validate: bool = True
 ) -> ExtensionTrace:
-    """Double a corner derivation up to the least power of two >= n, then
-    compress with the rank-n idempotent; the result restricts to D."""
-    trace = _extension_chain(D, n, double_derivation, "evaluate", _map_on)
+    """Double a corner derivation on M_m(R) up to the least power of two
+    top >= n, then compress to M_n(R) with the rank-n idempotent: the
+    compressed map reads the top-left n x n corner of the top stage's map
+    on corner-embedded arguments.  The result restricts to D."""
+    m = D.carrier.n
+    if n <= m:
+        raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
+    R = D.carrier.base
+    target = matrix_ring(R, n)  # an oversize target is refused before any doubling
+    dims = _chain_dimensions(m, n)
+    stages = [D]
+    for _ in dims[1:]:
+        stages.append(double_derivation(stages[-1]))
+    top, result, idempotent = dims[-1], stages[-1], None
+    if top > n:
+        top_map = result.evaluate
+
+        def compressed(x):
+            return corner_extract(top_map(corner_embed(x, top)), n)
+
+        idempotent = corner_embed(identity_matrix(R, n), top)
+        result = _map_on(target, compressed)
+    trace = ExtensionTrace(dims, idempotent, tuple(stages[1:]), result)
     if validate:
-        admission = check_derivation(trace.result, pair_cap=0, pair_samples=512)
+        admission = check_derivation(result, pair_cap=0, pair_samples=512)
         if not admission.passed:
             f = admission.failures[0]
             raise NotADerivationError(f"extension fails {f.note} at {f.inputs}")
@@ -230,22 +219,13 @@ def extend_corner_two_local(oracle: WitnessOracle) -> WitnessOracle:
     return pair_oracle(matrix_ring(A, 2), lambda x: Matrix(A, rule(x.rows)))
 
 
-def _double_two_local(oracle: WitnessOracle) -> WitnessOracle:
-    """One 2-local doubling step: the doubled induced map of an oracle on
-    M_m(R), answered pair by pair on flat 2m x 2m matrices."""
-    return pair_oracle(*_doubled(oracle.carrier, oracle.value))
-
-
-def extend_two_local_trace(oracle: WitnessOracle, n: int) -> ExtensionTrace:
-    """Doubling chain of corner 2-local extensions, then compression by the
-    rank-n idempotent.  Compressed answers are the top-left n x n corner of
-    the full-size answers, which implement the compressed values on
-    corner-supported elements."""
-    return _extension_chain(oracle, n, _double_two_local, "select", WitnessOracle)
-
-
 def extend_two_local_to_n(oracle: WitnessOracle, n: int) -> WitnessOracle:
-    return extend_two_local_trace(oracle, n).result
+    """Extend a corner oracle to M_n(R): its induced map extends as a
+    derivation would (doubling, then compression; see
+    :func:`extend_derivation_trace`), and :func:`pair_oracle` answers each
+    queried pair from the extended values at its two points."""
+    D = extend_derivation_to_n(_map_on(oracle.carrier, oracle.value), n, validate=False)
+    return pair_oracle(D.carrier, D.evaluate)
 
 
 def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) -> Matrix:

@@ -314,10 +314,23 @@ def test_delta_table_rebuild_reuses_every_elimination(m3z2, z2):
     counts = []
     for a in hidden:
         before = _ECHELONS.eliminations, _ECHELONS.reuses
-        oracle = adversarial_oracle(a, m3z2)
+        # a select-only oracle reads each value off its diagonal query
+        oracle = WitnessOracle(m3z2, adversarial_oracle(a, m3z2).select)
         assert all(oracle.value(p) == commutator(a, p) for p in S.elements)
         counts.append((_ECHELONS.eliminations - before[0], _ECHELONS.reuses - before[1]))
     assert counts == [(16, 0), (0, 16)]
+
+
+def test_delta_table_of_a_carried_map_runs_no_elimination(m3z2, z2):
+    # an oracle made by pair_oracle carries its map, so a delta table read
+    # from it evaluates the map and searches for no witness
+    S = generate_subring(matrix_unit(z2, 3, 1, 2), matrix_unit(z2, 3, 2, 1), m3z2)
+    _ECHELONS.clear()
+    for i in (0o123, 0o456):
+        a = m3z2.element(i)
+        oracle = adversarial_oracle(a, m3z2)
+        assert all(oracle.value(p) == commutator(a, p) for p in S.elements)
+    assert (_ECHELONS.eliminations, _ECHELONS.reuses) == (0, 0)
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):

@@ -14,6 +14,7 @@ from adlocal import (
     check_two_local,
     commutator,
     corner_embed,
+    corner_extract,
     double_derivation,
     extend_corner_derivation,
     extend_corner_two_local,
@@ -21,12 +22,13 @@ from adlocal import (
     extend_derivation_trace,
     extend_extract_compress,
     extend_two_local_to_n,
-    extend_two_local_trace,
     identity_matrix,
     inner_derivation,
     maps_equal,
     matrix_ring,
     matrix_unit,
+    pair_oracle,
+    parse_ring_spec,
     phi,
     phi_inv,
     verification_domain,
@@ -310,9 +312,7 @@ def test_inconsistent_corner_oracle_detected(m2z2, units2):
 
 def test_extend_two_local_restriction(m2z2, units2):
     oracle = adversarial_oracle(units2[(1, 2)], m2z2)
-    trace = extend_two_local_trace(oracle, 4)
-    assert trace.dimensions == (2, 4)
-    ext = trace.result
+    ext = extend_two_local_to_n(oracle, 4)
     for v in m2z2.elements():
         assert ext.value(corner_embed(v, 4)) == corner_embed(oracle.value(v), 4)
 
@@ -323,6 +323,47 @@ def test_extend_two_local_zero_oracle(z2, m2z2):
     ext = extend_two_local_to_n(oracle, 4)
     for v in m2z2.elements():
         assert ext.value(corner_embed(v, 4)) == zero_matrix(z2, 4)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [("zmod:2", 3), ("zmod:2", 5), ("zmod:3", 3), ("poly:2:2", 3)]
+)
+def test_extension_answers_are_the_corners_of_the_top_stage_answers(spec, n):
+    # the top stage of the doubling chain is M_top(R), top the least power
+    # of two >= n; its constraints on corner-embedded points split by
+    # blocks, so the corner of its least answer is the least answer in
+    # M_n(R), which is what the extension gives directly
+    R = parse_ring_spec(spec)
+    corner, carrier = matrix_ring(R, 2), matrix_ring(R, n)
+    top = 1 << (n - 1).bit_length()
+    big = matrix_ring(R, top)
+    rng = rng_for(0, f"extension-differential:{spec}:{n}")
+    points = [carrier.element(rng.randrange(carrier.cardinality)) for _ in range(3)]
+    for _ in range(2):
+        oracle = adversarial_oracle(corner.element(rng.randrange(corner.cardinality)), corner)
+        ext = extend_two_local_to_n(oracle, n)
+        top_oracle = pair_oracle(big, extend_two_local_to_n(oracle, top).value)
+        for x in carrier.units():
+            for y in points:
+                want = top_oracle.select(corner_embed(x, top), corner_embed(y, top))
+                assert ext.select(x, y) == corner_extract(want, n), (x, y)
+
+
+def test_planted_non_inner_value_is_carried_then_refused(z2, m2z2, units2):
+    # x -> x at e11 and [e12, x] elsewhere: no element implements it at e11,
+    # yet the oracle carries the value, and the failure shows on the pairs
+    e11, e12 = units2[(1, 1)], units2[(1, 2)]
+    oracle = pair_oracle(m2z2, lambda x: x if x == e11 else commutator(e12, x))
+    assert oracle.value(e11) == e11
+    for n in (3, 4, 5):
+        with pytest.raises(InconsistentOracleError):
+            extend_extract_compress(oracle, n)
+        carrier = matrix_ring(z2, n)
+        ext = extend_two_local_to_n(oracle, n)
+        dmap = DerivationMap(carrier, ext.value, verification_domain(carrier))
+        report = check_two_local(dmap)
+        E11 = matrix_unit(z2, n, 1, 1)
+        assert report.failures[0].inputs == (E11, E11)
 
 
 @pytest.mark.slow

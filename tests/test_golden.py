@@ -26,6 +26,7 @@ CONFIGS = {
     "prop9-zmod2-n3": dict(experiment="prop9", ring="zmod:2", n=3),
     "prop9-zmod2-n4": dict(experiment="prop9", ring="zmod:2", n=4),
     "prop9-zmod2-n5": dict(experiment="prop9", ring="zmod:2", n=5),
+    "prop9-poly22-n3-w4": dict(experiment="prop9", ring="poly:2:2", n=3, witness_samples=4),
     "lemma3-zmod2-n3": dict(experiment="lemma3", ring="zmod:2", n=3),
     "extend-2local-zmod2-n3": dict(experiment="extend-2local", ring="zmod:2", n=3),
     "extend-2local-zmod2-n4": dict(
@@ -34,6 +35,7 @@ CONFIGS = {
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
     "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),
+    "prop10-zmod2-n4-g1": dict(experiment="prop10", ring="zmod:2", n=4, gen_pairs=1),
     "extend-deriv-zmod2-n3": dict(experiment="extend-deriv", ring="zmod:2", n=3),
     "extend-deriv-zmod2-n4": dict(experiment="extend-deriv", ring="zmod:2", n=4),
 }
