@@ -8,7 +8,10 @@ isomorphism a -> e21*a*e12, and sends the off-diagonal units to the fixed
 images e12 -> e12, e21 -> -e21.  Doubling repeats the rule on the block
 decomposition of M_2m(R) into m x m blocks, and compressing with the
 idempotent e = e_11 + ... + e_nn finishes the extension from a 2x2 corner
-to M_n(R) for any n.
+to M_n(R) for any n.  The rule keeps every block in its row band: the top
+m rows of a doubled value depend only on the top m rows of the argument,
+and the bottom m rows only on its bottom m rows, so a doubled map is
+memoised one half-row band at a time.
 
 A 2-local oracle extends through its induced map: that map extends by the
 same doubling and compression, and each queried pair of the extension is
@@ -23,6 +26,7 @@ implementing element there, and reads its top-left corner back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .deriv import (
     DEFAULT_SEED,
@@ -45,13 +49,12 @@ from .extract import extract_witness
 from .matrix import (
     Matrix,
     MatrixRing,
+    _coded,
     corner_embed,
     corner_extract,
     identity_matrix,
-    join_blocks,
     matrix_ring,
     matrix_unit,
-    split_blocks,
 )
 from .rings import is_commutative
 
@@ -155,17 +158,53 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
     """One doubling step of a derivation D on M_m(R) to M_2m(R): the corner
     rule for D applied to the four m x m blocks of a flat 2m x 2m matrix,
     which is the corner extension read back through the block
-    reinterpretation."""
+    reinterpretation.
+
+    The rule keeps each block in its row band: the top m rows of the image
+    are (D b11 | (D+id) b12), read off the top m rows of the argument, and
+    the bottom m rows are ((D-id) b21 | D b22), read off its bottom m rows.
+    So the map is memoised half by half, keyed by the raw row data of the
+    half (row codes, or row tuples above ROW_TABLE_CAP), and an evaluation
+    is two dict lookups and a concatenation.  A half seen for the first
+    time is split into its two blocks, which go through the block maps, so
+    D still runs once per distinct block value."""
     A = D.carrier
     if not isinstance(A, MatrixRing):
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
-    m = A.n
-    rule = _corner_rule(A, D.evaluate)
+    R, m = A.base, A.n
+    big = matrix_ring(R, 2 * m)
+    rt, half = big._rt, A._rt
+    dv, pv, mv = _block_maps(A, D.evaluate)
+
+    if rt is not None:
+        # the first m digits of a row code are the code of its left half
+        width = half.size
+
+        def band(left, right):
+            def image(h):
+                u = left(_coded(R, m, half, tuple([c // width for c in h])))._data
+                v = right(_coded(R, m, half, tuple([c % width for c in h])))._data
+                return tuple([a * width + b for a, b in zip(u, v)])
+
+            return _Memo(image)
+
+    else:
+
+        def band(left, right):
+            def image(h):
+                u = left(Matrix(R, tuple([row[:m] for row in h]))).rows
+                v = right(Matrix(R, tuple([row[m:] for row in h]))).rows
+                return tuple(map(add, u, v))
+
+            return _Memo(image)
+
+    top, bottom = band(dv, pv), band(mv, dv)
 
     def evaluate(x):
-        return join_blocks(rule(split_blocks(x, m)))
+        data = x._data
+        return _coded(R, 2 * m, rt, top[data[:m]] + bottom[data[m:]])
 
-    return _map_on(matrix_ring(A.base, 2 * m), evaluate)
+    return _map_on(big, evaluate)
 
 
 def extend_derivation_trace(

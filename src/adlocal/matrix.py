@@ -569,18 +569,24 @@ def corner_extract(x: Matrix, m: int) -> Matrix:
     """Top-left m x m submatrix as an element of M_m(R)."""
     if m > x.n:
         raise ShapeMismatchError(f"corner size {m} exceeds dimension {x.n}")
-    rows = tuple(row[:m] for row in x.rows[:m])
-    return Matrix(x.ring, rows)
+    rt = x._rt
+    if rt is not None:
+        # the first m digits of a row code are the code of its first m entries
+        small = row_table(x.ring, m)
+        shift = rt.size // small.size
+        return _coded(x.ring, m, small, tuple([c // shift for c in x._data[:m]]))
+    return Matrix(x.ring, tuple([row[:m] for row in x._data[:m]]))
 
 
 def corner_embed(x: Matrix, n: int) -> Matrix:
     """Place an m x m matrix in the top-left corner of an n x n zero matrix."""
     if x.n > n:
         raise ShapeMismatchError(f"cannot embed dimension {x.n} into {n}")
-    z = x.ring.zero
-    src = x.rows
-    rows = tuple(
-        tuple(src[i][j] if (i < x.n and j < x.n) else z for j in range(n))
-        for i in range(n)
-    )
+    big = row_table(x.ring, n)
+    if big is not None:
+        # trailing zero digits pad each row code; row code 0 is the zero row
+        shift = big.size // x._rt.size
+        return _coded(x.ring, n, big, tuple([c * shift for c in x._data]) + (0,) * (n - x.n))
+    pad = (x.ring.zero,) * (n - x.n)
+    rows = tuple([row + pad for row in x.rows]) + ((x.ring.zero,) * n,) * (n - x.n)
     return Matrix(x.ring, rows)

@@ -35,6 +35,8 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
+from adlocal.extend import _corner_rule
+from adlocal.matrix import join_blocks, split_blocks
 from adlocal.sampling import rng_for
 
 
@@ -192,6 +194,46 @@ def test_double_derivation_evaluates_each_block_value_once(z2):
     assert doubled.evaluate(x) == doubled.evaluate(x) == commutator(w, x)
     # D runs once at each of the three distinct blocks p, q and r
     assert sorted(calls, key=m4.index) == [p, q, r]
+
+
+def four_block_reference(D):
+    """The doubled map evaluated block by block: split a flat 2m x 2m
+    matrix into its four m x m blocks, apply the corner rule, join."""
+    A = D.carrier
+    rule = _corner_rule(A, D.evaluate)
+    return lambda x: join_blocks(rule(split_blocks(x, A.n)))
+
+
+# corner A and how many seeded points of M_2m to check (None: every one);
+# M4(Z2) has a row table, M2(M2(Z3)) has none (6,561 possible rows)
+DOUBLING_CASES = {
+    "M2(Z2)->M4(Z2)": (lambda: matrix_ring(zmod(2), 2), None),
+    "M1(M2(Z3))->M2(M2(Z3))": (lambda: matrix_ring(matrix_ring(zmod(3), 2), 1), 600),
+}
+
+
+@pytest.mark.parametrize("kind", ["inner", "square"])
+@pytest.mark.parametrize("case", sorted(DOUBLING_CASES))
+def test_double_derivation_matches_four_block_reference(case, kind):
+    make, samples = DOUBLING_CASES[case]
+    A = make()
+    rng = rng_for(14, f"double-reference:{case}")
+    if kind == "inner":
+        D = inner_derivation(A.element(rng.randrange(A.cardinality)), A)
+    else:
+        # v -> v*v is neither additive nor a derivation
+        D = DerivationMap(A, lambda v: v * v, verification_domain(A))
+    big = matrix_ring(A.base, 2 * A.n)
+    if samples is None:
+        points = list(big.elements())
+    else:
+        points = [big.element(rng.randrange(big.cardinality)) for _ in range(samples)]
+    # corner-embedded points have an all-zero bottom half
+    points += [corner_embed(v, 2 * A.n) for v in A.elements()]
+    doubled, reference = double_derivation(D), four_block_reference(D)
+    for x in points:
+        got, want = doubled.evaluate(x), reference(x)
+        assert got == want and got.rows == want.rows, x
 
 
 def test_phi_is_corner_isomorphism(m2z2):

@@ -206,18 +206,63 @@ def test_corner_is_subring(z2):
         assert e * (x * y) * e == (e * x * e) * (e * y * e)
 
 
-def test_corner_embed_extract_roundtrip(z2):
-    m2 = matrix_ring(z2, 2)
+def rand_square(base, n, rng):
+    """A seeded n x n matrix over ``base``, built without its matrix ring."""
+    card = base.cardinality
+    return matrix(base, [[base.element(rng.randrange(card)) for _ in range(n)] for _ in range(n)])
+
+
+def embed_entrywise(x, n):
+    z = x.ring.zero
+    return matrix(
+        x.ring,
+        [
+            [x.entry(i, j) if i <= x.n and j <= x.n else z for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ],
+    )
+
+
+def extract_entrywise(x, m):
+    return matrix(x.ring, [[x.entry(i, j) for j in range(1, m + 1)] for i in range(1, m + 1)])
+
+
+# (base, m, n): row tables on both sides (Z2, Z2[t]/(t^2)), on the corner
+# only (M4(Z5) has 625 possible rows), and on neither (M2(Z17) has 289)
+CORNER_CASES = [
+    (zmod(2), 2, 5),
+    (polyquot(2, 2), 3, 4),
+    (zmod(5), 2, 4),
+    (zmod(17), 2, 3),
+]
+
+
+def test_corner_embed_extract_roundtrip():
     rng = rng_for(5, "corner-rt")
-    for _ in range(20):
-        v = rand_elem(m2, rng)
-        assert corner_extract(corner_embed(v, 5), 2) == v
+    for base, m, n in CORNER_CASES:
+        for _ in range(20):
+            v, x = rand_square(base, m, rng), rand_square(base, n, rng)
+            for got, want in (
+                (corner_embed(v, n), embed_entrywise(v, n)),
+                (corner_extract(x, m), extract_entrywise(x, m)),
+                (corner_extract(corner_embed(v, n), m), v),
+                (corner_embed(x, n), x),
+                (corner_extract(x, n), x),
+            ):
+                assert got == want and got.rows == want.rows, (base.spec, want)
+                assert hash(got) == hash(want)
 
 
 def test_corner_context_validation(z2):
     # a corner larger than its ambient matrix has no idempotent
     with pytest.raises(ShapeMismatchError):
         corner_idempotent(z2, 3, 2)
+    for base, m, n in CORNER_CASES:
+        x = zero_matrix(base, n)
+        with pytest.raises(ShapeMismatchError):
+            corner_embed(x, m)
+        with pytest.raises(ShapeMismatchError):
+            corner_extract(zero_matrix(base, m), n)
 
 
 def test_canonical_matrix_order(m2z2, units2):
