@@ -270,8 +270,9 @@ def extend_two_local_to_n(oracle: WitnessOracle, n: int) -> WitnessOracle:
 def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) -> Matrix:
     """Roundtrip: extend a corner oracle to M_n(R), extract one global
     implementing element d there, read its top-left corner c back (the
-    corner of the compression e d e), and verify commutator(c, x) reproduces the corner map on every corner
-    element.  Returns c as a 2x2 matrix; a counterexample raises.
+    corner of the compression e d e), and verify commutator(c, x)
+    reproduces the corner map on every corner element.  Returns c as a
+    2x2 matrix; a counterexample raises.
 
     The check scans the elements rather than proving agreement on a basis,
     as ``extract-all`` and :func:`check_inner_on_subring` do: one side is

@@ -20,6 +20,7 @@ from .errors import (
     MissingWitnessError,
     NonCommutativeBaseError,
     PreconditionError,
+    ShapeMismatchError,
 )
 from .matrix import Matrix, commutator, matrix_unit, pierce_component, staircase
 from .rings import is_commutative
@@ -49,14 +50,17 @@ def collect_unit_witnesses(oracle: WitnessOracle, n: int) -> dict:
     """
     if n < 2:
         raise DimensionError("unit witnesses need dimension at least 2")
-    base = oracle.carrier.base
-    xo = staircase(base, n)
+    carrier = oracle.carrier
+    if carrier.n != n:
+        raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")
+    units = carrier.units()  # row-major: e_ij at (i - 1) * n + j - 1
+    xo = staircase(carrier.base, n)
     witnesses = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            witnesses[(i, j)] = oracle.select(matrix_unit(base, n, i, j), xo)
+            witnesses[(i, j)] = oracle.select(units[(i - 1) * n + j - 1], xo)
     return witnesses
 
 
@@ -252,6 +256,7 @@ def verify_diagonal_differences(b: Matrix, c: Matrix) -> VerificationReport:
             lhs = sub(c_rows[k][k], c_rows[l][l])
             rhs = sub(b_rows[k][k], b_rows[l][l])
             if lhs != rhs:
-                report.failures.append(Failure((b, c), rhs, lhs, f"diagonal pair ({k + 1},{l + 1})"))
+                where = f"diagonal pair ({k + 1},{l + 1})"
+                report.failures.append(Failure((b, c), rhs, lhs, where))
                 return report
     return report

@@ -17,10 +17,12 @@ canonical index.  Arithmetic on such matrices is lookup in per-(R, n)
 row tables; above the cap, matrices store their rows and compute entry
 by entry with the base ring's operations.
 
-:func:`commutator` is the one kernel for [a, x] = a*x - x*a: on row codes
-it builds each output row in one pass, adding the left-scaled rows of
-``terms`` for a*x and the negated left-scaled rows of ``negterms`` for
--x*a; above the cap it is ``a * x - x * a``.
+One two-product kernel builds a*b + c*d or a*b - c*d in a single pass
+over row codes, adding the left-scaled rows of ``terms`` for a*b and
+those of ``terms`` or of ``negterms`` (the negated rows) for c*d.  It
+serves :func:`commutator`, [a, x] = a*x - x*a, and :func:`mul_add`,
+which the Leibniz checks use for D(x)y + xD(y); above the cap both fall
+back to the operators.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class Matrix:
     def __add__(self, other):
         rt = self._rt
         if rt is not None and other.__class__ is Matrix and other._rt is rt:
-            codes = tuple(map(getitem, map(rt.add.__getitem__, self._data), other._data))
+            add = rt.add
+            codes = tuple([add[c][d] for c, d in zip(self._data, other._data)])
             return _coded(self.ring, self.n, rt, codes)
         self._check_compatible(other)
         add = self.ring.add
@@ -159,8 +162,8 @@ class Matrix:
     def __sub__(self, other):
         rt = self._rt
         if rt is not None and other.__class__ is Matrix and other._rt is rt:
-            negated = map(rt.neg.__getitem__, other._data)
-            codes = tuple(map(getitem, map(rt.add.__getitem__, self._data), negated))
+            add, neg = rt.add, rt.neg
+            codes = tuple([add[c][neg[d]] for c, d in zip(self._data, other._data)])
             return _coded(self.ring, self.n, rt, codes)
         self._check_compatible(other)
         return self + (-other)
@@ -202,6 +205,12 @@ class Matrix:
         if rt is not None and other._rt is rt:
             return self._data == other._data
         return self.n == other.n and self.ring == other.ring and self.rows == other.rows
+
+    def __ne__(self, other):
+        rt = self._rt
+        if rt is not None and other.__class__ is Matrix and other._rt is rt:
+            return self._data != other._data
+        return not self.__eq__(other)
 
     def __hash__(self):
         h = self._hash
@@ -280,29 +289,55 @@ def staircase(ring: Ring, n: int) -> Matrix:
     return Matrix(ring, rows)
 
 
-def commutator(a: Matrix, x: Matrix) -> Matrix:
-    """[a, x] = a*x - x*a.
+def _two_products(rt: RowTable, a: Matrix, b: Matrix, c: Matrix, d: Matrix, second) -> Matrix:
+    """a*b + c*d with ``second`` = ``rt.terms``, a*b - c*d with
+    ``rt.negterms``, for four operands sharing the row table ``rt``.
 
-    When a and x share a row table, row i is built in one pass over row
-    codes: the sum over k of a_ik * (row k of x), from ``terms``, plus
-    the sum over k of -(x_ik * (row k of a)), from ``negterms``.  Both
-    scale on the left, so the result is right over non-commutative bases.
-    Any other operands take ``a * x - x * a``.
+    Row i is built in one pass over row codes: the sum over k of
+    a_ik * (row k of b), from ``rt.terms``, then the sum over k of
+    c_ik * (row k of d), or of its negation, from ``second``.  Both scale
+    on the left, so the result is right over non-commutative bases.
     """
+    add, terms = rt.add, rt.terms
+    bs, ds = b._data, d._data
+    out = []
+    for p, q in zip(a._data, c._data):
+        acc = 0
+        for k, scaled in terms[p]:
+            acc = add[acc][scaled[bs[k]]]
+        for k, scaled in second[q]:
+            acc = add[acc][scaled[ds[k]]]
+        out.append(acc)
+    return _coded(a.ring, a.n, rt, tuple(out))
+
+
+def commutator(a: Matrix, x: Matrix) -> Matrix:
+    """[a, x] = a*x - x*a, in one row-code pass when a and x share a row
+    table (:func:`_two_products` with ``negterms``); any other operands
+    take ``a * x - x * a``."""
     rt = a._rt
     if rt is not None and x.__class__ is Matrix and x._rt is rt:
-        add, terms, negterms = rt.add, rt.terms, rt.negterms
-        ours, theirs = a._data, x._data
-        out = []
-        for c, d in zip(ours, theirs):
-            acc = 0
-            for k, scaled in terms[c]:
-                acc = add[acc][scaled[theirs[k]]]
-            for k, scaled in negterms[d]:
-                acc = add[acc][scaled[ours[k]]]
-            out.append(acc)
-        return _coded(a.ring, a.n, rt, tuple(out))
+        return _two_products(rt, a, x, x, a, rt.negterms)
     return a * x - x * a
+
+
+def mul_add(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
+    """a*b + c*d, in one row-code pass when the four operands share a row
+    table (:func:`_two_products` with ``terms``); any other operands take
+    ``a * b + c * d``.  The Leibniz checks of :mod:`adlocal.deriv` build
+    D(x)y + xD(y) with it."""
+    rt = a._rt
+    if (
+        rt is not None
+        and b.__class__ is Matrix
+        and b._rt is rt
+        and c.__class__ is Matrix
+        and c._rt is rt
+        and d.__class__ is Matrix
+        and d._rt is rt
+    ):
+        return _two_products(rt, a, b, c, d, rt.terms)
+    return a * b + c * d
 
 
 def matrix_index(x: Matrix) -> int:
@@ -358,6 +393,7 @@ class MatrixRing(Ring):
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
     commutator = staticmethod(commutator)
+    mul_add = staticmethod(mul_add)
 
     @property
     def zero(self):

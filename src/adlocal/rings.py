@@ -75,6 +75,10 @@ class Ring:
         """[a, x] = a*x - x*a; matrix rings use one fused kernel."""
         return self.sub(self.mul(a, x), self.mul(x, a))
 
+    def mul_add(self, a, b, c, d):
+        """a*b + c*d; matrix rings use the same fused kernel."""
+        return self.add(self.mul(a, b), self.mul(c, d))
+
     def elements(self) -> tuple:
         """All elements in canonical order; cached after the first call."""
         cached = getattr(self, "_elements", None)

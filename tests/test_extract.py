@@ -3,6 +3,7 @@ import pytest
 from adlocal import (
     NonCommutativeBaseError,
     PreconditionError,
+    ShapeMismatchError,
     WitnessOracle,
     adversarial_oracle,
     assemble_offdiagonal,
@@ -41,6 +42,24 @@ def test_collect_unit_witnesses_for_e11_oracle(units2):
 def test_collect_unit_witnesses_zero_oracle(z2):
     table = collect_unit_witnesses(adversarial_oracle(zero_matrix(z2, 2)), 2)
     assert all(w == zero_matrix(z2, 2) for w in table.values())
+
+
+def test_collect_unit_witnesses_queries_units_in_row_major_order(m3z2, z2):
+    hidden = adversarial_oracle(m3z2.element(133), m3z2)
+    asked = []
+
+    def select(x, y):
+        asked.append((x, y))
+        return hidden.select(x, y)
+
+    table = collect_unit_witnesses(WitnessOracle(m3z2, select), 3)
+    xo = staircase(z2, 3)
+    keys = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
+    assert asked == [(matrix_unit(z2, 3, i, j), xo) for i, j in keys]
+    assert list(table) == keys
+    assert table == {(i, j): hidden.select(matrix_unit(z2, 3, i, j), xo) for i, j in keys}
+    with pytest.raises(ShapeMismatchError):
+        collect_unit_witnesses(hidden, 2)
 
 
 def test_assemble_offdiagonal_examples(units2, z2):

@@ -27,7 +27,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.matrix import Matrix
+from adlocal.matrix import Matrix, mul_add
 from adlocal.sampling import rng_for
 
 
@@ -485,6 +485,103 @@ def test_commutator_falls_back_above_row_table_cap():
         a, x = draw(), draw()
         assert a._rt is None
         _assert_commutator_matches(carrier, a, x)
+
+
+# Differential test of mul_add, the kernel's other reading (``terms`` for
+# the second product): against the operators and entrywise arithmetic on
+# the same carriers, the order of every product mattering on M2(M2(Z2)).
+
+
+def _assert_mul_add_matches(carrier, a, b, c, d, ref_ab=None, ref_cd=None):
+    ring = a.ring
+    got = mul_add(a, b, c, d)
+    assert got == a * b + c * d
+    if ref_ab is None:
+        ref_ab, ref_cd = Matrix(ring, _ref_mul(a, b)), Matrix(ring, _ref_mul(c, d))
+    _assert_same_key(got, ring, _ref_add(ref_ab, ref_cd))
+    assert carrier.mul_add(a, b, c, d) == got
+    assert Ring.mul_add(carrier, a, b, c, d) == got
+
+
+def test_mul_add_kernel_all_quadruples():
+    carrier = SMALL_CARRIERS["M2(Z2)"]()
+    assert carrier._rt is not None
+    els = carrier.elements()
+    pairs = [(a, b, Matrix(a.ring, _ref_mul(a, b))) for a in els for b in els]
+    for a, b, ref_ab in pairs:
+        for c, d, ref_cd in pairs:
+            _assert_mul_add_matches(carrier, a, b, c, d, ref_ab, ref_cd)
+
+
+@pytest.mark.parametrize("label", sorted(COMMUTATOR_SAMPLED))
+def test_mul_add_kernel_sampled_quadruples(label):
+    carrier = COMMUTATOR_SAMPLED[label]()
+    assert carrier._rt is not None
+    rng = rng_for(0, f"mul-add:{label}")
+    for _ in range(1000):
+        a, b, c, d = (rand_elem(carrier, rng) for _ in range(4))
+        _assert_mul_add_matches(carrier, a, b, c, d)
+
+
+def test_mul_add_falls_back_above_row_table_cap():
+    # M3(Z7) has 7^3 possible rows, beyond the row tables
+    z7 = zmod(7)
+    rng = rng_for(0, "mul-add:M3(Z7)")
+    draw = lambda: Matrix(z7, tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3)))
+    carrier = MatrixRing(z7, 3)  # no axiom check: matrix_ring's sampled one takes about 2 s
+    for _ in range(300):
+        a, b, c, d = draw(), draw(), draw(), draw()
+        assert a._rt is None
+        _assert_mul_add_matches(carrier, a, b, c, d)
+
+
+def test_mul_add_refuses_operands_of_another_carrier():
+    # same digits, other base ring: only a shared row table takes the fused pass
+    els = SMALL_CARRIERS["M2(Z4)"]().elements()
+    other = SMALL_CARRIERS["M2(Z2[t]/(t^2))"]().elements()
+    picks = (7, 11, 13, 14)
+    for k in range(1, 4):
+        mixed = [els[i] for i in picks]
+        mixed[k] = other[picks[k]]
+        with pytest.raises(ShapeMismatchError):
+            mul_add(*mixed)
+
+
+def _assert_ne_agrees(x, y):
+    assert (x != y) is (not (x == y))
+    assert (y != x) is (not (y == x))
+
+
+def test_ne_agrees_with_eq():
+    m2z2, m2z4 = SMALL_CARRIERS["M2(Z2)"](), SMALL_CARRIERS["M2(Z4)"]()
+    m2t2 = SMALL_CARRIERS["M2(Z2[t]/(t^2))"]()
+    els = m2z2.elements()
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            _assert_ne_agrees(a, b)
+            assert (a != b) is (i != j)
+        assert (a != m2z2.element(i)) is False
+    # equal digits over different bases of four elements are different matrices
+    for a, b in zip(m2z4.elements(), m2t2.elements()):
+        assert a._data == b._data
+        _assert_ne_agrees(a, b)
+        assert a != b
+    # across n, and above the row-table cap
+    m3z2 = SAMPLED_CARRIERS["M3(Z2)"]()
+    for a, b in ((m2z2.zero, m3z2.zero), (m2z2.one, m3z2.one), (els[5], m3z2.element(5))):
+        _assert_ne_agrees(a, b)
+        assert a != b
+    z7 = zmod(7)
+    big = Matrix(z7, ((1, 2, 3), (4, 5, 6), (0, 1, 2)))
+    assert big._rt is None
+    _assert_ne_agrees(big, Matrix(z7, big.rows))
+    assert (big != Matrix(z7, big.rows)) is False
+    _assert_ne_agrees(big, Matrix(z7, ((1, 2, 3), (4, 5, 6), (0, 1, 3))))
+    # against operands that are not matrices
+    for a in (els[0], els[9], big):
+        for other in (0, None, "x", a.rows, a._data):
+            _assert_ne_agrees(a, other)
+            assert a != other and other != a
 
 
 def test_block_view_above_row_table_cap(z3):
