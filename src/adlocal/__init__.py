@@ -29,33 +29,25 @@ from .errors import (
     CarrierTooLargeError,
     ClosureBudgetError,
     DimensionError,
-    EmptyWordError,
     InconsistentOracleError,
     InfiniteRingError,
     MissingWitnessError,
     NonCommutativeBaseError,
-    NotADerivationError,
     PreconditionError,
     ShapeMismatchError,
     VerificationFailedError,
 )
 from .extend import (
-    ExtensionTrace,
     double_derivation,
     extend_corner_derivation,
-    extend_corner_two_local,
     extend_derivation_to_n,
-    extend_derivation_trace,
     extend_extract_compress,
     extend_two_local_to_n,
-    phi,
-    phi_inv,
 )
 from .extract import (
     ExtractionState,
     assemble_offdiagonal,
     collect_unit_witnesses,
-    diagonal_from_fixed_pair,
     extract_witness,
     run_extraction,
     verify_diagonal_differences,
@@ -71,7 +63,6 @@ from .matrix import (
     corner_extract,
     identity_matrix,
     matrix,
-    matrix_from_strings,
     matrix_index,
     matrix_ring,
     matrix_to_strings,
@@ -92,6 +83,6 @@ from .rings import (
     ring_axiom_check,
     zmod,
 )
-from .twogen import GeneratedSubring, check_inner_on_subring, generate_subring, word_eval
+from .twogen import GeneratedSubring, check_inner_on_subring, generate_subring
 
 __version__ = "0.1.0"

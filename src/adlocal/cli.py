@@ -204,7 +204,7 @@ def _corner_e12(base):
 def _run_extend_deriv(cfg, base):
     corner_ring = matrix_ring(base, 2)
     D = inner_derivation(_corner_e12(base), corner_ring, cfg.seed)
-    ext = extend_derivation_to_n(D, cfg.n, validate=False)
+    ext = extend_derivation_to_n(D, cfg.n)
     yield _step(check_derivation(ext, pair_samples=cfg.pair_samples, seed=cfg.seed))
     for v in corner_ring.elements():
         yield _check(

@@ -33,10 +33,6 @@ class MissingWitnessError(AdlocalError):
     """The off-diagonal assembly was given an incomplete witness table."""
 
 
-class NotADerivationError(AdlocalError):
-    """A map required to be a derivation failed its admission check."""
-
-
 class VerificationFailedError(AdlocalError):
     """An end-to-end pipeline produced an element failing its defining identity."""
 
@@ -47,10 +43,6 @@ class VerificationFailedError(AdlocalError):
 
 class ClosureBudgetError(AdlocalError):
     """A subring closure would have more than ELEMENT_CAP elements."""
-
-
-class EmptyWordError(AdlocalError):
-    """Word evaluation requires at least one symbol."""
 
 
 class PreconditionError(AdlocalError):

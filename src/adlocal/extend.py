@@ -25,7 +25,6 @@ implementing element there, and reads its top-left corner back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .deriv import (
@@ -33,7 +32,6 @@ from .deriv import (
     DerivationMap,
     WitnessOracle,
     _Memo,
-    check_derivation,
     pair_oracle,
     verification_domain,
     verification_elements,
@@ -41,7 +39,6 @@ from .deriv import (
 from .errors import (
     DimensionError,
     NonCommutativeBaseError,
-    NotADerivationError,
     ShapeMismatchError,
     VerificationFailedError,
 )
@@ -52,41 +49,9 @@ from .matrix import (
     _coded,
     corner_embed,
     corner_extract,
-    identity_matrix,
     matrix_ring,
-    matrix_unit,
 )
 from .rings import is_commutative
-
-
-@dataclass
-class ExtensionTrace:
-    """Audit record of a doubling chain: the dimensions visited, the final
-    compressing idempotent (None when the target is a power of two), and
-    the doubled map of each stage."""
-
-    dimensions: tuple
-    idempotent: Matrix | None
-    stages: tuple
-    result: object
-
-
-def phi(x: Matrix) -> Matrix:
-    """Corner transport e21 * x * e12: moves the (1,1) corner to (2,2)."""
-    if x.n != 2:
-        raise ShapeMismatchError("corner transport is defined on 2x2 block matrices")
-    e12 = matrix_unit(x.ring, 2, 1, 2)
-    e21 = matrix_unit(x.ring, 2, 2, 1)
-    return e21 * x * e12
-
-
-def phi_inv(x: Matrix) -> Matrix:
-    """Inverse transport e12 * x * e21: moves the (2,2) corner to (1,1)."""
-    if x.n != 2:
-        raise ShapeMismatchError("corner transport is defined on 2x2 block matrices")
-    e12 = matrix_unit(x.ring, 2, 1, 2)
-    e21 = matrix_unit(x.ring, 2, 2, 1)
-    return e12 * x * e21
 
 
 def _block_maps(A, ev) -> tuple:
@@ -117,41 +82,19 @@ def _map_on(ring, evaluate) -> DerivationMap:
     return DerivationMap(ring, evaluate, verification_domain(ring))
 
 
-def extend_corner_derivation(D: DerivationMap, check: bool = True) -> DerivationMap:
+def extend_corner_derivation(D: DerivationMap) -> DerivationMap:
     """Extend a derivation on the corner ring A to all of M_2(A).
 
     Entrywise, the extension sends [[b11, b12], [b21, b22]] to
     [[D(b11), D(b12) + b12], [D(b21) - b21, D(b22)]]: the (1,1) entry is
     the given map, the (2,2) entry is the map transported through the
     corner isomorphism, and the off-diagonal entries pick up the fixed
-    images of the off-diagonal units.
+    images of the off-diagonal units.  This is the block-matrix form of
+    :func:`double_derivation`, kept as its reference.
     """
     A = D.carrier
-    if check:
-        admission = check_derivation(D)
-        if not admission.passed:
-            f = admission.failures[0]
-            raise NotADerivationError(f"corner map fails {f.note} at {f.inputs}")
     rule = _corner_rule(A, D.evaluate)
-    big = matrix_ring(A, 2)
-
-    def evaluate(x):
-        return Matrix(A, rule(x.rows))
-
-    witness = None
-    if D.witness is not None:
-        # inner input gives an inner extension; diag(b, b-1) implements it
-        witness = Matrix(
-            A, ((D.witness, A.zero), (A.zero, A.sub(D.witness, A.one)))
-        )
-    return DerivationMap(big, evaluate, verification_domain(big), witness=witness)
-
-
-def _chain_dimensions(start: int, n: int) -> tuple:
-    dims = [start]
-    while dims[-1] < n:
-        dims.append(dims[-1] * 2)
-    return tuple(dims)
+    return _map_on(matrix_ring(A, 2), lambda x: Matrix(A, rule(x.rows)))
 
 
 def double_derivation(D: DerivationMap) -> DerivationMap:
@@ -207,63 +150,38 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
     return _map_on(big, evaluate)
 
 
-def extend_derivation_trace(
-    D: DerivationMap, n: int, validate: bool = True
-) -> ExtensionTrace:
-    """Double a corner derivation on M_m(R) up to the least power of two
-    top >= n, then compress to M_n(R) with the rank-n idempotent: the
-    compressed map reads the top-left n x n corner of the top stage's map
-    on corner-embedded arguments.  The result restricts to D."""
+def extend_derivation_to_n(D: DerivationMap, n: int) -> DerivationMap:
+    """Double a corner derivation on M_m(R) up to the least top = m * 2^k
+    >= n.  When top = n the last doubling stage is the result; otherwise
+    the result is its compression to M_n(R) by the rank-n idempotent
+    e = e_11 + ... + e_nn, which reads the top-left n x n corner of the
+    top stage's map on corner-embedded arguments.  The result restricts
+    to D."""
     m = D.carrier.n
     if n <= m:
         raise DimensionError(f"target dimension {n} does not exceed the corner {m}")
-    R = D.carrier.base
-    target = matrix_ring(R, n)  # an oversize target is refused before any doubling
-    dims = _chain_dimensions(m, n)
-    stages = [D]
-    for _ in dims[1:]:
-        stages.append(double_derivation(stages[-1]))
-    top, result, idempotent = dims[-1], stages[-1], None
-    if top > n:
-        top_map = result.evaluate
+    target = matrix_ring(D.carrier.base, n)  # an oversize target is refused before any doubling
+    while D.carrier.n < n:
+        D = double_derivation(D)
+    top = D.carrier.n
+    if top == n:
+        return D
+    top_map = D.evaluate
 
-        def compressed(x):
-            return corner_extract(top_map(corner_embed(x, top)), n)
+    def compressed(x):
+        return corner_extract(top_map(corner_embed(x, top)), n)
 
-        idempotent = corner_embed(identity_matrix(R, n), top)
-        result = _map_on(target, compressed)
-    trace = ExtensionTrace(dims, idempotent, tuple(stages[1:]), result)
-    if validate:
-        admission = check_derivation(result, pair_cap=0, pair_samples=512)
-        if not admission.passed:
-            f = admission.failures[0]
-            raise NotADerivationError(f"extension fails {f.note} at {f.inputs}")
-    return trace
-
-
-def extend_derivation_to_n(D: DerivationMap, n: int, validate: bool = True) -> DerivationMap:
-    return extend_derivation_trace(D, n, validate).result
-
-
-def extend_corner_two_local(oracle: WitnessOracle) -> WitnessOracle:
-    """Extend a corner witness oracle to M_2(A), pair by pair.
-
-    The extended map is the corner rule applied to the oracle's induced
-    map, and each queried pair is answered by :func:`pair_oracle` from the
-    extended values at its two points.  An inconsistent corner oracle shows
-    up as a pair without a common witness (InconsistentOracleError).
-    """
-    A = oracle.carrier
-    rule = _corner_rule(A, oracle.value)
-    return pair_oracle(matrix_ring(A, 2), lambda x: Matrix(A, rule(x.rows)))
+    return _map_on(target, compressed)
 
 
 def extend_two_local_to_n(oracle: WitnessOracle, n: int) -> WitnessOracle:
     """Extend a corner oracle to M_n(R): its induced map extends as a
     derivation would (doubling, then compression; see
-    :func:`extend_derivation_trace`), and :func:`pair_oracle` answers each
-    queried pair from the extended values at its two points."""
-    D = extend_derivation_to_n(_map_on(oracle.carrier, oracle.value), n, validate=False)
+    :func:`extend_derivation_to_n`), and :func:`pair_oracle` answers each
+    queried pair from the extended values at its two points.  An
+    inconsistent corner oracle shows up as a pair without a common witness
+    (InconsistentOracleError)."""
+    D = extend_derivation_to_n(_map_on(oracle.carrier, oracle.value), n)
     return pair_oracle(D.carrier, D.evaluate)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .matrix import Matrix, commutator, matrix_unit, pierce_component, staircase
+from .matrix import Matrix, commutator, pierce_component, staircase
 from .rings import is_commutative
 
 
@@ -88,15 +88,6 @@ def assemble_offdiagonal(unit_witnesses: dict, n: int) -> Matrix:
     return Matrix(base, tuple(tuple(r) for r in rows))
 
 
-def diagonal_from_fixed_pair(oracle: WitnessOracle, n: int, i_o: int, j_o: int) -> Matrix:
-    """The witness c answered for the fixed pair (e_{i_o j_o}, x_o); the
-    consumer keeps only its diagonal components."""
-    if i_o == j_o:
-        raise ValueError("fixed pair needs distinct indices")
-    base = oracle.carrier.base
-    return oracle.select(matrix_unit(base, n, i_o, j_o), staircase(base, n))
-
-
 def run_extraction(
     oracle: WitnessOracle,
     n: int,
@@ -109,7 +100,11 @@ def run_extraction(
     The fixed pair coincides with one of the unit queries, so its answer
     is reused rather than asked again.  A non-commutative base ring is
     outside the construction's guarantee and is refused unless ``force``.
+    A fixed pair that is not two distinct indices in 1..n raises
+    ValueError before any oracle query.
     """
+    if i_o == j_o or not (1 <= i_o <= n and 1 <= j_o <= n):
+        raise ValueError(f"fixed pair ({i_o},{j_o}) needs distinct indices in 1..{n}")
     base = oracle.carrier.base
     if not is_commutative(base) and not force:
         raise NonCommutativeBaseError(
@@ -166,14 +161,13 @@ def verify_unit_image_formula(
     """
     if i == j:
         raise ValueError("needs distinct indices")
-    base = oracle.carrier.base
+    carrier = oracle.carrier
+    if carrier.n != n:
+        raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")
     if unit_witnesses is None:
         unit_witnesses = collect_unit_witnesses(oracle, n)
-    e = {
-        (k, l): matrix_unit(base, n, k, l)
-        for k in range(1, n + 1)
-        for l in range(1, n + 1)
-    }
+    units = carrier.units()  # row-major: e_kl at (k - 1) * n + l - 1
+    e = {(k, l): units[(k - 1) * n + l - 1] for k in range(1, n + 1) for l in range(1, n + 1)}
     S = assemble_offdiagonal(unit_witnesses, n)
     aij = unit_witnesses[(i, j)]
     delta = commutator(aij, e[(i, j)])

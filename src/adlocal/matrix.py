@@ -363,11 +363,6 @@ def matrix_to_strings(x: Matrix) -> list:
     return [[s(v) for v in row] for row in x.rows]
 
 
-def matrix_from_strings(ring: Ring, rows) -> Matrix:
-    p = ring.el_parse
-    return matrix(ring, [[p(s) for s in row] for row in rows])
-
-
 class MatrixRing(Ring):
     """M_n(R) as a ring descriptor; elements are Matrix values."""
 
@@ -446,46 +441,9 @@ class MatrixRing(Ring):
         s = self.base.el_str
         return "[" + ",".join("[" + ",".join(s(v) for v in row) + "]" for row in a.rows) + "]"
 
-    def el_parse(self, text):
-        rows = _split_matrix_literal(text)
-        return matrix_from_strings(self.base, rows)
-
     def units(self) -> tuple:
         """All matrix units in row-major order e_11, e_12, ..., e_nn."""
         return self._units
-
-
-def _split_matrix_literal(text: str) -> list:
-    """Split "[[a,b],[c,d]]" into rows of entry strings (entries may nest)."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"bad matrix literal {text!r}")
-    body = body[1:-1]
-    rows, depth, token, row, in_row = [], 0, "", [], False
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                in_row, row, token = True, [], ""
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                row.append(token)
-                rows.append(row)
-                in_row, token = False, ""
-                continue
-        elif ch == "," and depth == 1:
-            row.append(token)
-            token = ""
-            continue
-        elif ch == "," and depth == 0:
-            continue
-        if in_row:
-            token += ch
-    if depth != 0:
-        raise ValueError(f"bad matrix literal {text!r}")
-    return [[t.strip() for t in r] for r in rows]
 
 
 def _module_rank(carrier: Ring) -> tuple | None:

@@ -65,9 +65,6 @@ class Ring:
     def el_str(self, a) -> str:
         raise NotImplementedError
 
-    def el_parse(self, s: str):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -151,12 +148,6 @@ class Zmod(Ring):
 
     def el_str(self, a):
         return str(a)
-
-    def el_parse(self, s):
-        v = int(s)
-        if not 0 <= v < self.modulus:
-            raise ValueError(f"{s!r} is not a canonical residue of {self.spec}")
-        return v
 
 
 class PolyQuot(Ring):
@@ -242,25 +233,6 @@ class PolyQuot(Ring):
                 var = "t" if power == 1 else f"t^{power}"
                 terms.append(var if c == 1 else f"{c}{var}")
         return "+".join(terms) if terms else "0"
-
-    def el_parse(self, s):
-        coeffs = [0] * self.degree
-        if s.strip() == "0":
-            return tuple(coeffs)
-        for term in s.split("+"):
-            term = term.strip()
-            if "t" in term:
-                head, _, tail = term.partition("t")
-                coeff = int(head) if head else 1
-                power = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                coeff, power = int(term), 0
-            if not 0 <= power < self.degree:
-                raise ValueError(f"power t^{power} out of range for {self.spec}")
-            if not 0 < coeff < self.modulus or coeffs[power]:
-                raise ValueError(f"{s!r} is not canonical for {self.spec}")
-            coeffs[power] = coeff
-        return tuple(coeffs)
 
 
 @dataclass(frozen=True)

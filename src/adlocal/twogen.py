@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .deriv import ELEMENT_CAP, PAIR_CAP, Failure, VerificationReport, _additive_on_span
-from .errors import ClosureBudgetError, EmptyWordError, InfiniteRingError, PreconditionError
+from .errors import ClosureBudgetError, InfiniteRingError, PreconditionError
 from .matrix import Matrix, matrix_ring
 from .rings import Ring
 
@@ -91,21 +91,6 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
 
     ordered = tuple(sorted(span, key=ambient.index))
     return GeneratedSubring(ambient, (x, y), ordered, tuple(gens))
-
-
-def word_eval(word, x, y):
-    """Left-to-right product of the generators named by the word symbols."""
-    if len(word) == 0:
-        raise EmptyWordError("cannot evaluate the empty word")
-    lookup = {"x": x, "y": y}
-    acc = None
-    for sym in word:
-        try:
-            g = lookup[sym]
-        except KeyError:
-            raise ValueError(f"unknown word symbol {sym!r}") from None
-        acc = g if acc is None else acc * g
-    return acc
 
 
 def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:

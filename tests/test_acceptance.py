@@ -186,7 +186,7 @@ def test_criterion_5_extension_to_m3_exhaustive():
     corner = matrix_ring(z2, 2)
     e12 = matrix_unit(z2, 2, 1, 2)
     D = inner_derivation(e12, corner)
-    ext = extend_derivation_to_n(D, 3, validate=False)
+    ext = extend_derivation_to_n(D, 3)
     m3 = matrix_ring(z2, 3)
     table = {x: ext.evaluate(x) for x in m3.elements()}
     cached = DerivationMap(m3, table.__getitem__, verification_domain(m3))

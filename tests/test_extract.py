@@ -9,7 +9,6 @@ from adlocal import (
     assemble_offdiagonal,
     collect_unit_witnesses,
     commutator,
-    diagonal_from_fixed_pair,
     extract_witness,
     identity_matrix,
     inner_derivation,
@@ -94,12 +93,26 @@ def test_assemble_missing_witness(units2):
         assemble_offdiagonal({}, 2)
 
 
-def test_diagonal_from_fixed_pair_examples(units2, z2):
-    assert diagonal_from_fixed_pair(adversarial_oracle(units2[(1, 2)]), 2, 1, 2) == zero_matrix(z2, 2)
-    assert diagonal_from_fixed_pair(adversarial_oracle(units2[(1, 1)]), 2, 1, 2) == units2[(2, 2)]
-    assert diagonal_from_fixed_pair(adversarial_oracle(zero_matrix(z2, 2)), 2, 1, 2) == zero_matrix(z2, 2)
+def test_diag_source_examples(units2, z2):
+    # the witness answered for the fixed pair (e12, x_o)
+    assert run_extraction(adversarial_oracle(units2[(1, 2)]), 2).diag_source == zero_matrix(z2, 2)
+    assert run_extraction(adversarial_oracle(units2[(1, 1)]), 2).diag_source == units2[(2, 2)]
+    assert run_extraction(adversarial_oracle(zero_matrix(z2, 2)), 2).diag_source == zero_matrix(z2, 2)
+
+
+@pytest.mark.parametrize("extract", [run_extraction, extract_witness])
+@pytest.mark.parametrize("i_o, j_o", [(1, 1), (0, 2), (1, 4)])
+def test_invalid_fixed_pair_is_refused_before_any_query(m3z2, extract, i_o, j_o):
+    inner = adversarial_oracle(m3z2.element(311), m3z2)
+    calls = []
+
+    def counting_select(x, y):
+        calls.append((x, y))
+        return inner.select(x, y)
+
     with pytest.raises(ValueError):
-        diagonal_from_fixed_pair(adversarial_oracle(units2[(1, 1)]), 2, 1, 1)
+        extract(WitnessOracle(m3z2, counting_select), 3, i_o, j_o)
+    assert calls == []
 
 
 def test_extract_witness_examples(units2, z2, m2z2):
@@ -176,6 +189,25 @@ def test_unit_image_formula_n3_replays_components(m3z2):
     rep = verify_unit_image_formula(oracle, 3, 1, 2)
     assert rep.passed
     assert rep.checked == 9  # formula + the eight component identities
+
+
+def test_unit_image_formula_reads_the_carriers_units(monkeypatch, m3z2):
+    # the units come from the carrier, not from matrix_unit on every call
+    import adlocal.extract
+
+    def refuse(*args):
+        raise AssertionError("matrix_unit called")
+
+    monkeypatch.setattr(adlocal.extract, "matrix_unit", refuse, raising=False)
+    oracle = adversarial_oracle(m3z2.element(311), m3z2)
+    for i, j in ((1, 2), (3, 1)):
+        rep = verify_unit_image_formula(oracle, 3, i, j)
+        assert rep.passed and rep.checked == 9
+
+
+def test_unit_image_formula_dimension_mismatch(m3z2):
+    with pytest.raises(ShapeMismatchError):
+        verify_unit_image_formula(adversarial_oracle(m3z2.element(5), m3z2), 2, 1, 2)
 
 
 def test_diagonal_differences_examples(z2):

@@ -4,7 +4,6 @@ import pytest
 
 from adlocal import (
     ClosureBudgetError,
-    EmptyWordError,
     PreconditionError,
     adversarial_oracle,
     check_inner_on_subring,
@@ -14,7 +13,6 @@ from adlocal import (
     matrix_unit,
     polyquot,
     witness_search,
-    word_eval,
     zero_matrix,
     zmod,
 )
@@ -78,25 +76,6 @@ def test_closure_idempotence(m3z2):
     v = S.elements[len(S.elements) // 3]
     T = generate_subring(u, v)
     assert set(T.elements) <= set(S.elements)
-
-
-def test_word_eval(units2, z2):
-    e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    assert word_eval("xy", e12, e21) == units2[(1, 1)]
-    assert word_eval("xx", e12, e21) == zero_matrix(z2, 2)
-    assert word_eval("yxy", e12, e21) == e21
-    with pytest.raises(EmptyWordError):
-        word_eval("", e12, e21)
-    with pytest.raises(ValueError):
-        word_eval("xz", e12, e21)
-
-
-def test_word_eval_concatenation(m2z3):
-    rng = rng_for(2, "words")
-    x = m2z3.element(rng.randrange(81))
-    y = m2z3.element(rng.randrange(81))
-    for u, v in [("x", "y"), ("xy", "yx"), ("xxy", "yxy")]:
-        assert word_eval(u + v, x, y) == word_eval(u, x, y) * word_eval(v, x, y)
 
 
 def test_check_inner_restriction_of_inner_map(units2):
