@@ -17,10 +17,12 @@ pairs of every hidden element, the corner points of every extension
 oracle), so each form is built once and reused from a process-wide
 least-recently-used cache holding at most ECHELON_CACHE_BITS bits of pivot
 rows; a reused form is the one a fresh elimination would build, so
-results do not depend on the cache.  Oracles built on top of
-it are deliberately adversarial - they answer with the minimal witness,
-never with the element that secretly induced the map - so downstream
-algorithms cannot cheat by recognizing their input.
+results do not depend on the cache.  The oracles here are deliberately
+adversarial - they answer with the minimal witness, never with the
+element that secretly induced the map - so downstream algorithms cannot
+cheat by recognizing their input.  :func:`pair_oracle` finds it from the
+map's values; :func:`adversarial_oracle` reduces its hidden element
+modulo the pair's common centralizer, which gives the same element.
 
 Verification domains list all matrix units first, then the staircase
 element, then the rest of the carrier (or a seeded sample for large
@@ -413,7 +415,7 @@ class _Coordinates:
         # [E_l, E_k] = -[E_k, E_l] and [E_k, E_k] = 0: pack the commutators
         # with k < l and negate their lanes mod m for the mirror entries
         ones = ((1 << self.row_bits) - 1) // ((1 << width) - 1)
-        qmask = ones * ((1 << (width - self.shift)) - 1)
+        self.qmask = qmask = ones * ((1 << (width - self.shift)) - 1)  # N lanes
         comm = [[0] * size for _ in range(size)]
         for k, ek in enumerate(basis):
             for l in range(k + 1, size):
@@ -496,10 +498,8 @@ class _Coordinates:
         pivot d divides m, such that the pivot rows right of any column
         span every row combination that vanishes up to that column.  Then
         (t_1 ... t_K | 0) reduces to (0 | -b) for a solution b exactly
-        when one exists, and the pivot rows in the second block span the
-        solutions of bA = 0.  Taking each coordinate of b mod its pivot,
-        left to right, gives the least element of b + kernel in
-        lexicographic order, which is canonical order.
+        when one exists, and :meth:`least` takes b to the least element of
+        its coset.
 
         The solution set does not depend on the order of the
         constraints, so they are taken in canonical order of their points
@@ -514,11 +514,9 @@ class _Coordinates:
         points = [index(x) for x, _ in cons]
         if len(points) > 1:
             points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
-        prow, pdiv, _ = _ECHELONS.echelon(self, tuple(points))
+        prow, pdiv, _ = form = _ECHELONS.echelon(self, tuple(points))
         blocks = len(cons)
         qmask = _quotient_mask(width, shift, (blocks + 1) * size)
-        lane_mask = (1 << width) - 1
-        row_mask = (1 << row_bits) - 1
 
         v = 0
         for block, (_, t) in enumerate(cons):
@@ -533,15 +531,27 @@ class _Coordinates:
             v += (m - a // b) * prow[pos]
             v -= (((v * mu) >> shift) & qmask) * m
 
-        w = m * (row_mask // lane_mask) - v  # b = -v, lanes m - v_k before reduction
-        w -= (((w * mu) >> shift) & qmask) * m
+        w = m * (((1 << row_bits) - 1) // ((1 << width) - 1)) - v  # b = -v, lanes m - v_k
+        return self.least(form, w - (((w * mu) >> shift) & qmask) * m)
+
+    def least(self, form: tuple, b: int) -> int:
+        """Canonical index of the least element of b + C(x_1) ∩ ... ∩ C(x_K),
+        for b packed in the N low lanes and ``form`` the cached Howell form
+        of the points x_1 ... x_K (see :meth:`solve`), whose pivot rows in
+        the second block span that common centralizer.  Taking each
+        coordinate of b mod its pivot, left to right, gives the least
+        element of the coset in lexicographic order, which is canonical
+        order, whichever member of the coset b is."""
+        prow, pdiv, _ = form
+        m, mu, shift, qmask, width = self.m, self.mu, self.shift, self.qmask, self.width
+        lane_mask = (1 << width) - 1
         found = 0
-        for pos in range(size - 1, -1, -1):
-            digit = (w >> (pos * width)) & lane_mask
+        for pos in range(self.size - 1, -1, -1):
+            digit = (b >> (pos * width)) & lane_mask
             d = pdiv[pos]
             if digit >= d:
-                w += (m - digit // d) * prow[pos]
-                w -= (((w * mu) >> shift) & qmask) * m
+                b += (m - digit // d) * prow[pos]
+                b -= (((b * mu) >> shift) & qmask) * m
                 digit %= d
             found = found * m + digit
         return found
@@ -592,6 +602,8 @@ _ECHELONS = _EchelonCache()
 @lru_cache(maxsize=None)
 def _coordinates(carrier: Ring) -> _Coordinates:
     """The interned coordinates of a carrier with at most COORDINATE_CAP of them."""
+    if carrier.cardinality is None:
+        raise InfiniteRingError("witness search needs a finite carrier")
     rank = _module_rank(carrier)
     if rank is None:
         raise PreconditionError(
@@ -625,8 +637,6 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     carriers that are not built from zmod, poly and mat descriptors with
     PreconditionError.
     """
-    if carrier.cardinality is None:
-        raise InfiniteRingError("witness search needs a finite carrier")
     coords = _coordinates(carrier)
     cons = []
     for x, t in constraints:
@@ -638,15 +648,22 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     return None if found is None else carrier.element(found)
 
 
+def _memo_oracle(carrier: Ring, answer, values: _Memo) -> WitnessOracle:
+    """Oracle that answers each ordered pair once, by ``answer((x, y))``,
+    and carries the map memoised in ``values`` as its induced map."""
+    answers = _Memo(answer)
+    return WitnessOracle(carrier, lambda x, y: answers[x, y], values.__getitem__)
+
+
 def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
     """Oracle of the map ``evaluate`` built from its values alone: each pair
     gets the canonically minimal element implementing the map at both of
     its points, from :func:`witness_search` on their two constraints.
     Each ordered pair is answered once; the search sorts its constraints,
-    so (x, y) and (y, x) share one elimination and one answer.  The map is
-    evaluated once per point, and the oracle carries it as its induced
-    map.  A pair with no common witness raises InconsistentOracleError:
-    the map is not 2-local there."""
+    so (x, y) and (y, x) share one elimination, and each of them is solved
+    once.  The map is evaluated once per point, and the oracle carries it
+    as its induced map.  A pair with no common witness raises
+    InconsistentOracleError: the map is not 2-local there."""
     values = _Memo(evaluate)
 
     def answer(pair):
@@ -658,22 +675,34 @@ def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
             )
         return w
 
-    answers = _Memo(answer)
-
-    def select(x, y):
-        return answers[x, y]
-
-    return WitnessOracle(carrier, select, values.__getitem__)
+    return _memo_oracle(carrier, answer, values)
 
 
 def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
-    """Oracle inducing the inner derivation of ``a`` whose answers come
-    from :func:`pair_oracle`, which sees only the values [a, x] and
-    [a, y]: each pair gets the canonically minimal implementing element,
-    never ``a`` itself unless that happens to be minimal."""
+    """Oracle of the inner derivation of ``a``, carried as its induced map,
+    that answers each pair with the canonically minimal implementing
+    element, never ``a`` itself unless that happens to be minimal.  The
+    elements implementing the map at x and y are a + (C(x) ∩ C(y)), so the
+    answer is :meth:`_Coordinates.least` of ``a`` under the form of the
+    pair's points: the answer :func:`pair_oracle` gives from the values
+    [a, x] and [a, y] alone, found without them.  ``a`` is packed at the
+    first answer, which raises any refusal of :func:`witness_search`."""
     if carrier is None:
         carrier = matrix_ring(a.ring, a.n)
-    return pair_oracle(carrier, partial(carrier.commutator, a))
+    index, element = carrier.index, carrier.element
+
+    @lru_cache(maxsize=None)
+    def hidden():
+        coords = _coordinates(carrier)
+        return coords, coords.pack(a)
+
+    def answer(pair):
+        coords, b = hidden()
+        x, y = index(pair[0]), index(pair[1])
+        points = (x,) if x == y else (x, y) if x < y else (y, x)
+        return element(coords.least(_ECHELONS.echelon(coords, points), b))
+
+    return _memo_oracle(carrier, answer, _Memo(partial(carrier.commutator, a)))
 
 
 def check_two_local(

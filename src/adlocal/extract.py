@@ -157,10 +157,11 @@ def verify_unit_image_formula(
     extra witnesses select(e_im, e_ij) and select(e_mj, e_ij) for every
     index m distinct from i and j; for n = 2 there is no such m and the
     replay is an empty quantifier.  The check stops at the first identity
-    that fails.
+    that fails.  Indices that are not two distinct values in 1..n raise
+    ValueError before any oracle query.
     """
-    if i == j:
-        raise ValueError("needs distinct indices")
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"unit ({i},{j}) needs distinct indices in 1..{n}")
     carrier = oracle.carrier
     if carrier.n != n:
         raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -339,6 +340,75 @@ def test_adversarial_oracle_examples(units2, z2, m2z2):
     o11 = adversarial_oracle(units2[(1, 1)])
     assert o11.select(units2[(2, 1)], units2[(1, 2)]) == units2[(2, 2)]
     assert o11.select(zero2(z2), zero2(z2)) == zero2(z2)
+
+
+def _same_answers(carrier, a, pairs):
+    """The adversarial oracle of ``a`` against the oracle built from the
+    values of its map alone, on every ordered pair of ``pairs``."""
+    hidden = adversarial_oracle(a, carrier)
+    reference = pair_oracle(carrier, partial(carrier.commutator, a))
+    for x, y in pairs:
+        assert hidden.select(x, y) == reference.select(x, y), (carrier.spec, a, x, y)
+
+
+def test_adversarial_oracle_matches_pair_oracle_exhaustive_m2z2(m2z2):
+    els = m2z2.elements()
+    for a in els:
+        _same_answers(m2z2, a, product(els, els))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["mat:zmod:4:2", "mat:zmod:6:2", "mat:poly:2:2:2", "mat:zmod:2:3", "mat:mat:zmod:2:2:2"],
+)
+def test_adversarial_oracle_matches_pair_oracle_sampled(spec):
+    # composite moduli put pivots other than 1 into the kernel rows
+    carrier = parse_ring_spec(spec)
+    rng = rng_for(18, f"adversarial-vs-pair:{spec}")
+    card = carrier.cardinality
+    for _ in range(40):
+        a = carrier.element(rng.randrange(card))
+        pairs = []
+        for _ in range(12):
+            x, y = (carrier.element(rng.randrange(card)) for _ in range(2))
+            pairs += [(x, y), (y, x), (x, x)]
+        _same_answers(carrier, a, pairs)
+
+
+def test_adversarial_oracle_refuses_at_the_first_select():
+    # built without error; witness search refuses the carrier at each
+    # select (the commutator stub lets an oracle that evaluates its map
+    # reach that refusal too)
+    class Custom(Ring):
+        spec = "custom"
+        cardinality = 2
+        commutative_declared = True
+        commutator = staticmethod(lambda a, x: 0)
+
+    m9 = MatrixRing(zmod(2), 9)
+    for carrier, a, x, error in (
+        (m9, m9.zero, m9.zero, CarrierTooLargeError),
+        (Custom(), 1, 0, PreconditionError),
+    ):
+        oracle = adversarial_oracle(a, carrier)
+        for _ in range(2):
+            with pytest.raises(error):
+                oracle.select(x, x)
+
+
+def test_adversarial_oracle_cache_traffic_matches_pair_oracle(m3z2):
+    rng = rng_for(18, "adversarial-cache-traffic")
+    els = m3z2.elements()
+    a = els[rng.randrange(len(els))]
+    points = [els[rng.randrange(len(els))] for _ in range(6)]
+    queries = [(x, y) for x in points for y in points] * 2
+    counts = []
+    for oracle in (adversarial_oracle(a, m3z2), pair_oracle(m3z2, partial(commutator, a))):
+        _ECHELONS.clear()
+        answers = [oracle.select(x, y) for x, y in queries]
+        counts.append((answers, _ECHELONS.eliminations, _ECHELONS.reuses))
+    assert counts[0] == counts[1]
+    assert counts[0][1:] == (21, 15)  # 6 + 15 point sets; (y, x) reuses (x, y)
 
 
 @pytest.mark.parametrize("mod", [2, 3])

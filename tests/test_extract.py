@@ -210,6 +210,20 @@ def test_unit_image_formula_dimension_mismatch(m3z2):
         verify_unit_image_formula(adversarial_oracle(m3z2.element(5), m3z2), 2, 1, 2)
 
 
+@pytest.mark.parametrize("i, j", [(1, 4), (0, 2), (4, 1), (2, 2)])
+def test_unit_image_formula_bad_unit_is_refused_before_any_query(m3z2, i, j):
+    inner = adversarial_oracle(m3z2.element(311), m3z2)
+    calls = []
+
+    def counting_select(x, y):
+        calls.append((x, y))
+        return inner.select(x, y)
+
+    with pytest.raises(ValueError):
+        verify_unit_image_formula(WitnessOracle(m3z2, counting_select), 3, i, j)
+    assert calls == []
+
+
 def test_diagonal_differences_examples(z2):
     z3x3 = zero_matrix(z2, 3)
     ident = identity_matrix(z2, 3)
