@@ -55,6 +55,9 @@ from .sampling import rng_for
 from .twogen import check_inner_on_subring, generate_subring
 
 EXHAUSTIVE_WITNESS_CAP = 512
+# largest value of any budget flag: ten times the largest budget a default,
+# a golden report or the battery uses, so a larger request exits 3 at once
+BUDGET_CAP = 1_000_000
 
 
 @dataclass
@@ -319,7 +322,8 @@ _CONFIG_ERRORS = (ValueError, CliConfigError, AdlocalError)
 
 def run(config: ExperimentConfig) -> RunReport:
     """Dispatch one experiment; an unknown experiment, n < 2, a budget
-    out of range and every configuration exception become status "error"."""
+    out of range (including one above BUDGET_CAP) and every configuration
+    exception become status "error"."""
     start = time.perf_counter()
     echo = asdict(config)
     try:
@@ -332,6 +336,9 @@ def run(config: ExperimentConfig) -> RunReport:
                 raise CliConfigError(f"{_flag(name)} must be positive")
         if config.gen_pairs < 0:
             raise CliConfigError("--gen-pairs must not be negative")
+        for name in (*_SAMPLE_BUDGETS, "gen_pairs"):
+            if getattr(config, name) > BUDGET_CAP:
+                raise CliConfigError(f"{_flag(name)} must be at most {BUDGET_CAP}")
         base = parse_ring_spec(config.ring)
         checks, failures, witnesses = 0, [], []
         # failures ends as the records of the last step run: empty on a pass

@@ -30,7 +30,12 @@ carriers).  Checks evaluate pairs in that order and return at the first
 failure, so a report carries at most one counterexample and it is
 deterministic: one counterexample settles a universal claim.
 :func:`check_derivation` first tries to certify every pair at once from
-the Z_m coordinate basis, and scans only when that fails.
+the Z_m coordinate basis, and scans only when that fails.  On a carrier
+with a row table both run on row codes (:class:`adlocal.matrix.RowCodes`):
+the map is memoised by the row codes of its argument, each pair's sums,
+product and Leibniz side come from one row-code pass, and values compare
+as tuples, with the reports and exceptions the carrier's operators give;
+other carriers use the operators.
 """
 
 from __future__ import annotations
@@ -256,6 +261,11 @@ def _additive_on_span(add, zero, value, generators) -> bool:
     was on H.  It is needed even when r*g = 0: over Z_4, value(2e) = e is
     not additive.  With value(0) = 0 that makes |span| + |generators|
     checks in place of the |span|^2 pairs.
+
+    The group may be a matrix carrier with its own operators, or the same
+    carrier in row codes (:class:`adlocal.matrix.RowCodes`), where ``add``
+    is ``RowCodes.add``, elements and values are row-code tuples, and a
+    hash or a comparison is a tuple operation.
     """
     if value(zero) != zero:
         return False
@@ -292,16 +302,16 @@ def _coordinate_basis(carrier: Ring) -> list | None:
     return [carrier.element(m**k) for k in range(size)]
 
 
-def _certified_derivation(carrier: Ring, ev) -> bool:
+def _certified_derivation(carrier: Ring, ev, additive) -> bool:
     """True iff ``ev`` is a derivation of the whole carrier, decided from
     its Z_m coordinate basis E_k (see :func:`_coordinate_basis`).
 
     Leibniz is checked on the N^2 basis pairs (E_k, E_l) and additivity
-    along the coset tree of the basis.  When + and * distribute, the
-    Leibniz defect D(xy) - D(x)y - xD(y) of an additive D is biadditive,
-    so it vanishes on every pair once it vanishes on the basis pairs.  The
-    basis pairs go first: a map that fails there, such as the identity,
-    costs no walk of the carrier.
+    by ``additive(basis)``, the coset-tree walk of the basis.  When + and
+    * distribute, the Leibniz defect D(xy) - D(x)y - xD(y) of an additive
+    D is biadditive, so it vanishes on every pair once it vanishes on the
+    basis pairs.  The basis pairs go first: a map that fails there, such
+    as the identity, costs no walk of the carrier.
     """
     mul, mul_add = carrier.mul, carrier.mul_add
     basis = _coordinate_basis(carrier)
@@ -310,7 +320,103 @@ def _certified_derivation(carrier: Ring, ev) -> bool:
         for y in basis:
             if ev(mul(x, y)) != mul_add(dx, y, x, ev(y)):
                 return False
-    return _additive_on_span(carrier.add, carrier.zero, ev, basis)
+    return additive(basis)
+
+
+def _operator_pair(carrier: Ring, ev, x, y) -> Failure | None:
+    """The first identity of a derivation that fails at (x, y), with the
+    carrier's operators and ``ev`` the memoised map: D(x + y) = D(x) +
+    D(y), then D(xy) = D(x)y + xD(y), whose right side, built by
+    ``carrier.mul_add``, a Leibniz failure records as expected; None when
+    both hold."""
+    add = carrier.add
+    dx, dy = ev(x), ev(y)
+    if ev(add(x, y)) != add(dx, dy):
+        return Failure((x, y), add(dx, dy), ev(add(x, y)), "additivity")
+    leibniz = carrier.mul_add(dx, y, x, dy)
+    if ev(carrier.mul(x, y)) != leibniz:
+        return Failure((x, y), leibniz, ev(carrier.mul(x, y)), "leibniz")
+    return None
+
+
+class _Foreign:
+    """A value of the map that is not a matrix on the carrier's row table,
+    as :class:`_RowDerivation` stores it: it differs from row codes exactly
+    when the value differs from their matrix."""
+
+    __slots__ = ("value", "rc")
+
+    def __init__(self, value, rc):
+        self.value, self.rc = value, rc
+
+    def __ne__(self, codes):
+        return self.value != self.rc.matrix(codes)
+
+
+class _RowDerivation(dict):
+    """A map D on a carrier with a row table, memoised by the row codes of
+    its argument: ``self[c]`` is the row codes of D at the matrix with row
+    codes ``c``, or a :class:`_Foreign` holding a value off the table.  D
+    runs once per distinct argument, on a Matrix built only then.
+
+    :meth:`pair` is the pair check of :func:`_operator_pair` on row codes;
+    a pair with a point or a value off the table takes
+    :func:`_operator_pair` itself, so it gives the same failure or raises
+    the same exception."""
+
+    __slots__ = ("carrier", "rc", "evaluate", "off_table")
+
+    def __init__(self, carrier: Ring, evaluate):
+        super().__init__()
+        self.carrier, self.rc, self.evaluate = carrier, carrier.row_codes, evaluate
+        self.off_table = _Memo(evaluate)
+
+    def __missing__(self, c):
+        return self._store(c, self.rc.matrix(c))
+
+    def _store(self, c, x):
+        v = self.evaluate(x)
+        codes = self.rc.codes(v)
+        out = self[c] = _Foreign(v, self.rc) if codes is None else codes
+        return out
+
+    def _value(self, entry):
+        return entry.value if entry.__class__ is _Foreign else self.rc.matrix(entry)
+
+    def at(self, x):
+        """D(x) as a value, for the checks made with operators."""
+        c = self.rc.codes(x)
+        if c is None:
+            return self.off_table[x]
+        return self._value(self[c])
+
+    def additive(self, generators) -> bool:
+        """:func:`_additive_on_span` of D over ``generators``, on row codes."""
+        rc = self.rc
+        return _additive_on_span(
+            rc.add, rc.zero, self.__getitem__, [rc.codes(g) for g in generators]
+        )
+
+    def pair(self, x, y) -> Failure | None:
+        """The check of :func:`_operator_pair` at (x, y): the row codes of
+        x + y, D(x) + D(y), xy and D(x)y + xD(y) from one
+        :meth:`adlocal.matrix.RowCodes.derivation_pair` pass, compared as
+        tuples; a Matrix is built only for a Failure."""
+        codes, get = self.rc.codes, self.get
+        cx, cy = codes(x), codes(y)
+        if cx is not None and cy is not None:
+            dx = get(cx) or self._store(cx, x)
+            dy = get(cy) or self._store(cy, y)
+            if dx.__class__ is tuple and dy.__class__ is tuple:
+                s, ds, p, leibniz = self.rc.derivation_pair(cx, cy, dx, dy)
+                got = self[s]
+                if got != ds:
+                    return Failure((x, y), self.rc.matrix(ds), self._value(got), "additivity")
+                got = self[p]
+                if got != leibniz:
+                    return Failure((x, y), self.rc.matrix(leibniz), self._value(got), "leibniz")
+                return None
+        return _operator_pair(self.carrier, self.at, x, y)
 
 
 def check_derivation(
@@ -323,10 +429,13 @@ def check_derivation(
     :func:`_pair_stream` up to the first failing pair; failures are data,
     not errors, and ``checked`` counts the pairs the verdict covers.
 
-    Each pair tests D(x + y) = D(x) + D(y), then D(xy) = D(x)y + xD(y),
-    with the right side built by ``carrier.mul_add``: one row-code pass
-    on matrix carriers with a row table (:func:`adlocal.matrix.mul_add`).
-    A Leibniz failure records that right side as its expected value.
+    Each pair tests D(x + y) = D(x) + D(y), then D(xy) = D(x)y + xD(y)
+    (:func:`_operator_pair`); a Leibniz failure records the right side as
+    its expected value.  On a carrier with a row table the check runs on
+    row codes (:class:`_RowDerivation`): D is memoised by the row codes of
+    its argument and each pair is one row-code pass, with the same
+    failures and exceptions.  Other carriers use their operators, the
+    right side built by ``carrier.mul_add``.
 
     A carrier with Z_m coordinates and at most min(ELEMENT_CAP, stream
     length) elements is first certified whole by
@@ -338,8 +447,13 @@ def check_derivation(
     carrier, not only on the domain.
     """
     carrier = D.carrier
-    add, mul, mul_add = carrier.add, carrier.mul, carrier.mul_add
-    ev = _Memo(D.evaluate).__getitem__
+    if carrier.row_codes is None:
+        ev = _Memo(D.evaluate).__getitem__
+        additive = partial(_additive_on_span, carrier.add, carrier.zero, ev)
+        check_pair = partial(_operator_pair, carrier, ev)
+    else:
+        memo = _RowDerivation(carrier, D.evaluate)
+        ev, additive, check_pair = memo.at, memo.additive, memo.pair
     pairs, used_seed, length = _pair_stream(
         carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
     )
@@ -347,21 +461,15 @@ def check_derivation(
     if (
         _module_rank(carrier) is not None
         and carrier.cardinality <= min(ELEMENT_CAP, length)
-        and _certified_derivation(carrier, ev)
+        and _certified_derivation(carrier, ev, additive)
     ):
         report.checked = length
         return report
     for x, y in pairs:
-        dx, dy = ev(x), ev(y)
         report.checked += 1
-        if ev(add(x, y)) != add(dx, dy):
-            report.failures.append(
-                Failure((x, y), add(dx, dy), ev(add(x, y)), "additivity")
-            )
-            break
-        leibniz = mul_add(dx, y, x, dy)
-        if ev(mul(x, y)) != leibniz:
-            report.failures.append(Failure((x, y), leibniz, ev(mul(x, y)), "leibniz"))
+        failure = check_pair(x, y)
+        if failure is not None:
+            report.failures.append(failure)
             break
     return report
 

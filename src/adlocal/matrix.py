@@ -20,9 +20,19 @@ by entry with the base ring's operations.
 One two-product kernel builds a*b + c*d or a*b - c*d in a single pass
 over row codes, adding the left-scaled rows of ``terms`` for a*b and
 those of ``terms`` or of ``negterms`` (the negated rows) for c*d.  It
-serves :func:`commutator`, [a, x] = a*x - x*a, and :func:`mul_add`,
-which the Leibniz checks use for D(x)y + xD(y); above the cap both fall
-back to the operators.
+serves :func:`commutator`, [a, x] = a*x - x*a, and :func:`mul_add`;
+above the cap both fall back to the operators.
+
+:class:`RowCodes`, carried by a matrix ring with a row table as
+``row_codes``, gives the same arithmetic to loops that keep matrices as
+tuples of row codes, so that hashing and comparing them are tuple
+operations: the pair scan of :func:`adlocal.deriv.check_derivation`
+builds x + y, D(x) + D(y), xy and D(x)y + xD(y) of a pair in one pass of
+:meth:`RowCodes.derivation_pair`, and the coset-tree walks of
+:mod:`adlocal.deriv` and :mod:`adlocal.twogen` add with
+:meth:`RowCodes.add`, without building Matrix objects.  The row-code
+format stays in this module: callers read and rebuild matrices only
+through ``RowCodes.codes`` and ``RowCodes.matrix``.
 """
 
 from __future__ import annotations
@@ -311,6 +321,56 @@ def _two_products(rt: RowTable, a: Matrix, b: Matrix, c: Matrix, d: Matrix, seco
     return _coded(a.ring, a.n, rt, tuple(out))
 
 
+class RowCodes:
+    """The row-code arithmetic of M_n(R) with a row table, for loops that
+    keep matrices as tuples of row codes, so that hashing and comparing
+    them are tuple operations: ``codes`` reads the row codes of a value,
+    ``matrix`` builds the Matrix back, and ``add`` and
+    :meth:`derivation_pair` compute on row codes with the table's ``add``
+    and ``terms``, as :func:`_two_products` does.  A matrix ring with a row
+    table carries one as ``row_codes``."""
+
+    __slots__ = ("ring", "n", "rt", "zero", "_add", "_terms")
+
+    def __init__(self, ring: Ring, n: int, rt: RowTable):
+        self.ring, self.n, self.rt = ring, n, rt
+        self.zero = (0,) * n
+        self._add, self._terms = rt.add, rt.terms
+
+    def codes(self, v):
+        """The row codes of ``v``, or None when ``v`` is not a matrix on
+        this row table."""
+        if v.__class__ is Matrix and v._rt is self.rt:
+            return v._data
+        return None
+
+    def matrix(self, codes: tuple) -> Matrix:
+        return _coded(self.ring, self.n, self.rt, codes)
+
+    def add(self, c: tuple, d: tuple) -> tuple:
+        add = self._add
+        return tuple([add[p][q] for p, q in zip(c, d)])
+
+    def derivation_pair(self, x: tuple, y: tuple, dx: tuple, dy: tuple) -> tuple:
+        """The row codes of x + y, dx + dy, x*y and dx*y + x*dy, each row
+        of the two products in one pass over the left-scaled rows of
+        ``terms``."""
+        add, terms = self._add, self._terms
+        total, dtotal, prod, leib = [], [], [], []
+        for p, q, a, b in zip(x, dx, y, dy):
+            total.append(add[p][a])
+            dtotal.append(add[q][b])
+            acc = lacc = 0
+            for k, scaled in terms[p]:
+                acc = add[acc][scaled[y[k]]]
+                lacc = add[lacc][scaled[dy[k]]]
+            for k, scaled in terms[q]:
+                lacc = add[lacc][scaled[y[k]]]
+            prod.append(acc)
+            leib.append(lacc)
+        return tuple(total), tuple(dtotal), tuple(prod), tuple(leib)
+
+
 def commutator(a: Matrix, x: Matrix) -> Matrix:
     """[a, x] = a*x - x*a, in one row-code pass when a and x share a row
     table (:func:`_two_products` with ``negterms``); any other operands
@@ -325,7 +385,9 @@ def mul_add(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """a*b + c*d, in one row-code pass when the four operands share a row
     table (:func:`_two_products` with ``terms``); any other operands take
     ``a * b + c * d``.  The Leibniz checks of :mod:`adlocal.deriv` build
-    D(x)y + xD(y) with it."""
+    D(x)y + xD(y) with it on the certificate's basis pairs and on
+    carriers without a row table; the pair scan on a row table uses
+    :meth:`RowCodes.derivation_pair`."""
     rt = a._rt
     if (
         rt is not None
@@ -376,6 +438,7 @@ class MatrixRing(Ring):
         self.cardinality = None if card is None else card ** (n * n)
         self.commutative_declared = n == 1 and base.commutative_declared
         self._rt = row_table(base, n)
+        self.row_codes = None if self._rt is None else RowCodes(base, n, self._rt)
         self._zero = zero_matrix(base, n)
         self._one = identity_matrix(base, n)
         self._units = tuple(

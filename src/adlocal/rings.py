@@ -33,6 +33,9 @@ class Ring:
     spec: str
     cardinality: int | None
     commutative_declared: bool
+    # the row-code arithmetic of a matrix ring with a row table
+    # (adlocal.matrix.RowCodes); None for every other ring
+    row_codes = None
 
     def add(self, a, b):
         raise NotImplementedError

@@ -93,6 +93,23 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
     return GeneratedSubring(ambient, (x, y), ordered, tuple(gens))
 
 
+def _additive(S: GeneratedSubring, values: dict) -> bool:
+    """:func:`_additive_on_span` of the tabulated delta over
+    ``S.span_generators``: on row codes when the ambient ring has a row
+    table and every element and value is a matrix on it, otherwise with
+    the ambient ring's operators, so that a value off the table (a matrix
+    of another shape, say) gives the operators' verdict or exception."""
+    ambient = S.ambient
+    rc = ambient.row_codes
+    if rc is not None:
+        codes = rc.codes
+        table = {codes(p): codes(v) for p, v in values.items()}
+        if None not in table and None not in table.values():
+            gens = [codes(g) for g in S.span_generators]
+            return _additive_on_span(rc.add, rc.zero, table.__getitem__, gens)
+    return _additive_on_span(ambient.add, ambient.zero, values.__getitem__, S.span_generators)
+
+
 def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     """Verify delta(p) = d*p - p*d on the whole closure, up to the first
     element where it fails.
@@ -100,7 +117,8 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     Additivity of delta on S is the hypothesis and is checked first; a
     violation is reported in the result, not raised.  It is certified on
     all |S|^2 ordered pairs along the coset tree of ``S.span_generators``
-    (see the module docstring), and ``checked`` counts the pairs the
+    (see the module docstring), on row codes when the ambient ring has a
+    row table (see :func:`_additive`), and ``checked`` counts the pairs the
     certificate covers.  Only when the certificate fails does a scan run
     to report the first failing pair: the ordered scan of all pairs when
     there are at most PAIR_CAP of them, otherwise the ordered pairs (u, g)
@@ -128,7 +146,7 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
 
     elements = S.elements
     count = len(elements)
-    if _additive_on_span(add, ambient.zero, values.__getitem__, S.span_generators):
+    if _additive(S, values):
         report.checked += count * count
     else:
         pairs = product(elements, elements if count * count <= PAIR_CAP else S.span_generators)

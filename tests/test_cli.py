@@ -300,11 +300,24 @@ def test_negative_budget_rejected(capsys):
     assert code == 3
 
 
-BAD_BUDGETS = [
-    (name, value)
-    for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
-    for value in (0, -3)
-] + [("gen_pairs", -1)]
+BAD_BUDGETS = (
+    [
+        (name, value)
+        for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
+        for value in (0, -3)
+    ]
+    + [("gen_pairs", -1)]
+    + [
+        (name, cli.BUDGET_CAP + 1)
+        for name in (
+            "pair_samples",
+            "element_samples",
+            "two_local_pairs",
+            "witness_samples",
+            "gen_pairs",
+        )
+    ]
+)
 
 
 @pytest.mark.parametrize("name,value", BAD_BUDGETS)

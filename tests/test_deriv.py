@@ -14,12 +14,14 @@ from adlocal import (
     MatrixRing,
     PreconditionError,
     Ring,
+    ShapeMismatchError,
     WitnessOracle,
     adversarial_oracle,
     check_derivation,
     check_oracle_consistency,
     check_two_local,
     commutator,
+    corner_embed,
     generate_subring,
     identity_matrix,
     inner_derivation,
@@ -620,9 +622,14 @@ def test_sampled_domains_are_lead_then_distinct_draws(z3):
 
 
 # Differential tests of check_derivation against the ordered pair scan,
-# kept only here as the reference for its certificate.  The budgets give
-# every carrier a stream of at least |S| pairs, so the certificate runs;
-# M2(M2(Z2)) sits exactly at |S| = 16 + 65,520 pairs.
+# kept only here as the reference for its certificate and its row-code
+# scan.  The budgets give the first six carriers a stream of at least |S|
+# pairs, so the certificate runs; M2(M2(Z2)) sits exactly at |S| = 16 +
+# 65,520 pairs.  M4(Z2) is there because its stream of 656 pairs is too
+# short for the certificate: it takes the row-code pair scan, the branch
+# of extend-m4.  M2(M3(Z2)) has no row table (512^2 rows), so it takes the
+# operator scan; its unit pairs (e11, e11) sum to zero, which lets the
+# map perturbed at zero fail additivity on so short a stream.
 
 DERIV_CARRIERS = {
     "M2Z2": ("mat:zmod:2:2", {}),
@@ -631,6 +638,8 @@ DERIV_CARRIERS = {
     "M3Z2": ("mat:zmod:2:3", dict(pair_cap=0, pair_samples=600, seed=5)),
     "M2Z2t2": ("mat:poly:2:2:2", dict(pair_cap=0, pair_samples=300, seed=3)),
     "M2M2Z2": ("mat:mat:zmod:2:2:2", dict(pair_cap=0, pair_samples=65_520)),
+    "M4Z2": ("mat:zmod:2:4", dict(pair_cap=0, pair_samples=400)),
+    "M2M3Z2": ("mat:mat:zmod:2:3:2", dict(pair_cap=0, pair_samples=300)),
 }
 
 
@@ -641,9 +650,9 @@ def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0):
         pairs, report = product(domain, domain), VerificationReport()
     else:
         rng = rng_for(seed, f"pairs:{carrier.spec}")
-        els, card, units = carrier.elements(), carrier.cardinality, carrier.units()
+        pick, card, units = carrier.element, carrier.cardinality, carrier.units()
         sampled = [
-            (els[rng.randrange(card)], els[rng.randrange(card)]) for _ in range(pair_samples)
+            (pick(rng.randrange(card)), pick(rng.randrange(card))) for _ in range(pair_samples)
         ]
         pairs, report = list(product(units, units)) + sampled, VerificationReport(seed=seed)
     for x, y in pairs:
@@ -662,6 +671,14 @@ def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0):
 def _deriv_outcome(report):
     failures = [(f.inputs, f.expected, f.got, f.note) for f in report.failures]
     return report.passed, report.checked, failures, report.seed
+
+
+def _deriv_result(check, D, budget):
+    """The outcome of ``check(D, **budget)``, or the exception it raised."""
+    try:
+        return _deriv_outcome(check(D, **budget))
+    except ShapeMismatchError as exc:
+        return "raised", str(exc)
 
 
 def _deriv_maps(carrier, rng):
@@ -713,12 +730,23 @@ def test_check_derivation_matches_pair_scan(label):
     carrier = parse_ring_spec(spec)
     rng = rng_for(13, f"deriv-diff:{label}")
     verdicts = set()
-    for name, evaluate in _deriv_maps(carrier, rng):
+    maps = _deriv_maps(carrier, rng)
+    for name, evaluate in maps:
         D = DerivationMap(carrier, evaluate, verification_domain(carrier))
         want = _deriv_outcome(_scan_reference(D, **budget))
         assert _deriv_outcome(check_derivation(D, **budget)) == want, name
         verdicts.add(want[2][0][3] if want[2] else "pass")
     assert verdicts == {"pass", "additivity", "leibniz"}
+    # values in M_{n+1} of the same base, off the carrier's row table: the
+    # reference raises ShapeMismatchError when its Leibniz side multiplies
+    # across shapes, and the checker must raise the same error
+    inner = maps[0][1]
+    wide = DerivationMap(
+        carrier, lambda x: corner_embed(inner(x), carrier.n + 1), verification_domain(carrier)
+    )
+    want = _deriv_result(_scan_reference, wide, budget)
+    assert want[0] == "raised"
+    assert _deriv_result(check_derivation, wide, budget) == want
 
 
 @pytest.mark.parametrize("label", ["M2Z4", "M3Z2", "M2Z2t2"])
@@ -767,7 +795,7 @@ def test_check_derivation_evaluation_budget():
     D = DerivationMap(m4, evaluate, verification_domain(m4))
     rep = check_derivation(D, pair_cap=0, pair_samples=400)
     assert rep.passed and rep.checked == 656 and rep.seed == 0
-    assert len(calls) <= 4 * 656
+    assert len(calls) == len(set(calls))
     calls.clear()
     rep = check_derivation(D, pair_cap=0, pair_samples=100_000, seed=2)
     assert rep.passed and rep.checked == 256 + 100_000 and rep.seed == 2

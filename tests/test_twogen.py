@@ -5,9 +5,11 @@ import pytest
 from adlocal import (
     ClosureBudgetError,
     PreconditionError,
+    ShapeMismatchError,
     adversarial_oracle,
     check_inner_on_subring,
     commutator,
+    corner_embed,
     generate_subring,
     matrix_ring,
     matrix_unit,
@@ -184,12 +186,16 @@ def test_inner_map_on_closure_over_z4():
 # all |S|^2 additivity pairs, or of the pairs (u, g) with g a span
 # generator above the pair cap.
 
+# M3(Z7) has no row table (7^3 rows), so it takes the operator walk; its
+# generators are multiples of single matrix units (see _seeded_pairs), so
+# its closures have at most 7^4 elements.
 DIFF_CARRIERS = {
     "M2Z2": lambda: matrix_ring(zmod(2), 2),
     "M2Z3": lambda: matrix_ring(zmod(3), 2),
     "M2Z4": lambda: matrix_ring(zmod(4), 2),
     "M3Z2": lambda: matrix_ring(zmod(2), 3),
     "M2Z2t2": lambda: matrix_ring(polyquot(2, 2), 2),
+    "M3Z7": lambda: matrix_ring(zmod(7), 3),
 }
 
 
@@ -259,6 +265,8 @@ def _outcome(check, *args, **kwargs):
         r = check(*args, **kwargs)
     except PreconditionError:
         return "precondition"
+    except ShapeMismatchError as exc:
+        return f"raised {exc}"
     failures = [(f.inputs, f.expected, f.got, f.note) for f in r.failures]
     return r.passed, r.checked, failures, r.notes, r.seed, r.witness
 
@@ -273,10 +281,16 @@ def _verdict(outcome):
 def _seeded_pairs(label, carrier, count):
     rng = rng_for(7, f"twogen-diff:{label}")
     card = carrier.cardinality
+
+    def draw():
+        if label == "M3Z7":  # c * e_ij: one nonzero coordinate
+            return carrier.element(rng.randrange(1, 7) * 7 ** rng.randrange(9))
+        return carrier.element(rng.randrange(card))
+
     pairs = [(carrier.zero, carrier.zero)]
     for _ in range(count):
-        x = carrier.element(rng.randrange(card))
-        pairs.append((x, x) if rng.random() < 0.15 else (x, carrier.element(rng.randrange(card))))
+        x = draw()
+        pairs.append((x, x) if rng.random() < 0.15 else (x, draw()))
     return pairs
 
 
@@ -318,6 +332,12 @@ def _tables(S, rng):
     d0 = witness_search(ambient, [(x, x), (y, y)])
     if d0 is not None:
         cases.append(("identity", {p: p for p in S.elements}, d0))
+    if S.span_generators:
+        # a value in M_{n+1}, off the row table: the pair scan raises
+        # ShapeMismatchError when it adds that value
+        g = S.span_generators[0]
+        wide = corner_embed(inner[g], ambient.n + 1)
+        cases.append(("generator value off the table", {**inner, g: wide}, a))
     return cases
 
 
@@ -337,6 +357,7 @@ def test_check_inner_matches_pair_scan(label):
             verdicts.add(_verdict(want))
     assert seen >= 5
     assert {"pass", "not additive", "precondition"} <= verdicts
+    assert any(v.startswith("raised") for v in verdicts)
 
 
 @pytest.mark.parametrize("label", sorted(DIFF_CARRIERS))
@@ -358,6 +379,7 @@ def test_check_inner_generator_pair_scan_matches_reference(monkeypatch, label):
             verdicts.add(_verdict(want))
     assert seen >= 5
     assert {"pass", "not additive", "precondition"} <= verdicts
+    assert any(v.startswith("raised") for v in verdicts)
 
 
 def test_check_inner_certifies_large_closures():
