@@ -31,11 +31,11 @@ failure, so a report carries at most one counterexample and it is
 deterministic: one counterexample settles a universal claim.
 :func:`check_derivation` first tries to certify every pair at once from
 the Z_m coordinate basis, and scans only when that fails.  On a carrier
-with a row table both run on row codes (:class:`adlocal.matrix.RowCodes`):
+with a row table both run on row codes (:class:`adlocal.matrix.RowTable`):
 the map is memoised by the row codes of its argument, each pair's sums,
 product and Leibniz side come from one row-code pass, and values compare
-as tuples, with the reports and exceptions the carrier's operators give;
-other carriers use the operators.
+as tuples.  A point or a value off the table starts the check over on the
+carrier's operators, which other carriers use from the start.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def _additive_on_span(add, zero, value, generators) -> bool:
     checks in place of the |span|^2 pairs.
 
     The group may be a matrix carrier with its own operators, or the same
-    carrier in row codes (:class:`adlocal.matrix.RowCodes`), where ``add``
-    is ``RowCodes.add``, elements and values are row-code tuples, and a
+    carrier in row codes (:class:`adlocal.matrix.RowTable`), where ``add``
+    is ``RowTable.plus``, elements and values are row-code tuples, and a
     hash or a comparison is a tuple operation.
     """
     if value(zero) != zero:
@@ -313,12 +313,12 @@ def _certified_derivation(carrier: Ring, ev, additive) -> bool:
     basis pairs.  The basis pairs go first: a map that fails there, such
     as the identity, costs no walk of the carrier.
     """
-    mul, mul_add = carrier.mul, carrier.mul_add
+    add, mul = carrier.add, carrier.mul
     basis = _coordinate_basis(carrier)
     for x in basis:
         dx = ev(x)
         for y in basis:
-            if ev(mul(x, y)) != mul_add(dx, y, x, ev(y)):
+            if ev(mul(x, y)) != add(mul(dx, y), mul(x, ev(y))):
                 return False
     return additive(basis)
 
@@ -326,97 +326,80 @@ def _certified_derivation(carrier: Ring, ev, additive) -> bool:
 def _operator_pair(carrier: Ring, ev, x, y) -> Failure | None:
     """The first identity of a derivation that fails at (x, y), with the
     carrier's operators and ``ev`` the memoised map: D(x + y) = D(x) +
-    D(y), then D(xy) = D(x)y + xD(y), whose right side, built by
-    ``carrier.mul_add``, a Leibniz failure records as expected; None when
-    both hold."""
-    add = carrier.add
+    D(y), then D(xy) = D(x)y + xD(y), whose right side a Leibniz failure
+    records as expected; None when both hold."""
+    add, mul = carrier.add, carrier.mul
     dx, dy = ev(x), ev(y)
     if ev(add(x, y)) != add(dx, dy):
         return Failure((x, y), add(dx, dy), ev(add(x, y)), "additivity")
-    leibniz = carrier.mul_add(dx, y, x, dy)
-    if ev(carrier.mul(x, y)) != leibniz:
-        return Failure((x, y), leibniz, ev(carrier.mul(x, y)), "leibniz")
+    leibniz = add(mul(dx, y), mul(x, dy))
+    if ev(mul(x, y)) != leibniz:
+        return Failure((x, y), leibniz, ev(mul(x, y)), "leibniz")
     return None
 
 
-class _Foreign:
-    """A value of the map that is not a matrix on the carrier's row table,
-    as :class:`_RowDerivation` stores it: it differs from row codes exactly
-    when the value differs from their matrix."""
-
-    __slots__ = ("value", "rc")
-
-    def __init__(self, value, rc):
-        self.value, self.rc = value, rc
-
-    def __ne__(self, codes):
-        return self.value != self.rc.matrix(codes)
+class _OffTable(Exception):
+    """A point or a value of the map is not a matrix on the carrier's row
+    table, so :func:`check_derivation` starts over on the operators."""
 
 
 class _RowDerivation(dict):
     """A map D on a carrier with a row table, memoised by the row codes of
     its argument: ``self[c]`` is the row codes of D at the matrix with row
-    codes ``c``, or a :class:`_Foreign` holding a value off the table.  D
-    runs once per distinct argument, on a Matrix built only then.
+    codes ``c``.  D runs once per distinct argument, on a Matrix built only
+    then.  A point or a value off the table raises :class:`_OffTable`.
 
-    :meth:`pair` is the pair check of :func:`_operator_pair` on row codes;
-    a pair with a point or a value off the table takes
-    :func:`_operator_pair` itself, so it gives the same failure or raises
-    the same exception."""
+    :meth:`pair` is the pair check of :func:`_operator_pair` on row codes."""
 
-    __slots__ = ("carrier", "rc", "evaluate", "off_table")
+    __slots__ = ("rt", "evaluate")
 
-    def __init__(self, carrier: Ring, evaluate):
+    def __init__(self, rt, evaluate):
         super().__init__()
-        self.carrier, self.rc, self.evaluate = carrier, carrier.row_codes, evaluate
-        self.off_table = _Memo(evaluate)
+        self.rt, self.evaluate = rt, evaluate
 
     def __missing__(self, c):
-        return self._store(c, self.rc.matrix(c))
+        return self._store(c, self.rt.matrix(c))
 
     def _store(self, c, x):
-        v = self.evaluate(x)
-        codes = self.rc.codes(v)
-        out = self[c] = _Foreign(v, self.rc) if codes is None else codes
-        return out
-
-    def _value(self, entry):
-        return entry.value if entry.__class__ is _Foreign else self.rc.matrix(entry)
+        v = self.rt.codes(self.evaluate(x))
+        if v is None:
+            raise _OffTable
+        self[c] = v
+        return v
 
     def at(self, x):
-        """D(x) as a value, for the checks made with operators."""
-        c = self.rc.codes(x)
+        """D(x) as a Matrix, for the certificate's checks with operators."""
+        c = self.rt.codes(x)
         if c is None:
-            return self.off_table[x]
-        return self._value(self[c])
+            raise _OffTable
+        return self.rt.matrix(self[c])
 
     def additive(self, generators) -> bool:
         """:func:`_additive_on_span` of D over ``generators``, on row codes."""
-        rc = self.rc
+        rt = self.rt
         return _additive_on_span(
-            rc.add, rc.zero, self.__getitem__, [rc.codes(g) for g in generators]
+            rt.plus, rt.zero, self.__getitem__, [rt.codes(g) for g in generators]
         )
 
     def pair(self, x, y) -> Failure | None:
         """The check of :func:`_operator_pair` at (x, y): the row codes of
         x + y, D(x) + D(y), xy and D(x)y + xD(y) from one
-        :meth:`adlocal.matrix.RowCodes.derivation_pair` pass, compared as
+        :meth:`adlocal.matrix.RowTable.derivation_pair` pass, compared as
         tuples; a Matrix is built only for a Failure."""
-        codes, get = self.rc.codes, self.get
-        cx, cy = codes(x), codes(y)
-        if cx is not None and cy is not None:
-            dx = get(cx) or self._store(cx, x)
-            dy = get(cy) or self._store(cy, y)
-            if dx.__class__ is tuple and dy.__class__ is tuple:
-                s, ds, p, leibniz = self.rc.derivation_pair(cx, cy, dx, dy)
-                got = self[s]
-                if got != ds:
-                    return Failure((x, y), self.rc.matrix(ds), self._value(got), "additivity")
-                got = self[p]
-                if got != leibniz:
-                    return Failure((x, y), self.rc.matrix(leibniz), self._value(got), "leibniz")
-                return None
-        return _operator_pair(self.carrier, self.at, x, y)
+        rt, get = self.rt, self.get
+        cx, cy = rt.codes(x), rt.codes(y)
+        if cx is None or cy is None:
+            raise _OffTable
+        dx = get(cx) or self._store(cx, x)
+        dy = get(cy) or self._store(cy, y)
+        s, ds, p, leibniz = rt.derivation_pair(cx, cy, dx, dy)
+        got = self[s]
+        if got != ds:
+            return Failure((x, y), rt.matrix(ds), rt.matrix(got), "additivity")
+        got = self[p]
+        if got != leibniz:
+            return Failure((x, y), rt.matrix(leibniz), rt.matrix(got), "leibniz")
+        return None
 
 
 def check_derivation(
@@ -433,9 +416,11 @@ def check_derivation(
     (:func:`_operator_pair`); a Leibniz failure records the right side as
     its expected value.  On a carrier with a row table the check runs on
     row codes (:class:`_RowDerivation`): D is memoised by the row codes of
-    its argument and each pair is one row-code pass, with the same
-    failures and exceptions.  Other carriers use their operators, the
-    right side built by ``carrier.mul_add``.
+    its argument and each pair is one row-code pass.  Should a point or a
+    value of D leave the table, the whole check starts over on the
+    carrier's operators, with a fresh memo and a fresh stream, so its
+    report or exception is theirs.  Other carriers use the operators from
+    the start.
 
     A carrier with Z_m coordinates and at most min(ELEMENT_CAP, stream
     length) elements is first certified whole by
@@ -447,31 +432,36 @@ def check_derivation(
     carrier, not only on the domain.
     """
     carrier = D.carrier
-    if carrier.row_codes is None:
-        ev = _Memo(D.evaluate).__getitem__
-        additive = partial(_additive_on_span, carrier.add, carrier.zero, ev)
-        check_pair = partial(_operator_pair, carrier, ev)
-    else:
-        memo = _RowDerivation(carrier, D.evaluate)
-        ev, additive, check_pair = memo.at, memo.additive, memo.pair
-    pairs, used_seed, length = _pair_stream(
-        carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
-    )
-    report = VerificationReport(seed=used_seed)
-    if (
-        _module_rank(carrier) is not None
-        and carrier.cardinality <= min(ELEMENT_CAP, length)
-        and _certified_derivation(carrier, ev, additive)
-    ):
-        report.checked = length
+
+    def scan(ev, additive, check_pair):
+        pairs, used_seed, length = _pair_stream(
+            carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
+        )
+        report = VerificationReport(seed=used_seed)
+        if (
+            _module_rank(carrier) is not None
+            and carrier.cardinality <= min(ELEMENT_CAP, length)
+            and _certified_derivation(carrier, ev, additive)
+        ):
+            report.checked = length
+            return report
+        for x, y in pairs:
+            report.checked += 1
+            failure = check_pair(x, y)
+            if failure is not None:
+                report.failures.append(failure)
+                break
         return report
-    for x, y in pairs:
-        report.checked += 1
-        failure = check_pair(x, y)
-        if failure is not None:
-            report.failures.append(failure)
-            break
-    return report
+
+    if carrier.row_codes is not None:
+        memo = _RowDerivation(carrier.row_codes, D.evaluate)
+        try:
+            return scan(memo.at, memo.additive, memo.pair)
+        except _OffTable:
+            pass  # a point or a value off the table: start over on the operators
+    ev = _Memo(D.evaluate).__getitem__
+    additive = partial(_additive_on_span, carrier.add, carrier.zero, ev)
+    return scan(ev, additive, partial(_operator_pair, carrier, ev))
 
 
 def _xgcd(a: int, b: int) -> tuple:

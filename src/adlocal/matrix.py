@@ -17,22 +17,20 @@ canonical index.  Arithmetic on such matrices is lookup in per-(R, n)
 row tables; above the cap, matrices store their rows and compute entry
 by entry with the base ring's operations.
 
-One two-product kernel builds a*b + c*d or a*b - c*d in a single pass
-over row codes, adding the left-scaled rows of ``terms`` for a*b and
-those of ``terms`` or of ``negterms`` (the negated rows) for c*d.  It
-serves :func:`commutator`, [a, x] = a*x - x*a, and :func:`mul_add`;
-above the cap both fall back to the operators.
+The commutator kernel builds [a, x] = a*x - x*a in a single pass over
+row codes, adding the left-scaled rows of ``terms`` for a*x and the
+negated ones of ``negterms`` for x*a; above the cap it falls back to the
+operators.
 
-:class:`RowCodes`, carried by a matrix ring with a row table as
-``row_codes``, gives the same arithmetic to loops that keep matrices as
-tuples of row codes, so that hashing and comparing them are tuple
-operations: the pair scan of :func:`adlocal.deriv.check_derivation`
-builds x + y, D(x) + D(y), xy and D(x)y + xD(y) of a pair in one pass of
-:meth:`RowCodes.derivation_pair`, and the coset-tree walks of
-:mod:`adlocal.deriv` and :mod:`adlocal.twogen` add with
-:meth:`RowCodes.add`, without building Matrix objects.  The row-code
-format stays in this module: callers read and rebuild matrices only
-through ``RowCodes.codes`` and ``RowCodes.matrix``.
+The row table also serves loops that keep matrices as tuples of row
+codes, so that hashing and comparing them are tuple operations.  A matrix
+ring with a row table carries it as ``row_codes``: the pair scan of
+:func:`adlocal.deriv.check_derivation` builds x + y, D(x) + D(y), xy and
+D(x)y + xD(y) of a pair in one pass of :meth:`RowTable.derivation_pair`,
+and the coset-tree walks of :mod:`adlocal.deriv` and :mod:`adlocal.twogen`
+add with :meth:`RowTable.plus`, without building Matrix objects.  The
+row-code format stays in this module: callers read and rebuild matrices
+only through ``RowTable.codes`` and ``RowTable.matrix``.
 """
 
 from __future__ import annotations
@@ -59,9 +57,14 @@ class RowTable:
     left, so that products stay right over non-commutative bases.
     ``negterms[c]`` is the same with ``scaled[d]`` the negation of that
     row, -(x*d), so a difference of products needs no negation pass.
+
+    For loops on row-code tuples, ``codes`` reads the row codes of a
+    value, ``matrix`` builds the Matrix back, ``zero`` is the zero
+    matrix's codes, and :meth:`plus` and :meth:`derivation_pair` compute
+    on codes.
     """
 
-    __slots__ = ("size", "rows", "code", "add", "neg", "terms", "negterms")
+    __slots__ = ("ring", "n", "size", "rows", "code", "add", "neg", "terms", "negterms", "zero")
 
     def __init__(self, base: Ring, n: int):
         els = base.elements()
@@ -72,6 +75,7 @@ class RowTable:
         neg_t = [index(base.neg(a)) for a in els]
         digits = tuple(product(range(card), repeat=n))
         of_digits = {d: c for c, d in enumerate(digits)}.__getitem__
+        self.ring, self.n, self.zero = base, n, (0,) * n
         self.size = len(digits)
         self.rows = tuple(product(els, repeat=n))
         self.code = {row: c for c, row in enumerate(self.rows)}
@@ -90,6 +94,39 @@ class RowTable:
         self.negterms = tuple(
             tuple((k, negscale[x]) for k, x in enumerate(d) if x) for d in digits
         )
+
+    def codes(self, v):
+        """The row codes of ``v``, or None when ``v`` is not a matrix on
+        this row table."""
+        if v.__class__ is Matrix and v._rt is self:
+            return v._data
+        return None
+
+    def matrix(self, codes: tuple) -> Matrix:
+        return _coded(self.ring, self.n, self, codes)
+
+    def plus(self, c: tuple, d: tuple) -> tuple:
+        add = self.add
+        return tuple([add[p][q] for p, q in zip(c, d)])
+
+    def derivation_pair(self, x: tuple, y: tuple, dx: tuple, dy: tuple) -> tuple:
+        """The row codes of x + y, dx + dy, x*y and dx*y + x*dy, each row
+        of the two products in one pass over the left-scaled rows of
+        ``terms``."""
+        add, terms = self.add, self.terms
+        total, dtotal, prod, leib = [], [], [], []
+        for p, q, a, b in zip(x, dx, y, dy):
+            total.append(add[p][a])
+            dtotal.append(add[q][b])
+            acc = lacc = 0
+            for k, scaled in terms[p]:
+                acc = add[acc][scaled[y[k]]]
+                lacc = add[lacc][scaled[dy[k]]]
+            for k, scaled in terms[q]:
+                lacc = add[lacc][scaled[y[k]]]
+            prod.append(acc)
+            leib.append(lacc)
+        return tuple(total), tuple(dtotal), tuple(prod), tuple(leib)
 
 
 @lru_cache(maxsize=None)
@@ -299,107 +336,28 @@ def staircase(ring: Ring, n: int) -> Matrix:
     return Matrix(ring, rows)
 
 
-def _two_products(rt: RowTable, a: Matrix, b: Matrix, c: Matrix, d: Matrix, second) -> Matrix:
-    """a*b + c*d with ``second`` = ``rt.terms``, a*b - c*d with
-    ``rt.negterms``, for four operands sharing the row table ``rt``.
-
-    Row i is built in one pass over row codes: the sum over k of
-    a_ik * (row k of b), from ``rt.terms``, then the sum over k of
-    c_ik * (row k of d), or of its negation, from ``second``.  Both scale
-    on the left, so the result is right over non-commutative bases.
-    """
-    add, terms = rt.add, rt.terms
-    bs, ds = b._data, d._data
-    out = []
-    for p, q in zip(a._data, c._data):
-        acc = 0
-        for k, scaled in terms[p]:
-            acc = add[acc][scaled[bs[k]]]
-        for k, scaled in second[q]:
-            acc = add[acc][scaled[ds[k]]]
-        out.append(acc)
-    return _coded(a.ring, a.n, rt, tuple(out))
-
-
-class RowCodes:
-    """The row-code arithmetic of M_n(R) with a row table, for loops that
-    keep matrices as tuples of row codes, so that hashing and comparing
-    them are tuple operations: ``codes`` reads the row codes of a value,
-    ``matrix`` builds the Matrix back, and ``add`` and
-    :meth:`derivation_pair` compute on row codes with the table's ``add``
-    and ``terms``, as :func:`_two_products` does.  A matrix ring with a row
-    table carries one as ``row_codes``."""
-
-    __slots__ = ("ring", "n", "rt", "zero", "_add", "_terms")
-
-    def __init__(self, ring: Ring, n: int, rt: RowTable):
-        self.ring, self.n, self.rt = ring, n, rt
-        self.zero = (0,) * n
-        self._add, self._terms = rt.add, rt.terms
-
-    def codes(self, v):
-        """The row codes of ``v``, or None when ``v`` is not a matrix on
-        this row table."""
-        if v.__class__ is Matrix and v._rt is self.rt:
-            return v._data
-        return None
-
-    def matrix(self, codes: tuple) -> Matrix:
-        return _coded(self.ring, self.n, self.rt, codes)
-
-    def add(self, c: tuple, d: tuple) -> tuple:
-        add = self._add
-        return tuple([add[p][q] for p, q in zip(c, d)])
-
-    def derivation_pair(self, x: tuple, y: tuple, dx: tuple, dy: tuple) -> tuple:
-        """The row codes of x + y, dx + dy, x*y and dx*y + x*dy, each row
-        of the two products in one pass over the left-scaled rows of
-        ``terms``."""
-        add, terms = self._add, self._terms
-        total, dtotal, prod, leib = [], [], [], []
-        for p, q, a, b in zip(x, dx, y, dy):
-            total.append(add[p][a])
-            dtotal.append(add[q][b])
-            acc = lacc = 0
-            for k, scaled in terms[p]:
-                acc = add[acc][scaled[y[k]]]
-                lacc = add[lacc][scaled[dy[k]]]
-            for k, scaled in terms[q]:
-                lacc = add[lacc][scaled[y[k]]]
-            prod.append(acc)
-            leib.append(lacc)
-        return tuple(total), tuple(dtotal), tuple(prod), tuple(leib)
-
-
 def commutator(a: Matrix, x: Matrix) -> Matrix:
     """[a, x] = a*x - x*a, in one row-code pass when a and x share a row
-    table (:func:`_two_products` with ``negterms``); any other operands
-    take ``a * x - x * a``."""
+    table; any other operands take ``a * x - x * a``.
+
+    Row i is the sum over k of a_ik * (row k of x), from ``terms``, then
+    the sum over k of -(x_ik * (row k of a)), from ``negterms``.  Both
+    scale on the left, so the result is right over non-commutative bases.
+    """
     rt = a._rt
     if rt is not None and x.__class__ is Matrix and x._rt is rt:
-        return _two_products(rt, a, x, x, a, rt.negterms)
+        add, terms, negterms = rt.add, rt.terms, rt.negterms
+        ours, theirs = a._data, x._data
+        out = []
+        for p, q in zip(ours, theirs):
+            acc = 0
+            for k, scaled in terms[p]:
+                acc = add[acc][scaled[theirs[k]]]
+            for k, scaled in negterms[q]:
+                acc = add[acc][scaled[ours[k]]]
+            out.append(acc)
+        return _coded(a.ring, a.n, rt, tuple(out))
     return a * x - x * a
-
-
-def mul_add(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    """a*b + c*d, in one row-code pass when the four operands share a row
-    table (:func:`_two_products` with ``terms``); any other operands take
-    ``a * b + c * d``.  The Leibniz checks of :mod:`adlocal.deriv` build
-    D(x)y + xD(y) with it on the certificate's basis pairs and on
-    carriers without a row table; the pair scan on a row table uses
-    :meth:`RowCodes.derivation_pair`."""
-    rt = a._rt
-    if (
-        rt is not None
-        and b.__class__ is Matrix
-        and b._rt is rt
-        and c.__class__ is Matrix
-        and c._rt is rt
-        and d.__class__ is Matrix
-        and d._rt is rt
-    ):
-        return _two_products(rt, a, b, c, d, rt.terms)
-    return a * b + c * d
 
 
 def matrix_index(x: Matrix) -> int:
@@ -437,8 +395,7 @@ class MatrixRing(Ring):
         card = base.cardinality
         self.cardinality = None if card is None else card ** (n * n)
         self.commutative_declared = n == 1 and base.commutative_declared
-        self._rt = row_table(base, n)
-        self.row_codes = None if self._rt is None else RowCodes(base, n, self._rt)
+        self._rt = self.row_codes = row_table(base, n)
         self._zero = zero_matrix(base, n)
         self._one = identity_matrix(base, n)
         self._units = tuple(
@@ -451,7 +408,6 @@ class MatrixRing(Ring):
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
     commutator = staticmethod(commutator)
-    mul_add = staticmethod(mul_add)
 
     @property
     def zero(self):

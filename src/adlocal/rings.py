@@ -33,8 +33,8 @@ class Ring:
     spec: str
     cardinality: int | None
     commutative_declared: bool
-    # the row-code arithmetic of a matrix ring with a row table
-    # (adlocal.matrix.RowCodes); None for every other ring
+    # the row table of a matrix ring that has one
+    # (adlocal.matrix.RowTable); None for every other ring
     row_codes = None
 
     def add(self, a, b):
@@ -74,10 +74,6 @@ class Ring:
     def commutator(self, a, x):
         """[a, x] = a*x - x*a; matrix rings use one fused kernel."""
         return self.sub(self.mul(a, x), self.mul(x, a))
-
-    def mul_add(self, a, b, c, d):
-        """a*b + c*d; matrix rings use the same fused kernel."""
-        return self.add(self.mul(a, b), self.mul(c, d))
 
     def elements(self) -> tuple:
         """All elements in canonical order; cached after the first call."""

@@ -12,7 +12,10 @@ those before it.  Additivity of a map delta on all |S|^2 pairs is
 certified along the coset tree of G: delta(0) = 0, one check
 delta(u + g) = delta(u) + delta(g) per element as the span grows by the
 cosets H + k*g, and one relation check per generator where a multiple of
-g falls back into H, so |S| + |G| checks in all.  A closure has at most
+g falls back into H, so |S| + |G| checks in all.  The walk adds and
+compares row codes (:class:`adlocal.matrix.RowTable`) when the ambient
+ring has a row table and every element and value of the table is on it,
+and uses the ambient ring's operators otherwise.  A closure has at most
 ELEMENT_CAP elements, so every closure is certified this way.  A pair
 scan runs only to report the first failure of a map the certificate
 rejects: all |S|^2 ordered pairs of a small closure, or the |S| * |G|
@@ -100,13 +103,13 @@ def _additive(S: GeneratedSubring, values: dict) -> bool:
     the ambient ring's operators, so that a value off the table (a matrix
     of another shape, say) gives the operators' verdict or exception."""
     ambient = S.ambient
-    rc = ambient.row_codes
-    if rc is not None:
-        codes = rc.codes
+    rt = ambient.row_codes
+    if rt is not None:
+        codes = rt.codes
         table = {codes(p): codes(v) for p, v in values.items()}
         if None not in table and None not in table.values():
             gens = [codes(g) for g in S.span_generators]
-            return _additive_on_span(rc.add, rc.zero, table.__getitem__, gens)
+            return _additive_on_span(rt.plus, rt.zero, table.__getitem__, gens)
     return _additive_on_span(ambient.add, ambient.zero, values.__getitem__, S.span_generators)
 
 

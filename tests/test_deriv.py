@@ -23,6 +23,7 @@ from adlocal import (
     commutator,
     corner_embed,
     generate_subring,
+    Matrix,
     identity_matrix,
     inner_derivation,
     maps_equal,
@@ -681,14 +682,21 @@ def _deriv_result(check, D, budget):
         return "raised", str(exc)
 
 
+class _Sub(Matrix):
+    """Matrix values of another class: equal to the carrier's matrices,
+    but off its row table."""
+
+    __slots__ = ()
+
+
 def _deriv_maps(carrier, rng):
     """(name, evaluate) cases: an inner map, the identity, the inner map
     perturbed at one element, at zero and at the all-ones element (every
-    coordinate 1, off the walk of a tree missing any one coordinate), and
+    coordinate 1, off the walk of a tree missing any one coordinate),
     additive maps that break Leibniz: ad_a plus right multiplication by c,
     ad_a plus a coordinate swap, and ad_a plus x -> e11 x e22, whose
     Leibniz defect vanishes on every pair (E_k, E_k) but not on
-    (e12, e21)."""
+    (e12, e21), and the inner map with its values as :class:`_Sub`."""
     add, mul, sub = carrier.add, carrier.mul, carrier.sub
     card, index, element = carrier.cardinality, carrier.index, carrier.element
     m = _coordinates(carrier).m
@@ -721,6 +729,7 @@ def _deriv_maps(carrier, rng):
         ("additive, right multiplication", lambda x: add(inner(x), mul(x, c))),
         ("additive, coordinate swap", lambda x: add(inner(x), swap(x))),
         ("additive, corner projection", lambda x: add(inner(x), mul(mul(e11, x), e22))),
+        ("inner, subclass values", lambda x: _Sub(carrier.base, inner(x).rows)),
     ]
 
 
@@ -747,6 +756,39 @@ def test_check_derivation_matches_pair_scan(label):
     want = _deriv_result(_scan_reference, wide, budget)
     assert want[0] == "raised"
     assert _deriv_result(check_derivation, wide, budget) == want
+
+
+@pytest.mark.parametrize("label", sorted(set(DERIV_CARRIERS) - {"M2M2Z2"}))
+def test_check_derivation_starts_over_when_a_late_value_leaves_the_table(label):
+    # the inner map with a value in M_{n+1} at the last point the ordered
+    # scan meets: a checker on row codes meets it late, in the walk of the
+    # certificate or (M4(Z2)) in the last of its 656 pairs, and starts over
+    # on the operators, evaluating the map afresh.  M2(M2(Z2)) is left out
+    # for time: its 65,536-pair reference scan runs twice here.
+    spec, budget = DERIV_CARRIERS[label]
+    carrier = parse_ring_spec(spec)
+    inner = _deriv_maps(carrier, rng_for(13, f"deriv-diff:{label}"))[0][1]
+    domain = verification_domain(carrier)
+    met = {}
+
+    def spy(x):
+        met.setdefault(x, len(met))
+        return inner(x)
+
+    _scan_reference(DerivationMap(carrier, spy, domain), **budget)
+    late = max(met, key=met.get)
+    calls = []
+
+    def leaves(x):
+        calls.append(x)
+        return corner_embed(inner(x), carrier.n + 1) if x == late else inner(x)
+
+    D = DerivationMap(carrier, leaves, domain)
+    want = _deriv_result(_scan_reference, D, budget)
+    assert want[0] is not True
+    calls.clear()
+    assert _deriv_result(check_derivation, D, budget) == want
+    assert (len(calls) > len(set(calls))) is (carrier.row_codes is not None)
 
 
 @pytest.mark.parametrize("label", ["M2Z4", "M3Z2", "M2Z2t2"])

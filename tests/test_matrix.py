@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.matrix import Matrix, mul_add
+from adlocal.matrix import Matrix
 from adlocal.sampling import rng_for
 
 
@@ -498,64 +500,44 @@ def test_commutator_falls_back_above_row_table_cap():
         _assert_commutator_matches(carrier, a, x)
 
 
-# Differential test of mul_add, the kernel's other reading (``terms`` for
-# the second product): against the operators and entrywise arithmetic on
-# the same carriers, the order of every product mattering on M2(M2(Z2)).
+# Differential test of the a*b + c*d kernel, RowTable.derivation_pair, the
+# row-code pass of the derivation pair scan: derivation_pair(c, b, a, d) is
+# c + b, a + d, c*b and a*b + c*d, checked against the operators and
+# entrywise arithmetic on the same carriers, the order of every product
+# mattering on M2(M2(Z2)).
 
 
-def _assert_mul_add_matches(carrier, a, b, c, d, ref_ab=None, ref_cd=None):
-    ring = a.ring
-    got = mul_add(a, b, c, d)
-    assert got == a * b + c * d
-    if ref_ab is None:
-        ref_ab, ref_cd = Matrix(ring, _ref_mul(a, b)), Matrix(ring, _ref_mul(c, d))
-    _assert_same_key(got, ring, _ref_add(ref_ab, ref_cd))
-    assert carrier.mul_add(a, b, c, d) == got
-    assert Ring.mul_add(carrier, a, b, c, d) == got
+def _assert_derivation_pair_matches(a, b, c, d, products=None):
+    ring, rt = a.ring, a._rt
+    if products is None:
+        products = {(x, y): Matrix(ring, _ref_mul(x, y)) for x, y in ((a, b), (c, b), (c, d))}
+    codes = rt.codes
+    got = rt.derivation_pair(codes(c), codes(b), codes(a), codes(d))
+    total, dtotal, prod, leibniz = map(rt.matrix, got)
+    assert (total, dtotal, prod, leibniz) == (c + b, a + d, c * b, a * b + c * d)
+    _assert_same_key(total, ring, _ref_add(c, b))
+    _assert_same_key(dtotal, ring, _ref_add(a, d))
+    _assert_same_key(prod, ring, products[c, b].rows)
+    _assert_same_key(leibniz, ring, _ref_add(products[a, b], products[c, d]))
 
 
 def test_mul_add_kernel_all_quadruples():
     carrier = SMALL_CARRIERS["M2(Z2)"]()
-    assert carrier._rt is not None
+    assert carrier.row_codes is carrier._rt is not None
     els = carrier.elements()
-    pairs = [(a, b, Matrix(a.ring, _ref_mul(a, b))) for a in els for b in els]
-    for a, b, ref_ab in pairs:
-        for c, d, ref_cd in pairs:
-            _assert_mul_add_matches(carrier, a, b, c, d, ref_ab, ref_cd)
+    products = {(a, b): Matrix(a.ring, _ref_mul(a, b)) for a in els for b in els}
+    for a, b, c, d in product(els, repeat=4):
+        _assert_derivation_pair_matches(a, b, c, d, products)
 
 
 @pytest.mark.parametrize("label", sorted(COMMUTATOR_SAMPLED))
 def test_mul_add_kernel_sampled_quadruples(label):
     carrier = COMMUTATOR_SAMPLED[label]()
-    assert carrier._rt is not None
+    assert carrier.row_codes is carrier._rt is not None
     rng = rng_for(0, f"mul-add:{label}")
     for _ in range(1000):
         a, b, c, d = (rand_elem(carrier, rng) for _ in range(4))
-        _assert_mul_add_matches(carrier, a, b, c, d)
-
-
-def test_mul_add_falls_back_above_row_table_cap():
-    # M3(Z7) has 7^3 possible rows, beyond the row tables
-    z7 = zmod(7)
-    rng = rng_for(0, "mul-add:M3(Z7)")
-    draw = lambda: Matrix(z7, tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3)))
-    carrier = MatrixRing(z7, 3)  # no axiom check: matrix_ring's sampled one takes about 2 s
-    for _ in range(300):
-        a, b, c, d = draw(), draw(), draw(), draw()
-        assert a._rt is None
-        _assert_mul_add_matches(carrier, a, b, c, d)
-
-
-def test_mul_add_refuses_operands_of_another_carrier():
-    # same digits, other base ring: only a shared row table takes the fused pass
-    els = SMALL_CARRIERS["M2(Z4)"]().elements()
-    other = SMALL_CARRIERS["M2(Z2[t]/(t^2))"]().elements()
-    picks = (7, 11, 13, 14)
-    for k in range(1, 4):
-        mixed = [els[i] for i in picks]
-        mixed[k] = other[picks[k]]
-        with pytest.raises(ShapeMismatchError):
-            mul_add(*mixed)
+        _assert_derivation_pair_matches(a, b, c, d)
 
 
 def _assert_ne_agrees(x, y):

@@ -20,6 +20,7 @@ from adlocal import (
 )
 from adlocal import twogen
 from adlocal.deriv import Failure, VerificationReport
+from adlocal.matrix import Matrix
 from adlocal.matrix import _module_rank
 from adlocal.sampling import rng_for
 
@@ -308,10 +309,19 @@ def test_generate_subring_matches_reference(label):
         assert 1 << len(gens) <= len(S.elements)
 
 
+class _Sub(Matrix):
+    """Matrix values of another class: equal to the ambient ring's
+    matrices, but off its row table."""
+
+    __slots__ = ()
+
+
 def _tables(S, rng):
     """(name, delta, d) cases over S: inner tables that pass, tables that
     break additivity at one element, at zero, or on a coset of the span of
-    some span generators (additive along those), and the identity table."""
+    some span generators (additive along those), the identity table, an
+    inner table with values off the row table, and the inner table with
+    its values as :class:`_Sub`."""
     ambient = S.ambient
     card = ambient.cardinality
     a = ambient.element(rng.randrange(card))
@@ -338,6 +348,8 @@ def _tables(S, rng):
         g = S.span_generators[0]
         wide = corner_embed(inner[g], ambient.n + 1)
         cases.append(("generator value off the table", {**inner, g: wide}, a))
+    subclass = {p: _Sub(ambient.base, v.rows) for p, v in inner.items()}
+    cases.append(("inner, subclass values", subclass, a))
     return cases
 
 
