@@ -206,7 +206,7 @@ def _corner_e12(base):
 
 def _run_extend_deriv(cfg, base):
     corner_ring = matrix_ring(base, 2)
-    D = inner_derivation(_corner_e12(base), corner_ring, cfg.seed)
+    D = inner_derivation(_corner_e12(base), corner_ring)
     ext = extend_derivation_to_n(D, cfg.n)
     yield _step(check_derivation(ext, pair_samples=cfg.pair_samples, seed=cfg.seed))
     for v in corner_ring.elements():
@@ -235,7 +235,7 @@ def _run_extend_2local(cfg, base):
     # sampled global 2-locality of the extension of one adversarial oracle
     oracle = adversarial_oracle(_corner_e12(base), corner_ring)
     ext = extend_two_local_to_n(oracle, cfg.n)
-    dmap = DerivationMap(carrier, ext.value, verification_domain(carrier, cfg.seed))
+    dmap = DerivationMap(carrier, ext.value, verification_domain(carrier))
     yield _step(check_two_local(dmap, pair_cap=0, pair_samples=cfg.two_local_pairs, seed=cfg.seed))
 
 
@@ -287,13 +287,13 @@ def _run_two_local_check(cfg, base):
         targets = _draws(cfg, carrier, "two-local-maps", 16)
     for a in targets:
         rep = check_two_local(
-            inner_derivation(a, carrier, cfg.seed),
+            inner_derivation(a, carrier),
             pair_samples=cfg.two_local_pairs,
             seed=cfg.seed,
         )
         yield _step(rep)
     # negative control: the identity map must be rejected at (e11, e11)
-    ident = DerivationMap(carrier, lambda x: x, verification_domain(carrier, cfg.seed))
+    ident = DerivationMap(carrier, lambda x: x, verification_domain(carrier))
     rep = check_two_local(ident, pair_samples=cfg.two_local_pairs, seed=cfg.seed)
     e11 = matrix_unit(base, cfg.n, 1, 1)
     failures = _accepted_control(rep, (e11, e11))

@@ -164,14 +164,14 @@ def _sampled_domain(carrier: Ring, seed: int, sample: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def verification_domain(carrier: Ring, seed: int = DEFAULT_SEED) -> tuple:
+def verification_domain(carrier: Ring) -> tuple:
     """Units, then the staircase, then all remaining elements in canonical
     order (carriers of at most FULL_DOMAIN_CAP elements) or DOMAIN_SAMPLE
-    seeded draws (larger ones)."""
+    draws at DEFAULT_SEED (larger ones)."""
     card = carrier.cardinality
     if card is not None and card <= FULL_DOMAIN_CAP:
         return tuple(dict.fromkeys(_domain_lead(carrier) + list(carrier.elements())))
-    return _sampled_domain(carrier, seed, DOMAIN_SAMPLE)
+    return _sampled_domain(carrier, DEFAULT_SEED, DOMAIN_SAMPLE)
 
 
 def verification_elements(
@@ -185,14 +185,14 @@ def verification_elements(
     return _sampled_domain(carrier, seed, sample)
 
 
-def inner_derivation(a, carrier: Ring | None = None, seed: int = DEFAULT_SEED) -> DerivationMap:
+def inner_derivation(a, carrier: Ring | None = None) -> DerivationMap:
     """The map x -> a*x - x*a, with a full verification domain when small."""
     if carrier is None:
         if not isinstance(a, Matrix):
             raise TypeError("carrier required for non-matrix elements")
         carrier = matrix_ring(a.ring, a.n)
     evaluate = partial(carrier.commutator, a)
-    return DerivationMap(carrier, evaluate, verification_domain(carrier, seed), witness=a)
+    return DerivationMap(carrier, evaluate, verification_domain(carrier), witness=a)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from operator import add
 
 from .deriv import (
-    DEFAULT_SEED,
     DerivationMap,
     WitnessOracle,
     _Memo,
@@ -208,7 +207,7 @@ def extend_extract_compress(oracle: WitnessOracle, n: int, force: bool = False) 
     d = extract_witness(nabla, n, force=force)
     c = corner_extract(d, corner.n)
     commutator = corner.commutator
-    for x in verification_elements(corner, seed=DEFAULT_SEED):
+    for x in verification_elements(corner):
         if commutator(c, x) != oracle.value(x):
             raise VerificationFailedError(
                 "compressed witness fails to implement the corner map",

@@ -17,6 +17,7 @@ def _load(name):
 
 run_experiments = _load("run_experiments")
 extraction_demo = _load("extraction_demo")
+sloc = _load("sloc")
 
 from adlocal.cli import ExperimentConfig, run
 
@@ -76,3 +77,51 @@ def test_extraction_demo_runs(monkeypatch, capsys):
     assert "carrier M_2(zmod:2), 16 elements" in out
     assert "implements the hidden map on all 16 elements: True" in out
     assert "difference from the hidden element is central: True" in out
+
+
+def test_extraction_demo_samples_above_the_enumeration_cap(monkeypatch, capsys):
+    # M5(Z2) has 2^25 elements, too many to enumerate: the maps are compared
+    # on the sampled verification elements and centrality is decided on the
+    # matrix units
+    monkeypatch.setattr(sys, "argv", ["extraction_demo.py", "--ring", "zmod:2", "--n", "5"])
+    extraction_demo.main()
+    out = capsys.readouterr().out
+    assert "carrier M_5(zmod:2), 33554432 elements" in out
+    assert "sampled elements: True" in out
+    assert "difference from the hidden element is central: True" in out
+
+
+SLOC_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves a code line
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    text = """a string that is no docstring,
+    over two lines"""
+
+    def f(self):
+        """Function docstring,
+
+        over three lines."""
+        return (1 +
+                2)
+'''
+
+
+def test_sloc_counts_code_lines_only(tmp_path, capsys):
+    # import, class, the two lines of the string, def, and the two lines of
+    # the return: blank lines, comments and docstrings do not count
+    assert sloc.code_lines(SLOC_FIXTURE) == 7
+    (tmp_path / "a.py").write_text(SLOC_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert sloc.main([str(tmp_path / "b.py"), str(tmp_path / "a.py")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     7  a.py",
+        "     1  b.py",
+        "     8  total",
+    ]
