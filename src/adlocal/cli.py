@@ -67,7 +67,6 @@ class ExperimentConfig:
     experiment: str
     seed: int = 0
     pair_samples: int = 100_000
-    element_samples: int = 10_000
     two_local_pairs: int = 1_000
     witness_samples: int = 100
     gen_pairs: int = 50
@@ -76,7 +75,7 @@ class ExperimentConfig:
 
 # budget fields of ExperimentConfig that must be positive; with gen_pairs,
 # which may be 0, each is a CLI flag of the same name
-_SAMPLE_BUDGETS = ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
+_SAMPLE_BUDGETS = ("pair_samples", "two_local_pairs", "witness_samples")
 
 
 def _flag(name):
@@ -154,7 +153,7 @@ def _witness_targets(cfg, carrier):
 
 def _run_extract_all(cfg, base):
     carrier = matrix_ring(base, cfg.n)
-    domain = verification_elements(carrier, cfg.seed, sample=cfg.element_samples)
+    domain = verification_elements(carrier, cfg.seed)
     basis = _coordinate_basis(carrier)
     for a in _witness_targets(cfg, carrier):
         oracle = adversarial_oracle(a, carrier)

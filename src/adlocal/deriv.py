@@ -174,15 +174,13 @@ def verification_domain(carrier: Ring) -> tuple:
     return _sampled_domain(carrier, DEFAULT_SEED, DOMAIN_SAMPLE)
 
 
-def verification_elements(
-    carrier: Ring, seed: int = DEFAULT_SEED, sample: int = DOMAIN_SAMPLE
-) -> tuple:
+def verification_elements(carrier: Ring, seed: int = DEFAULT_SEED) -> tuple:
     """Element set for map-equality checks: exhaustive up to ELEMENT_CAP,
-    otherwise units + staircase + ``sample`` seeded draws."""
+    otherwise units + staircase + DOMAIN_SAMPLE seeded draws."""
     card = carrier.cardinality
     if card is not None and card <= ELEMENT_CAP:
         return carrier.elements()
-    return _sampled_domain(carrier, seed, sample)
+    return _sampled_domain(carrier, seed, DOMAIN_SAMPLE)
 
 
 def inner_derivation(a, carrier: Ring | None = None) -> DerivationMap:

@@ -180,8 +180,7 @@ def test_extract_all_n5_finishes(capsys):
     # M5(Z2) has 2^25 elements, which a scan of the carrier never finished
     start = time.perf_counter()
     code, out, _ = run_cli(
-        capsys, "extract-all", "--ring", "zmod:2", "--n", "5",
-        "--witness-samples", "1", "--element-samples", "10",
+        capsys, "extract-all", "--ring", "zmod:2", "--n", "5", "--witness-samples", "1"
     )
     elapsed = time.perf_counter() - start
     assert code == 0
@@ -303,7 +302,7 @@ def test_negative_budget_rejected(capsys):
 BAD_BUDGETS = (
     [
         (name, value)
-        for name in ("pair_samples", "element_samples", "two_local_pairs", "witness_samples")
+        for name in ("pair_samples", "two_local_pairs", "witness_samples")
         for value in (0, -3)
     ]
     + [("gen_pairs", -1)]
@@ -311,7 +310,6 @@ BAD_BUDGETS = (
         (name, cli.BUDGET_CAP + 1)
         for name in (
             "pair_samples",
-            "element_samples",
             "two_local_pairs",
             "witness_samples",
             "gen_pairs",
@@ -342,7 +340,7 @@ def _extract_all_reference(cfg):
     """Checks, failure records and witnesses of the scan of every x of the
     domain for every witness, up to the first failing x."""
     carrier = matrix_ring(parse_ring_spec(cfg.ring), cfg.n)
-    domain = verification_elements(carrier, cfg.seed, sample=cfg.element_samples)
+    domain = verification_elements(carrier, cfg.seed)
     checks, witnesses = 0, []
     for a in cli._witness_targets(cfg, carrier):
         abar = cli.extract_witness(adversarial_oracle(a, carrier), cfg.n, force=cfg.force)
@@ -410,7 +408,7 @@ def test_extract_all_sampled_domain_without_a_failing_x_reports_the_basis(monkey
     e11 = matrix_unit(zmod(2), 2, 1, 1)
     z = matrix(base, [[e11, base.zero], [base.zero, e11]])
     _shifted_extraction(monkeypatch, z, keep=False)
-    monkeypatch.setattr(cli, "verification_elements", lambda carrier, seed, sample: carrier.units())
+    monkeypatch.setattr(cli, "verification_elements", lambda carrier, seed: carrier.units())
     cfg = ExperimentConfig(ring="mat:zmod:2:2", n=2, experiment="extract-all", force=True)
     report = run(cfg)
     # E_0 = e22 (x) e22 commutes with z, E_1 = e22 (x) e21 does not
