@@ -115,7 +115,7 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
     R, m = A.base, A.n
     big = matrix_ring(R, 2 * m)
-    rt, half = big._rt, A._rt
+    rt, half = big.row_codes, A.row_codes
     dv, pv, mv = _block_maps(A, D.evaluate)
 
     if rt is not None:

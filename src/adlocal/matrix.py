@@ -395,7 +395,7 @@ class MatrixRing(Ring):
         card = base.cardinality
         self.cardinality = None if card is None else card ** (n * n)
         self.commutative_declared = n == 1 and base.commutative_declared
-        self._rt = self.row_codes = row_table(base, n)
+        self.row_codes = row_table(base, n)
         self._zero = zero_matrix(base, n)
         self._one = identity_matrix(base, n)
         self._units = tuple(
@@ -423,7 +423,7 @@ class MatrixRing(Ring):
     def element(self, i):
         if self.cardinality is not None and not 0 <= i < self.cardinality:
             raise IndexError(f"no element {i} in {self.spec}")
-        base, n, rt = self.base, self.n, self._rt
+        base, n, rt = self.base, self.n, self.row_codes
         if rt is not None:
             codes = []
             for _ in range(n):
@@ -440,7 +440,7 @@ class MatrixRing(Ring):
         return Matrix(base, rows)
 
     def _listed(self):
-        rt = self._rt
+        rt = self.row_codes
         if rt is None:
             return super()._listed()
         # itertools.product varies the last slot fastest, which is exactly

@@ -463,7 +463,7 @@ def _assert_commutator_matches(carrier, a, x):
 @pytest.mark.parametrize("label", ["M2(Z2)", "M2(Z3)"])
 def test_commutator_kernel_all_pairs(label):
     carrier = SMALL_CARRIERS[label]()
-    assert carrier._rt is not None
+    assert carrier.row_codes is not None
     els = carrier.elements()
     for a in els:
         for x in els:
@@ -482,7 +482,7 @@ COMMUTATOR_SAMPLED = {
 @pytest.mark.parametrize("label", sorted(COMMUTATOR_SAMPLED))
 def test_commutator_kernel_sampled_pairs(label):
     carrier = COMMUTATOR_SAMPLED[label]()
-    assert carrier._rt is not None
+    assert carrier.row_codes is not None
     rng = rng_for(0, f"commutator:{label}")
     for _ in range(1000):
         _assert_commutator_matches(carrier, rand_elem(carrier, rng), rand_elem(carrier, rng))
@@ -523,7 +523,7 @@ def _assert_derivation_pair_matches(a, b, c, d, products=None):
 
 def test_mul_add_kernel_all_quadruples():
     carrier = SMALL_CARRIERS["M2(Z2)"]()
-    assert carrier.row_codes is carrier._rt is not None
+    assert carrier.row_codes is not None
     els = carrier.elements()
     products = {(a, b): Matrix(a.ring, _ref_mul(a, b)) for a in els for b in els}
     for a, b, c, d in product(els, repeat=4):
@@ -533,7 +533,7 @@ def test_mul_add_kernel_all_quadruples():
 @pytest.mark.parametrize("label", sorted(COMMUTATOR_SAMPLED))
 def test_mul_add_kernel_sampled_quadruples(label):
     carrier = COMMUTATOR_SAMPLED[label]()
-    assert carrier.row_codes is carrier._rt is not None
+    assert carrier.row_codes is not None
     rng = rng_for(0, f"mul-add:{label}")
     for _ in range(1000):
         a, b, c, d = (rand_elem(carrier, rng) for _ in range(4))
