@@ -11,6 +11,7 @@ from adlocal import (
     DerivationMap,
     InconsistentOracleError,
     InfiniteRingError,
+    Matrix,
     MatrixRing,
     PreconditionError,
     Ring,
@@ -23,7 +24,6 @@ from adlocal import (
     commutator,
     corner_embed,
     generate_subring,
-    Matrix,
     identity_matrix,
     inner_derivation,
     maps_equal,

@@ -20,8 +20,7 @@ from adlocal import (
 )
 from adlocal import twogen
 from adlocal.deriv import Failure, VerificationReport
-from adlocal.matrix import Matrix
-from adlocal.matrix import _module_rank
+from adlocal.matrix import Matrix, _module_rank
 from adlocal.sampling import rng_for
 
 
