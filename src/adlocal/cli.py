@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -385,13 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=list(_RUNNERS))
     parser.add_argument("--ring", required=True, help="zmod:<m> | poly:<m>:<k> | mat:<spec>:<n>")
     parser.add_argument("--n", type=int, required=True, help="matrix dimension (>= 2)")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="root seed for every sampled budget (env ADLOCAL_SEED overrides the default 0)",
-    )
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    parser.add_argument(
+        "--seed", type=int, default=defaults["seed"], help="root seed for every sampled budget"
+    )
     for name in (*_SAMPLE_BUDGETS, "gen_pairs"):
         parser.add_argument(_flag(name), type=int, default=defaults[name])
     parser.add_argument("--force", action="store_true", help="probe non-commutative base rings")
@@ -402,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed is None:
-            env_seed = os.environ.get("ADLOCAL_SEED", "0")
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                raise CliConfigError(f"ADLOCAL_SEED={env_seed!r} is not an integer") from None
         config = ExperimentConfig(
             **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
         )

@@ -81,11 +81,11 @@ class Failure:
 
 @dataclass
 class VerificationReport:
+    """A checker's verdict: ``checked`` counts the cases it covers and
+    ``failures`` holds the first counterexample, if any."""
+
     checked: int = 0
     failures: list = field(default_factory=list)
-    witness: Matrix | None = None
-    seed: int | None = None
-    notes: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -223,10 +223,9 @@ def maps_equal(f, g, domain) -> MapComparison:
 def _pair_stream(carrier, domain, pair_cap, pair_samples, seed, label):
     """Ordered pairs of the whole domain when that is affordable, otherwise
     every matrix-unit pair followed by a seeded sample of carrier pairs.
-    Returns the lazy stream, the seed it used (None for the whole domain)
-    and its length."""
+    Returns the lazy stream and its length."""
     if len(domain) * len(domain) <= pair_cap:
-        return product(domain, domain), None, len(domain) * len(domain)
+        return product(domain, domain), len(domain) * len(domain)
     units = carrier.units() if isinstance(carrier, MatrixRing) else ()
     card = carrier.cardinality
     rng = rng_for(seed, f"{label}:{carrier.spec}")
@@ -242,7 +241,7 @@ def _pair_stream(carrier, domain, pair_cap, pair_samples, seed, label):
         for _ in range(pair_samples):
             yield pick(randrange(card)), pick(randrange(card))
 
-    return stream(), seed, len(units) * len(units) + max(pair_samples, 0)
+    return stream(), len(units) * len(units) + max(pair_samples, 0)
 
 
 def _additive_on_span(add, zero, value, generators) -> bool:
@@ -345,7 +344,8 @@ class _RowDerivation(dict):
     """A map D on a carrier with a row table, memoised by the row codes of
     its argument: ``self[c]`` is the row codes of D at the matrix with row
     codes ``c``.  D runs once per distinct argument, on a Matrix built only
-    then.  A point or a value off the table raises :class:`_OffTable`.
+    then.  A point of :meth:`pair` or a value off the table raises
+    :class:`_OffTable`.
 
     :meth:`pair` is the pair check of :func:`_operator_pair` on row codes."""
 
@@ -366,11 +366,10 @@ class _RowDerivation(dict):
         return v
 
     def at(self, x):
-        """D(x) as a Matrix, for the certificate's checks with operators."""
-        c = self.rt.codes(x)
-        if c is None:
-            raise _OffTable
-        return self.rt.matrix(self[c])
+        """D(x) as a Matrix, for the certificate's checks with operators;
+        x must lie on the table, as the basis elements and their products
+        do."""
+        return self.rt.matrix(self[self.rt.codes(x)])
 
     def additive(self, generators) -> bool:
         """:func:`_additive_on_span` of D over ``generators``, on row codes."""
@@ -432,10 +431,8 @@ def check_derivation(
     carrier = D.carrier
 
     def scan(ev, additive, check_pair):
-        pairs, used_seed, length = _pair_stream(
-            carrier, D.domain, pair_cap, pair_samples, seed, "pairs"
-        )
-        report = VerificationReport(seed=used_seed)
+        pairs, length = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "pairs")
+        report = VerificationReport()
         if (
             _module_rank(carrier) is not None
             and carrier.cardinality <= min(ELEMENT_CAP, length)
@@ -811,19 +808,14 @@ def check_two_local(
     the map at both points; pass iff every pair has a witness, and stop at
     the first pair without one.
 
-    Additivity of the map is deliberately not required.  When every pair
-    returns the same witness the report records it.
+    Additivity of the map is deliberately not required.
     """
     carrier = D.carrier
     if carrier.cardinality is None:
         raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
-    pairs, used_seed, _ = _pair_stream(
-        carrier, D.domain, pair_cap, pair_samples, seed, "two-local"
-    )
-    report = VerificationReport(seed=used_seed)
-    common: Matrix | None = None
-    uniform = True
+    pairs, _ = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    report = VerificationReport()
     for x, y in pairs:
         w = witness_search(carrier, [(x, ev(x)), (y, ev(y))])
         report.checked += 1
@@ -832,12 +824,6 @@ def check_two_local(
                 Failure((x, y), (ev(x), ev(y)), None, "no common witness")
             )
             break
-        if common is None:
-            common = w
-        elif w != common:
-            uniform = False
-    if report.passed and uniform:
-        report.witness = common
     return report
 
 

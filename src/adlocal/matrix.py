@@ -511,23 +511,7 @@ def split_blocks(x: Matrix, m: int) -> tuple:
     (J-1)m+1..Jm.  join_blocks inverts exactly."""
     if x.n != 2 * m:
         raise ShapeMismatchError(f"dimension {x.n} is not 2*{m}")
-    ring, rt = x.ring, x._rt
-    if rt is not None:
-        # the first m digits of a row code are the code of its left half
-        half = row_table(ring, m)
-        width = half.size
-        top, bottom = x._data[:m], x._data[m:]
-        return (
-            (
-                _coded(ring, m, half, tuple([c // width for c in top])),
-                _coded(ring, m, half, tuple([c % width for c in top])),
-            ),
-            (
-                _coded(ring, m, half, tuple([c // width for c in bottom])),
-                _coded(ring, m, half, tuple([c % width for c in bottom])),
-            ),
-        )
-    rows = x._data
+    ring, rows = x.ring, x.rows
     return tuple(
         tuple(
             Matrix(ring, tuple(row[bj * m : bj * m + m] for row in rows[bi * m : bi * m + m]))
@@ -541,18 +525,6 @@ def join_blocks(grid) -> Matrix:
     """Flat matrix of a k x k grid (rows of m x m blocks over one ring)."""
     first = grid[0][0]
     ring, m = first.ring, first.n
-    n = len(grid) * m
-    flat = row_table(ring, n)
-    if flat is not None:
-        width = first._rt.size
-        codes = []
-        for line in grid:
-            for r in range(m):
-                acc = 0
-                for blk in line:
-                    acc = acc * width + blk._data[r]
-                codes.append(acc)
-        return _coded(ring, n, flat, tuple(codes))
     rows = []
     for line in grid:
         line_rows = [blk.rows for blk in line]

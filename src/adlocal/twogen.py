@@ -4,7 +4,8 @@ The closure is non-unital: it contains the identity only when the
 generators produce it.  An additive map on such a closure that agrees with
 the commutator map of some element d at both generators must agree with it
 on every element of the closure; :func:`check_inner_on_subring` verifies
-that claim on every element and reports where it first breaks.
+that claim for a map given as a table on the closure, on every element,
+and reports where it first breaks.
 
 :func:`generate_subring` also returns a small additive generating set G of
 the closure S, at most log2 |S| elements, each one outside the span of
@@ -115,7 +116,8 @@ def _additive(S: GeneratedSubring, values: dict) -> bool:
 
 def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     """Verify delta(p) = d*p - p*d on the whole closure, up to the first
-    element where it fails.
+    element where it fails; ``delta`` is a mapping from every element of
+    the closure to its value.
 
     Additivity of delta on S is the hypothesis and is checked first; a
     violation is reported in the result, not raised.  It is certified on
@@ -135,17 +137,12 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     which suffices for the additive delta - [d, .], and ``checked`` grows
     by |S|, one for each element it covers.  When a span generator
     disagrees, the ordered scan of the elements reports the first element
-    that does, with the count it reaches there.  The report notes whether
-    d landed inside the closure.
+    that does, with the count it reaches there.
     """
     ambient = S.ambient
     add, commutator = ambient.add, ambient.commutator
-    lookup = delta.__getitem__ if isinstance(delta, dict) else delta
-    values = {p: lookup(p) for p in S.elements}
-
-    report = VerificationReport(
-        witness=d, notes=("d inside closure" if d in values else "d outside closure",)
-    )
+    values = {p: delta[p] for p in S.elements}
+    report = VerificationReport()
 
     elements = S.elements
     count = len(elements)

@@ -5,6 +5,8 @@ import pytest
 
 from adlocal import (
     DerivationMap,
+    InconsistentOracleError,
+    VerificationFailedError,
     adversarial_oracle,
     check_two_local,
     commutator,
@@ -150,25 +152,12 @@ def test_unknown_experiment_flag_error(capsys):
     assert code == 3
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("ADLOCAL_SEED", "17")
+def test_seed_comes_only_from_the_flag(capsys, monkeypatch):
+    # no environment variable sets the seed, a malformed one included
+    monkeypatch.setenv("ADLOCAL_SEED", "abc")
     code, out, _ = run_cli(capsys, "extract-all", "--ring", "zmod:2", "--n", "2")
     assert code == 0
-    assert json.loads(out)["seed"] == 17
-    # an explicit flag wins over the environment
-    code, out, _ = run_cli(
-        capsys, "extract-all", "--ring", "zmod:2", "--n", "2", "--seed", "3"
-    )
-    assert json.loads(out)["seed"] == 3
-
-
-def test_bad_env_seed_is_a_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("ADLOCAL_SEED", "abc")
-    code, out, err = run_cli(capsys, "extract-all", "--ring", "zmod:2", "--n", "2")
-    assert code == 3
-    assert out == ""
-    assert "ADLOCAL_SEED" in err
-    # an explicit flag never reads the environment
+    assert json.loads(out)["seed"] == 0
     code, out, _ = run_cli(
         capsys, "extract-all", "--ring", "zmod:2", "--n", "2", "--seed", "3"
     )
@@ -422,3 +411,115 @@ def test_extract_all_sampled_domain_without_a_failing_x_reports_the_basis(monkey
             (a, e1), commutator(a, e1), commutator(abar, e1), "extracted witness disagrees at x"
         )
     ]
+
+
+# Failure records that the battery and the goldens never reach: each
+# failure is injected by replacing a name in cli, and the run must exit 2
+# with that record and stop at its step.
+
+
+def _failed_record(capsys, *argv):
+    """The report and the one failure record of a CLI run that must fail."""
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, doc["status"], len(doc["failures"])) == (2, "fail", 1)
+    record = doc["failures"][0]
+    assert list(record) == ["inputs", "expected", "got", "note"]
+    return doc, record
+
+
+def test_two_local_check_records_an_accepted_negative_control(capsys, monkeypatch):
+    # on a domain of zero alone the identity map is 2-local, so the control
+    # accepts it; it is the last step, so the checks are those of a pass
+    passing = run(ExperimentConfig(ring="zmod:2", n=2, experiment="two-local-check"))
+    monkeypatch.setattr(cli, "verification_domain", lambda carrier: (carrier.zero,))
+    doc, record = _failed_record(capsys, "two-local-check", "--ring", "zmod:2", "--n", "2")
+    e11 = matrix_unit(zmod(2), 2, 1, 1)
+    assert record == {
+        "inputs": [cli._ser(e11), cli._ser(e11)],
+        "expected": "rejection of the identity map",
+        "got": "accepted",
+        "note": "negative control",
+    }
+    assert doc["checks"] == passing.checks
+
+
+def test_two_local_check_records_a_wrong_counterexample_pair(capsys, monkeypatch):
+    # the domain in reverse order: the identity map first fails at a pair
+    # other than (e11, e11)
+    carrier = matrix_ring(zmod(2), 2)
+    backwards = verification_domain(carrier)[::-1]
+    control = check_two_local(DerivationMap(carrier, lambda x: x, backwards))
+    e11 = matrix_unit(zmod(2), 2, 1, 1)
+    assert not control.passed and control.failures[0].inputs != (e11, e11)
+    passing = run(ExperimentConfig(ring="zmod:2", n=2, experiment="two-local-check"))
+    monkeypatch.setattr(cli, "verification_domain", lambda carrier: backwards)
+    doc, record = _failed_record(capsys, "two-local-check", "--ring", "zmod:2", "--n", "2")
+    assert record == {
+        "inputs": cli._ser(control.failures[0].inputs),
+        "expected": cli._ser((e11, e11)),
+        "got": "wrong counterexample pair",
+        "note": "negative control",
+    }
+    # the identity control of the passing run stops at its first pair
+    assert doc["checks"] == passing.checks - 1 + control.checked
+
+
+@pytest.mark.parametrize("with_point", [True, False])
+def test_prop9_records_a_failed_roundtrip(capsys, monkeypatch, with_point):
+    # the roundtrip of the second witness target raises: its record names
+    # the target and the counterexample, if any, and the run stops there
+    corner = matrix_ring(zmod(2), 2)
+    if with_point:
+        point = corner.element(6)
+        error = VerificationFailedError("compressed witness fails the corner map", point)
+    else:
+        point = None
+        error = InconsistentOracleError("no element implements the map at both points of a pair")
+    roundtrip, targets, witnesses = cli.extend_extract_compress, [], []
+
+    def second_fails(oracle, n, force=False):
+        targets.append(oracle)
+        if len(targets) == 2:
+            raise error
+        witnesses.append(roundtrip(oracle, n, force=force))
+        return witnesses[-1]
+
+    monkeypatch.setattr(cli, "extend_extract_compress", second_fails)
+    doc, record = _failed_record(capsys, "prop9", "--ring", "zmod:2", "--n", "3")
+    a = corner.elements()[1]
+    assert record == {
+        "inputs": cli._ser((a, point)),
+        "expected": None,
+        "got": None,
+        "note": str(error),
+    }
+    assert len(targets) == 2
+    assert (doc["checks"], doc["witnesses"]) == (corner.cardinality, cli._ser(witnesses))
+
+
+def test_prop10_records_a_generator_pair_without_a_common_witness(capsys, monkeypatch):
+    # the second generator pair finds no witness: the record holds its
+    # constraints, and only the first closure was checked
+    search, inner, calls, checked = cli.witness_search, cli.check_inner_on_subring, [], []
+
+    def second_finds_none(carrier, constraints):
+        calls.append(constraints)
+        return None if len(calls) == 2 else search(carrier, constraints)
+
+    def counted(S, delta, d):
+        report = inner(S, delta, d)
+        checked.append(report.checked)
+        return report
+
+    monkeypatch.setattr(cli, "witness_search", second_finds_none)
+    monkeypatch.setattr(cli, "check_inner_on_subring", counted)
+    doc, record = _failed_record(capsys, "prop10", "--ring", "zmod:2", "--n", "2")
+    (x, tx), (y, ty) = calls[1]
+    assert record == {
+        "inputs": cli._ser((x, y)),
+        "expected": cli._ser((tx, ty)),
+        "got": None,
+        "note": "no common witness",
+    }
+    assert len(calls) == 2 and doc["checks"] == sum(checked) and len(checked) == 1

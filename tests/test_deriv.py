@@ -531,7 +531,6 @@ def test_check_two_local_stops_at_first_failing_pair(m2z2, units2):
         )
     ]
     assert report.checked == domain.index(faults[0]) + 1
-    assert report.witness is None
 
 
 def test_consistent_oracle_maps_zero_to_zero(m2z2, units2, z2):
@@ -556,7 +555,6 @@ def test_check_two_local_zero_map(m2z2, z2):
     zmap = DerivationMap(m2z2, lambda x: zero2(z2), verification_domain(m2z2))
     report = check_two_local(zmap)
     assert report.passed
-    assert report.witness == zero2(z2)
 
 
 def test_check_two_local_every_inner(m2z2):
@@ -656,7 +654,7 @@ def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0):
         sampled = [
             (pick(rng.randrange(card)), pick(rng.randrange(card))) for _ in range(pair_samples)
         ]
-        pairs, report = list(product(units, units)) + sampled, VerificationReport(seed=seed)
+        pairs, report = list(product(units, units)) + sampled, VerificationReport()
     for x, y in pairs:
         dx, dy = evaluate(x), evaluate(y)
         report.checked += 1
@@ -672,7 +670,7 @@ def _scan_reference(D, pair_cap=262_144, pair_samples=100_000, seed=0):
 
 def _deriv_outcome(report):
     failures = [(f.inputs, f.expected, f.got, f.note) for f in report.failures]
-    return report.passed, report.checked, failures, report.seed
+    return report.passed, report.checked, failures
 
 
 def _deriv_result(check, D, budget):
@@ -757,6 +755,14 @@ def test_check_derivation_matches_pair_scan(label):
     want = _deriv_result(_scan_reference, wide, budget)
     assert want[0] == "raised"
     assert _deriv_result(check_derivation, wide, budget) == want
+    # a domain led by a Matrix-subclass copy of e11, off the row table: a
+    # stream of the whole domain meets it in its first pair, where the
+    # identity fails Leibniz, and the row-code scan starts over
+    domain = verification_domain(carrier)
+    lead = DerivationMap(carrier, lambda x: x, (_Sub(carrier.base, domain[0].rows), *domain[1:]))
+    want = _deriv_result(_scan_reference, lead, budget)
+    assert want[2][0][3] == "leibniz"
+    assert _deriv_result(check_derivation, lead, budget) == want
 
 
 @pytest.mark.parametrize("label", sorted(set(DERIV_CARRIERS) - {"M2M2Z2"}))
@@ -816,7 +822,7 @@ def test_check_derivation_replays_a_stream_that_misses_the_fault(label):
     D = DerivationMap(carrier, perturbed, domain)
     want = _deriv_outcome(_scan_reference(D, **budget))
     length = len(carrier.units()) ** 2 + budget["pair_samples"]
-    assert want == (True, length, [], budget.get("seed", 0))
+    assert want == (True, length, [])
     assert _deriv_outcome(check_derivation(D, **budget)) == want
 
 
@@ -837,9 +843,9 @@ def test_check_derivation_evaluation_budget():
 
     D = DerivationMap(m4, evaluate, verification_domain(m4))
     rep = check_derivation(D, pair_cap=0, pair_samples=400)
-    assert rep.passed and rep.checked == 656 and rep.seed == 0
+    assert rep.passed and rep.checked == 656
     assert len(calls) == len(set(calls))
     calls.clear()
     rep = check_derivation(D, pair_cap=0, pair_samples=100_000, seed=2)
-    assert rep.passed and rep.checked == 256 + 100_000 and rep.seed == 2
+    assert rep.passed and rep.checked == 256 + 100_000
     assert len(calls) == len(set(calls)) == m4.cardinality

@@ -5,6 +5,7 @@ from adlocal import (
     InconsistentOracleError,
     Matrix,
     NonCommutativeBaseError,
+    VerificationFailedError,
     WitnessOracle,
     adversarial_oracle,
     block_flatten,
@@ -27,9 +28,11 @@ from adlocal import (
     pair_oracle,
     parse_ring_spec,
     verification_domain,
+    verification_elements,
     zero_matrix,
     zmod,
 )
+from adlocal import extend
 from adlocal.extend import _corner_rule
 from adlocal.matrix import join_blocks, split_blocks
 from adlocal.sampling import rng_for
@@ -452,6 +455,26 @@ def test_roundtrip_zero_oracle(z2, m2z2):
     c = extend_extract_compress(oracle, 4)
     for x in m2z2.elements():
         assert commutator(c, x) == zero
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_roundtrip_reports_the_first_corner_element_a_wrong_witness_fails(
+    monkeypatch, z2, m2z2, units2, n
+):
+    # shift the extracted global witness by the non-central e12: its corner
+    # c + e12 breaks the corner map exactly where [e12, x] != 0, so the
+    # counterexample is the first such x in verification_elements order
+    extract, shift = extend.extract_witness, matrix_unit(z2, n, 1, 2)
+    monkeypatch.setattr(
+        extend,
+        "extract_witness",
+        lambda oracle, n, force=False: extract(oracle, n, force=force) + shift,
+    )
+    e12 = units2[(1, 2)]
+    want = next(x for x in verification_elements(m2z2) if commutator(e12, x) != m2z2.zero)
+    with pytest.raises(VerificationFailedError) as info:
+        extend_extract_compress(adversarial_oracle(m2z2.element(9), m2z2), n)
+    assert info.value.counterexample == want
 
 
 def test_roundtrip_rejects_noncommutative_base():

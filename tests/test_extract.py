@@ -205,6 +205,53 @@ def test_unit_image_formula_reads_the_carriers_units(monkeypatch, m3z2):
         assert rep.passed and rep.checked == 9
 
 
+def _shifted_answer(oracle, query, z):
+    """``oracle`` with the answer to ``query`` shifted by z."""
+
+    def select(x, y):
+        w = oracle.select(x, y)
+        return w + z if (x, y) == query else w
+
+    return WitnessOracle(oracle.carrier, select, oracle.induced)
+
+
+def test_unit_image_formula_holds_for_any_witness_at_n2(z2, units2, m2z2):
+    # at n = 2 the formula is an identity in a(ij) alone, so even a
+    # shifted unit answer passes
+    xo = staircase(z2, 2)
+    oracle = adversarial_oracle(m2z2.element(9), m2z2)
+    for unit, z in ((units2[(1, 2)], units2[(2, 1)]), (units2[(2, 1)], units2[(1, 2)])):
+        for i, j in ((1, 2), (2, 1)):
+            rep = verify_unit_image_formula(_shifted_answer(oracle, (unit, xo), z), 2, i, j)
+            assert rep.passed and rep.checked == 1
+
+
+@pytest.mark.parametrize(
+    "query, z, ij, tag, checked, inputs, moved",
+    [
+        # a(31) + e13 moves entry (1,3) of the assembly S, which the formula
+        # at e21 reads through e21 * S: the first identity fails
+        (((3, 1), None), (1, 3), (2, 1), "unit image formula", 1, [(2, 1)], (2, 3)),
+        # the replay's select(e13, e12) + e31 shows at e33 * w * e12
+        (((1, 3), (1, 2)), (3, 1), (1, 2), "witness overlap at (i,m)", 4, [(1, 2), (3, 3)], (3, 2)),
+        # the replay's select(e32, e12) + e23 shows at e12 * w * e33
+        (((3, 2), (1, 2)), (2, 3), (1, 2), "witness overlap at (m,j)", 5, [(1, 2), (3, 3)], (1, 3)),
+    ],
+)
+def test_unit_image_formula_stops_at_the_first_failing_identity(
+    z2, m3z2, query, z, ij, tag, checked, inputs, moved
+):
+    e = lambda i, j: matrix_unit(z2, 3, i, j)
+    x, y = query
+    point = (e(*x), staircase(z2, 3) if y is None else e(*y))
+    oracle = _shifted_answer(adversarial_oracle(m3z2.element(311), m3z2), point, e(*z))
+    rep = verify_unit_image_formula(oracle, 3, *ij)
+    assert rep.checked == checked and len(rep.failures) == 1
+    failure = rep.failures[0]
+    assert (failure.note, failure.inputs) == (tag, tuple(e(*u) for u in inputs))
+    assert failure.got - failure.expected == e(*moved)
+
+
 def test_unit_image_formula_dimension_mismatch(m3z2):
     with pytest.raises(ShapeMismatchError):
         verify_unit_image_formula(adversarial_oracle(m3z2.element(5), m3z2), 2, 1, 2)

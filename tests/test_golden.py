@@ -27,6 +27,8 @@ CONFIGS = {
     "prop9-zmod2-n4": dict(experiment="prop9", ring="zmod:2", n=4),
     "prop9-zmod2-n5": dict(experiment="prop9", ring="zmod:2", n=5),
     "prop9-poly22-n3-w4": dict(experiment="prop9", ring="poly:2:2", n=3, witness_samples=4),
+    "lemma2-zmod2-n3": dict(experiment="lemma2", ring="zmod:2", n=3),
+    "lemma2-zmod3-n2": dict(experiment="lemma2", ring="zmod:3", n=2),
     "lemma3-zmod2-n3": dict(experiment="lemma3", ring="zmod:2", n=3),
     "extend-2local-zmod2-n3": dict(experiment="extend-2local", ring="zmod:2", n=3),
     "extend-2local-zmod2-n4": dict(
