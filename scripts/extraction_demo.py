@@ -58,7 +58,7 @@ def main() -> None:
     # run_extraction refused a non-commutative base, so a difference that
     # commutes with every matrix unit is a scalar matrix, hence central
     central = all(commutator(shift, e) == carrier.zero for e in carrier.units())
-    print(f"\nimplements the hidden map on {scope} elements: {verdict.equal}")
+    print(f"\nimplements the hidden map on {scope} elements: {verdict.passed}")
     print(f"difference from the hidden element is central: {central}")
     print(f"difference: {show(shift)}")
 

@@ -10,7 +10,6 @@ deterministic batch CLI (``adlocal``).
 from .deriv import (
     DerivationMap,
     Failure,
-    MapComparison,
     VerificationReport,
     WitnessOracle,
     adversarial_oracle,

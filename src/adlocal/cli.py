@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from .deriv import (
+    PAIR_SAMPLE,
+    TWO_LOCAL_PAIR_SAMPLE,
     DerivationMap,
     _coordinate_basis,
     adversarial_oracle,
@@ -65,8 +67,8 @@ class ExperimentConfig:
     n: int
     experiment: str
     seed: int = 0
-    pair_samples: int = 100_000
-    two_local_pairs: int = 1_000
+    pair_samples: int = PAIR_SAMPLE
+    two_local_pairs: int = TWO_LOCAL_PAIR_SAMPLE
     witness_samples: int = 100
     gen_pairs: int = 50
     force: bool = False

@@ -28,7 +28,9 @@ Verification domains list all matrix units first, then the staircase
 element, then the rest of the carrier (or a seeded sample for large
 carriers).  Checks evaluate pairs in that order and return at the first
 failure, so a report carries at most one counterexample and it is
-deterministic: one counterexample settles a universal claim.
+deterministic: one counterexample settles a universal claim.  That policy
+lives in one place, :func:`_first_failure`, through which every checker of
+the package builds its report.
 :func:`check_derivation` first tries to certify every pair at once from
 the Z_m coordinate basis, and scans only when that fails.  On a carrier
 with a row table both run on row codes (:class:`adlocal.matrix.RowTable`):
@@ -90,6 +92,23 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def _first_failure(cases, check) -> VerificationReport:
+    """The verdict of ``check`` on ``cases``: each case is read in order
+    and ``check(*case)`` returns a Failure or None.  The first Failure ends
+    the scan, so no later case is read; ``checked`` counts the cases read,
+    the failing one included, and ``failures`` holds that Failure."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        failure = check(*case)
+        if failure is not None:
+            return VerificationReport(checked, [failure])
+    return VerificationReport(checked)
 
 
 class _Memo(dict):
@@ -193,16 +212,6 @@ def inner_derivation(a, carrier: Ring | None = None) -> DerivationMap:
     return DerivationMap(carrier, evaluate, verification_domain(carrier), witness=a)
 
 
-@dataclass(frozen=True)
-class MapComparison:
-    equal: bool
-    first_difference: object = None
-    checked: int = 0
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
 def _as_callable(f):
     if isinstance(f, DerivationMap):
         return f.evaluate
@@ -211,13 +220,18 @@ def _as_callable(f):
     return f
 
 
-def maps_equal(f, g, domain) -> MapComparison:
-    """Pointwise equality over the domain, reporting the first difference."""
+def maps_equal(f, g, domain) -> VerificationReport:
+    """Pointwise equality over the domain, up to the first difference,
+    where the Failure expects g(x) and got f(x)."""
     fe, ge = _as_callable(f), _as_callable(g)
-    for k, x in enumerate(domain):
-        if fe(x) != ge(x):
-            return MapComparison(False, x, k + 1)
-    return MapComparison(True, None, len(domain))
+
+    def differs(x):
+        fx, gx = fe(x), ge(x)
+        if fx != gx:
+            return Failure((x,), gx, fx, "maps differ")
+        return None
+
+    return _first_failure(((x,) for x in domain), differs)
 
 
 def _pair_stream(carrier, domain, pair_cap, pair_samples, seed, label):
@@ -432,21 +446,13 @@ def check_derivation(
 
     def scan(ev, additive, check_pair):
         pairs, length = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "pairs")
-        report = VerificationReport()
         if (
             _module_rank(carrier) is not None
             and carrier.cardinality <= min(ELEMENT_CAP, length)
             and _certified_derivation(carrier, ev, additive)
         ):
-            report.checked = length
-            return report
-        for x, y in pairs:
-            report.checked += 1
-            failure = check_pair(x, y)
-            if failure is not None:
-                report.failures.append(failure)
-                break
-        return report
+            return VerificationReport(length)
+        return _first_failure(pairs, check_pair)
 
     if carrier.row_codes is not None:
         memo = _RowDerivation(carrier.row_codes, D.evaluate)
@@ -815,16 +821,13 @@ def check_two_local(
         raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
     pairs, _ = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
-    report = VerificationReport()
-    for x, y in pairs:
-        w = witness_search(carrier, [(x, ev(x)), (y, ev(y))])
-        report.checked += 1
-        if w is None:
-            report.failures.append(
-                Failure((x, y), (ev(x), ev(y)), None, "no common witness")
-            )
-            break
-    return report
+
+    def no_common_witness(x, y):
+        if witness_search(carrier, [(x, ev(x)), (y, ev(y))]) is None:
+            return Failure((x, y), (ev(x), ev(y)), None, "no common witness")
+        return None
+
+    return _first_failure(pairs, no_common_witness)
 
 
 def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
@@ -834,18 +837,16 @@ def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
     its pair."""
     commutator = oracle.carrier.commutator
     values = _Memo(oracle.value)
-    report = VerificationReport()
-    for x in xs:
+
+    def drift(x, y):
         vx = values[x]
-        for y in xs:
-            w = oracle.select(x, y)
-            report.checked += 1
-            got_x = commutator(w, x)
-            if got_x != vx:
-                report.failures.append(Failure((x, y), vx, got_x, "witness drifts at x"))
-                return report
-            got_y = commutator(w, y)
-            if got_y != values[y]:
-                report.failures.append(Failure((x, y), values[y], got_y, "witness drifts at y"))
-                return report
-    return report
+        w = oracle.select(x, y)
+        got_x = commutator(w, x)
+        if got_x != vx:
+            return Failure((x, y), vx, got_x, "witness drifts at x")
+        got_y = commutator(w, y)
+        if got_y != values[y]:
+            return Failure((x, y), values[y], got_y, "witness drifts at y")
+        return None
+
+    return _first_failure(product(xs, xs), drift)

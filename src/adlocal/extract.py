@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deriv import Failure, VerificationReport, WitnessOracle
+from .deriv import Failure, VerificationReport, WitnessOracle, _first_failure
 from .errors import (
     DimensionError,
     MissingWitnessError,
@@ -153,12 +153,23 @@ def verify_unit_image_formula(
         value(e_ij) = S e_ij - e_ij S + (a(ij))_ii e_ij - e_ij (a(ij))_jj
 
     with S the off-diagonal assembly.  For n >= 3 the check also replays
-    the eight component identities behind that decomposition, querying the
-    extra witnesses select(e_im, e_ij) and select(e_mj, e_ij) for every
-    index m distinct from i and j; for n = 2 there is no such m and the
-    replay is an empty quantifier.  The check stops at the first identity
-    that fails.  Indices that are not two distinct values in 1..n raise
-    ValueError before any oracle query.
+    the identities behind that decomposition: the Pierce components (i,i)
+    and (j,j), then for every index m distinct from i and j the two
+    witness overlaps, which query the extra witnesses select(e_im, e_ij)
+    and select(e_mj, e_ij), and the components (m,j), (m,i), (i,m) and
+    (j,m).  For n = 2 there is no such m and the replay is an empty
+    quantifier.  The identities are read in that order by
+    :func:`adlocal.deriv._first_failure`, so the check stops at the first
+    one that fails.  Indices that are not two distinct values in 1..n
+    raise ValueError before any oracle query.
+
+    Not every identity can fail on its own.  The six Pierce-component
+    identities follow from the unit image formula: its correction terms
+    lie in the (i,j) component, so every other component of value(e_ij)
+    is that of S e_ij - e_ij S.  At n = 2 the formula itself holds for any
+    witness table, since both of its sides reduce to entries of a(ij)
+    alone, so ``lemma2`` at n = 2 is a consistency run of the code, not a
+    test of the oracle.  The checks and their count stay as they are.
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"unit ({i},{j}) needs distinct indices in 1..{n}")
@@ -171,62 +182,37 @@ def verify_unit_image_formula(
     e = {(k, l): units[(k - 1) * n + l - 1] for k in range(1, n + 1) for l in range(1, n + 1)}
     S = assemble_offdiagonal(unit_witnesses, n)
     aij = unit_witnesses[(i, j)]
-    delta = commutator(aij, e[(i, j)])
+    eij = e[(i, j)]
+    delta = commutator(aij, eij)
 
-    report = VerificationReport()
+    def identities():
+        T = S * eij - eij * S
+        rhs = T + pierce_component(aij, i, i) * eij - eij * pierce_component(aij, j, j)
+        yield "unit image formula", delta, rhs, (eij,)
+        if n < 3:
+            return
+        yield "component (i,i)", pierce_component(delta, i, i), pierce_component(T, i, i), (eij,)
+        yield "component (j,j)", pierce_component(delta, j, j), pierce_component(T, j, j), (eij,)
+        for m in range(1, n + 1):
+            if m in (i, j):
+                continue
+            emm = e[(m, m)]
+            at = (eij, emm)
+            overlap_im = emm * oracle.select(e[(i, m)], eij) * eij
+            overlap_mj = eij * oracle.select(e[(m, j)], eij) * emm
+            yield "witness overlap at (i,m)", overlap_im, emm * unit_witnesses[(i, m)] * eij, at
+            yield "witness overlap at (m,j)", overlap_mj, eij * unit_witnesses[(m, j)] * emm, at
+            yield "component (m,j)", pierce_component(delta, m, j), pierce_component(T, m, j), at
+            yield "component (m,i)", pierce_component(delta, m, i), pierce_component(T, m, i), at
+            yield "component (i,m)", pierce_component(delta, i, m), pierce_component(T, i, m), at
+            yield "component (j,m)", pierce_component(delta, j, m), pierce_component(T, j, m), at
 
-    def record(tag, lhs, rhs, inputs):
-        report.checked += 1
+    def differs(tag, lhs, rhs, inputs):
         if lhs != rhs:
-            report.failures.append(Failure(inputs, rhs, lhs, tag))
-        return report.passed
+            return Failure(inputs, rhs, lhs, tag)
+        return None
 
-    rhs = (
-        S * e[(i, j)]
-        - e[(i, j)] * S
-        + pierce_component(aij, i, i) * e[(i, j)]
-        - e[(i, j)] * pierce_component(aij, j, j)
-    )
-    if not record("unit image formula", delta, rhs, (e[(i, j)],)):
-        return report
-
-    if n < 3:
-        return report
-
-    T = S * e[(i, j)] - e[(i, j)] * S
-    if not record(
-        "component (i,i)", pierce_component(delta, i, i), pierce_component(T, i, i), (e[(i, j)],)
-    ):
-        return report
-    if not record(
-        "component (j,j)", pierce_component(delta, j, j), pierce_component(T, j, j), (e[(i, j)],)
-    ):
-        return report
-    for m in range(1, n + 1):
-        if m in (i, j):
-            continue
-        w_im = oracle.select(e[(i, m)], e[(i, j)])
-        w_mj = oracle.select(e[(m, j)], e[(i, j)])
-        checks = (
-            (
-                "witness overlap at (i,m)",
-                e[(m, m)] * w_im * e[(i, j)],
-                e[(m, m)] * unit_witnesses[(i, m)] * e[(i, j)],
-            ),
-            (
-                "witness overlap at (m,j)",
-                e[(i, j)] * w_mj * e[(m, m)],
-                e[(i, j)] * unit_witnesses[(m, j)] * e[(m, m)],
-            ),
-            ("component (m,j)", pierce_component(delta, m, j), pierce_component(T, m, j)),
-            ("component (m,i)", pierce_component(delta, m, i), pierce_component(T, m, i)),
-            ("component (i,m)", pierce_component(delta, i, m), pierce_component(T, i, m)),
-            ("component (j,m)", pierce_component(delta, j, m), pierce_component(T, j, m)),
-        )
-        for tag, lhs, rhs in checks:
-            if not record(tag, lhs, rhs, (e[(i, j)], e[(m, m)])):
-                return report
-    return report
+    return _first_failure(identities(), differs)
 
 
 def verify_diagonal_differences(b: Matrix, c: Matrix) -> VerificationReport:
@@ -242,16 +228,13 @@ def verify_diagonal_differences(b: Matrix, c: Matrix) -> VerificationReport:
         raise PreconditionError("operands do not implement the same staircase value")
     sub = base.sub
     b_rows, c_rows = b.rows, c.rows
-    report = VerificationReport()
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            report.checked += 1
-            lhs = sub(c_rows[k][k], c_rows[l][l])
-            rhs = sub(b_rows[k][k], b_rows[l][l])
-            if lhs != rhs:
-                where = f"diagonal pair ({k + 1},{l + 1})"
-                report.failures.append(Failure((b, c), rhs, lhs, where))
-                return report
-    return report
+
+    def differs(k, l):
+        lhs = sub(c_rows[k][k], c_rows[l][l])
+        rhs = sub(b_rows[k][k], b_rows[l][l])
+        if lhs != rhs:
+            return Failure((b, c), rhs, lhs, f"diagonal pair ({k + 1},{l + 1})")
+        return None
+
+    pairs = ((k, l) for k in range(n) for l in range(n) if k != l)
+    return _first_failure(pairs, differs)

@@ -36,7 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .deriv import ELEMENT_CAP, PAIR_CAP, Failure, VerificationReport, _additive_on_span
+from .deriv import (
+    ELEMENT_CAP,
+    PAIR_CAP,
+    Failure,
+    VerificationReport,
+    _additive_on_span,
+    _first_failure,
+)
 from .errors import ClosureBudgetError, InfiniteRingError, PreconditionError
 from .matrix import Matrix, matrix_ring
 from .rings import Ring
@@ -97,21 +104,22 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
     return GeneratedSubring(ambient, (x, y), ordered, tuple(gens))
 
 
-def _additive(S: GeneratedSubring, values: dict) -> bool:
-    """:func:`_additive_on_span` of the tabulated delta over
+def _additive(S: GeneratedSubring, delta) -> bool:
+    """:func:`_additive_on_span` of the mapping delta over
     ``S.span_generators``: on row codes when the ambient ring has a row
-    table and every element and value is a matrix on it, otherwise with
-    the ambient ring's operators, so that a value off the table (a matrix
-    of another shape, say) gives the operators' verdict or exception."""
+    table and every element of S and its value is a matrix on it,
+    otherwise with the ambient ring's operators, so that a value off the
+    table (a matrix of another shape, say) gives the operators' verdict or
+    exception."""
     ambient = S.ambient
     rt = ambient.row_codes
     if rt is not None:
         codes = rt.codes
-        table = {codes(p): codes(v) for p, v in values.items()}
+        table = {codes(p): codes(delta[p]) for p in S.elements}
         if None not in table and None not in table.values():
             gens = [codes(g) for g in S.span_generators]
             return _additive_on_span(rt.plus, rt.zero, table.__getitem__, gens)
-    return _additive_on_span(ambient.add, ambient.zero, values.__getitem__, S.span_generators)
+    return _additive_on_span(ambient.add, ambient.zero, delta.__getitem__, S.span_generators)
 
 
 def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
@@ -141,36 +149,37 @@ def check_inner_on_subring(S: GeneratedSubring, delta, d) -> VerificationReport:
     """
     ambient = S.ambient
     add, commutator = ambient.add, ambient.commutator
-    values = {p: delta[p] for p in S.elements}
-    report = VerificationReport()
-
     elements = S.elements
     count = len(elements)
-    if _additive(S, values):
-        report.checked += count * count
+
+    def not_additive(u, v):
+        if delta[add(u, v)] != add(delta[u], delta[v]):
+            return Failure((u, v), add(delta[u], delta[v]), delta[add(u, v)], "not additive")
+        return None
+
+    if _additive(S, delta):
+        additivity = VerificationReport(count * count)
     else:
         pairs = product(elements, elements if count * count <= PAIR_CAP else S.span_generators)
-        for u, v in pairs:
-            report.checked += 1
-            if values[add(u, v)] != add(values[u], values[v]):
-                report.failures.append(
-                    Failure((u, v), add(values[u], values[v]), values[add(u, v)], "not additive")
-                )
-                return report
+        additivity = _first_failure(pairs, not_additive)
+        if not additivity:
+            return additivity
 
     for g in S.generators:
-        if values[g] != commutator(d, g):
+        if delta[g] != commutator(d, g):
             raise PreconditionError(
                 "delta disagrees with the commutator map of d at a generator"
             )
 
-    if all(values[g] == commutator(d, g) for g in S.span_generators):
-        report.checked += count
-        return report
-    for p in elements:
-        report.checked += 1
+    def not_implemented(p):
         got = commutator(d, p)
-        if values[p] != got:
-            report.failures.append(Failure((p,), values[p], got, "not implemented by d"))
-            return report
-    return report
+        if delta[p] != got:
+            return Failure((p,), delta[p], got, "not implemented by d")
+        return None
+
+    if all(delta[g] == commutator(d, g) for g in S.span_generators):
+        agreement = VerificationReport(count)
+    else:
+        agreement = _first_failure(((p,) for p in elements), not_implemented)
+    agreement.checked += additivity.checked
+    return agreement

@@ -575,16 +575,54 @@ def test_maps_equal_first_difference(units2, m2z2):
     same = maps_equal(
         inner_derivation(units2[(1, 1)]), inner_derivation(units2[(2, 2)]), m2z2.elements()
     )
-    assert same.equal
-    diff = maps_equal(
-        inner_derivation(units2[(1, 2)]),
-        inner_derivation(units2[(2, 1)]),
-        verification_domain(m2z2),
-    )
-    assert not diff.equal
-    assert diff.first_difference == units2[(1, 1)]
+    assert same.passed
+    f, g = inner_derivation(units2[(1, 2)]), inner_derivation(units2[(2, 1)])
+    diff = maps_equal(f, g, verification_domain(m2z2))
+    assert not diff.passed
+    e11 = units2[(1, 1)]
+    assert diff.failures[0].inputs == (e11,)
+    assert len(diff.failures) == 1
+    assert (diff.failures[0].expected, diff.failures[0].got) == (g.evaluate(e11), f.evaluate(e11))
     d = inner_derivation(units2[(1, 2)])
     assert maps_equal(d, d, verification_domain(m2z2))
+
+
+def _recorded(cases, reads):
+    """The cases one at a time, each appended to ``reads`` as it is read."""
+    for case in cases:
+        reads.append(case)
+        yield case
+
+
+def _fails_at(k):
+    """A check that fails exactly on the case (k,)."""
+    return lambda i: Failure((i,), "pass", "fail", "case") if i == k else None
+
+
+def test_first_failure_on_no_cases_passes_with_nothing_checked():
+    report = deriv._first_failure(iter(()), _fails_at(0))
+    assert (report.checked, report.failures, report.passed) == (0, [], True)
+
+
+def test_first_failure_on_passing_cases_checks_them_all():
+    reads = []
+    report = deriv._first_failure(_recorded([(i,) for i in range(1, 8)], reads), _fails_at(0))
+    assert report.passed and report.checked == 7 and len(reads) == 7
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_first_failure_stops_at_the_kth_case_and_reads_no_further(k):
+    reads = []
+    report = deriv._first_failure(_recorded([(i,) for i in range(1, 8)], reads), _fails_at(k))
+    assert report.checked == k
+    assert report.failures == [Failure((k,), "pass", "fail", "case")]
+    assert reads == [(i,) for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_report_truth_is_its_verdict(failing):
+    report = deriv._first_failure([(i,) for i in range(1, 5)], _fails_at(failing))
+    assert bool(report) is report.passed
 
 
 def test_verification_domain_order(m2z2, units2, z2):

@@ -34,7 +34,9 @@ CONFIGS = {
     "extend-2local-zmod2-n4": dict(
         experiment="extend-2local", ring="zmod:2", n=4, two_local_pairs=200
     ),
+    "two-local-check-zmod2-n2": dict(experiment="two-local-check", ring="zmod:2", n=2),
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
+    "prop10-zmod2-n2-g10": dict(experiment="prop10", ring="zmod:2", n=2, gen_pairs=10),
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
     "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),
     "prop10-zmod2-n4-g1": dict(experiment="prop10", ring="zmod:2", n=4, gen_pairs=1),
