@@ -13,7 +13,10 @@ are read from BENCHMARK.json.  A workload is recorded under its name, or
 under ``<name>@seed<S>`` for a seed other than 0, with every run's values
 in ``runs``.  With ``--out`` naming an existing record, the workloads run
 now replace those of the same key and the others stay, so workloads can
-be measured one call at a time.  Writes nothing but the record.
+be measured one call at a time.  The record is rewritten after every
+pair, so a run that exits non-zero leaves the pairs finished before it;
+the script then names the workload, pair, side and exit code on stderr
+and exits 1.  Writes nothing but the record.
 """
 
 from __future__ import annotations
@@ -121,19 +124,26 @@ def main(argv=None) -> int:
         "workloads": old.get("workloads", {}),
     }
     for workload in args.workload:
+        key = workload if args.seed == 0 else f"{workload}@seed{args.seed}"
         pairs = []
         for i in range(args.pairs):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": sides[0]}
             for side in sides:
                 checkout = args.parent if side == "parent" else args.change
-                pair[side] = run_once(command, checkout.resolve(), workload, args.seed, seconds)
+                try:
+                    pair[side] = run_once(command, checkout.resolve(), workload, args.seed, seconds)
+                except subprocess.CalledProcessError as exc:
+                    print(
+                        f"{workload} pair {i + 1}/{args.pairs}: the {side} run exited {exc.returncode}",
+                        file=sys.stderr,
+                    )
+                    return 1
             record["machine"] = pair["change"]["machine"]
             pairs.append(pair)
+            record["workloads"][key] = {"seed": args.seed} | summarize(pairs, bench["end_to_end"])
+            args.out.write_text(json.dumps(record, indent=2) + "\n")
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        key = workload if args.seed == 0 else f"{workload}@seed{args.seed}"
-        record["workloads"][key] = {"seed": args.seed} | summarize(pairs, bench["end_to_end"])
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -15,14 +15,16 @@ solved in canonical point order, so (x, y) and (y, x) share one form, and
 the same points recur across calls (a closure's delta table, the extraction
 pairs of every hidden element, the corner points of every extension
 oracle), so each form is built once and reused from a process-wide
-least-recently-used cache holding at most ECHELON_CACHE_BITS bits of pivot
-rows; a reused form is the one a fresh elimination would build, so
-results do not depend on the cache.  The oracles here are deliberately
-adversarial - they answer with the minimal witness, never with the
-element that secretly induced the map - so downstream algorithms cannot
-cheat by recognizing their input.  :func:`pair_oracle` finds it from the
-map's values; :func:`adversarial_oracle` reduces its hidden element
-modulo the pair's common centralizer, which gives the same element.
+least-recently-used cache, :func:`_echelon`, holding at most
+ECHELON_CACHE_FORMS forms; a reused form is the one a fresh elimination
+would build, so results do not depend on the cache.  A point, target or
+hidden element of another ring is refused with ShapeMismatchError.  The
+oracles here are deliberately adversarial - they answer with the minimal
+witness, never with the element that secretly induced the map - so
+downstream algorithms cannot cheat by recognizing their input.
+:func:`pair_oracle` finds it from the map's values;
+:func:`adversarial_oracle` reduces its hidden element modulo the pair's
+common centralizer, which gives the same element.
 
 Verification domains list all matrix units first, then the staircase
 element, then the rest of the carrier (or a seeded sample for large
@@ -42,7 +44,6 @@ carrier's operators, which other carriers use from the start.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -67,7 +68,7 @@ PAIR_SAMPLE = 100_000
 TWO_LOCAL_PAIR_CAP = 4096
 TWO_LOCAL_PAIR_SAMPLE = 1_000
 ELEMENT_CAP = 1 << 16
-ECHELON_CACHE_BITS = 1 << 20  # pivot-row bits the witness-search cache may hold
+ECHELON_CACHE_FORMS = 1024  # Howell forms the witness-search cache may hold
 
 
 @dataclass(frozen=True)
@@ -504,6 +505,7 @@ class _Coordinates:
 
     def __init__(self, carrier: Ring, m: int, size: int):
         self.carrier, self.m, self.size = carrier, m, size
+        self.zero = carrier.zero if type(carrier) is MatrixRing else None
         bound = max(size, 2) * (m - 1) ** 2
         self.shift = bound.bit_length() + m.bit_length()
         self.mu = -(-(1 << self.shift) // m)
@@ -525,6 +527,16 @@ class _Coordinates:
             sum(comm[k][l] << ((size - 1 - k) * self.row_bits) for k in range(size))
             for l in range(size)
         ]
+
+    def check_shape(self, *vs):
+        """Refuse with ShapeMismatchError each of ``vs`` that is not a
+        matrix of the carrier's size over its base ring, the test of
+        :meth:`Matrix._check_compatible`; its index would pack into the
+        coordinates of a wrong system.  A base-ring carrier has no shape."""
+        zero = self.zero
+        if zero is not None:
+            for v in vs:
+                zero._check_compatible(v)
 
     def pack(self, v) -> int:
         """The coordinates of ``v`` in N lanes."""
@@ -604,8 +616,8 @@ class _Coordinates:
         constraints, so they are taken in canonical order of their points
         x_1 ... x_K.  The form depends on those points alone, not on the
         targets, so it comes from :meth:`echelon` through the process-wide
-        cache ``_ECHELONS``; a reused form is the one a fresh elimination
-        would build, so the answer does not depend on the cache.
+        cache :func:`_echelon`; a reused form is the one a fresh
+        elimination would build, so the answer does not depend on the cache.
         """
         m, size, width = self.m, self.size, self.width
         mu, shift, row_bits = self.mu, self.shift, self.row_bits
@@ -613,7 +625,7 @@ class _Coordinates:
         points = [index(x) for x, _ in cons]
         if len(points) > 1:
             points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
-        prow, pdiv, _ = form = _ECHELONS.echelon(self, tuple(points))
+        prow, pdiv = form = _echelon(self, tuple(points))
         blocks = len(cons)
         qmask = _quotient_mask(width, shift, (blocks + 1) * size)
 
@@ -641,7 +653,7 @@ class _Coordinates:
         coordinate of b mod its pivot, left to right, gives the least
         element of the coset in lexicographic order, which is canonical
         order, whichever member of the coset b is."""
-        prow, pdiv, _ = form
+        prow, pdiv = form
         m, mu, shift, qmask, width = self.m, self.mu, self.shift, self.qmask, self.width
         lane_mask = (1 << width) - 1
         found = 0
@@ -656,46 +668,13 @@ class _Coordinates:
         return found
 
 
-class _EchelonCache:
-    """Least-recently-used store of :meth:`_Coordinates.echelon` results
-    with their pivot rows' total bit length, ``(prow, pdiv, bits)``, keyed
-    by the interned coordinates and the point indices in canonical order.
-
-    ``bits``, the total bit length of the stored pivot rows, is kept at
-    most ECHELON_CACHE_BITS by evicting the least recently used entries
-    (a form larger than the bound alone is not kept).  The bound counts
-    pivot-row bits, not memory: the Python integers of a form occupy
-    1.5-1.8 times as many bits on M5(Z2) and M4(Z2[t]/(t^2)), and 3.7-6.1
-    times on M3(Z2), where each integer's fixed header dominates.
-    ``eliminations`` and ``reuses`` count the forms built and the forms
-    served again.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.entries = OrderedDict()
-        self.bits = self.eliminations = self.reuses = 0
-
-    def echelon(self, coords: _Coordinates, points: tuple) -> tuple:
-        key = (coords, points)
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-            self.reuses += 1
-            return entry
-        prow, pdiv = coords.echelon(points)
-        bits = sum(map(int.bit_length, prow))
-        entry = self.entries[key] = prow, pdiv, bits
-        self.eliminations += 1
-        self.bits += bits
-        while self.bits > ECHELON_CACHE_BITS:
-            self.bits -= self.entries.popitem(last=False)[1][2]
-        return entry
-
-
-_ECHELONS = _EchelonCache()
+@lru_cache(maxsize=ECHELON_CACHE_FORMS)
+def _echelon(coords: _Coordinates, points: tuple) -> tuple:
+    """:meth:`_Coordinates.echelon` of the points with canonical indices
+    ``points``, in canonical order, kept in a process-wide
+    least-recently-used cache of ECHELON_CACHE_FORMS forms;
+    ``cache_info()`` counts its eliminations (misses) and reuses (hits)."""
+    return coords.echelon(points)
 
 
 @lru_cache(maxsize=None)
@@ -730,15 +709,17 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     element, which is exactly the first solution a scan of the carrier in
     canonical order would meet.  The Howell form of the points is reused
     across calls with the same carrier and the same points (see
-    :meth:`_Coordinates.solve`), within ECHELON_CACHE_BITS bits, and the
+    :meth:`_Coordinates.solve`), up to ECHELON_CACHE_FORMS forms, and the
     result is the same with or without it.  Carriers with more than
     COORDINATE_CAP coordinates are refused with CarrierTooLargeError,
     carriers that are not built from zmod, poly and mat descriptors with
-    PreconditionError.
+    PreconditionError, and on a matrix carrier a point or target of
+    another size or base ring with ShapeMismatchError.
     """
     coords = _coordinates(carrier)
     cons = []
     for x, t in constraints:
+        coords.check_shape(x, t)
         if (x, t) not in cons:
             cons.append((x, t))
     if not cons:
@@ -785,7 +766,8 @@ def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
     answer is :meth:`_Coordinates.least` of ``a`` under the form of the
     pair's points: the answer :func:`pair_oracle` gives from the values
     [a, x] and [a, y] alone, found without them.  ``a`` is packed at the
-    first answer, which raises any refusal of :func:`witness_search`."""
+    first answer, which raises any refusal of :func:`witness_search`,
+    ShapeMismatchError for an ``a`` of another ring included."""
     if carrier is None:
         carrier = matrix_ring(a.ring, a.n)
     index, element = carrier.index, carrier.element
@@ -793,13 +775,14 @@ def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
     @lru_cache(maxsize=None)
     def hidden():
         coords = _coordinates(carrier)
+        coords.check_shape(a)
         return coords, coords.pack(a)
 
     def answer(pair):
         coords, b = hidden()
         x, y = index(pair[0]), index(pair[1])
         points = (x,) if x == y else (x, y) if x < y else (y, x)
-        return element(coords.least(_ECHELONS.echelon(coords, points), b))
+        return element(coords.least(_echelon(coords, points), b))
 
     return _memo_oracle(carrier, answer, _Memo(partial(carrier.commutator, a)))
 

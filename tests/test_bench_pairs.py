@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,25 @@ def test_every_end_to_end_metric_of_the_benchmark_is_summarized():
     }
     out = bench_pairs.summarize([pair], spec)
     assert list(out["metrics"]) == [m["name"] for m in spec]
+
+
+def test_a_failed_run_keeps_the_pairs_finished_before_it(tmp_path, monkeypatch, capsys):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = []
+
+    def run_once(command, checkout, workload, seed, seconds):
+        calls.append(checkout)
+        if len(calls) == 3:  # the first run of pair 2, the change's
+            raise subprocess.CalledProcessError(7, command)
+        return {"failed": 0, "metrics": {m["name"]: 1.0 for m in spec}, "machine": {"cpu": "test"}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "b.json"
+    argv = ["--parent", "p", "--change", "c", "--workload", "closure", "--pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert len(calls) == 3
+    assert "closure pair 2/3: the change run exited 7" in capsys.readouterr().err
+    record = json.loads(out.read_text())
+    assert record["machine"] == {"cpu": "test"}
+    assert record["workloads"]["closure"]["pairs"] == 1
+    assert [r["first"] for r in record["workloads"]["closure"]["runs"]] == ["parent"]

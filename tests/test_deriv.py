@@ -40,7 +40,14 @@ from adlocal import (
     zmod,
 )
 from adlocal import deriv
-from adlocal.deriv import _ECHELONS, Failure, VerificationReport, _coordinates, _sampled_domain
+from adlocal.deriv import (
+    ECHELON_CACHE_FORMS,
+    Failure,
+    VerificationReport,
+    _coordinates,
+    _echelon,
+    _sampled_domain,
+)
 from adlocal.sampling import rng_for
 
 
@@ -192,6 +199,28 @@ def test_witness_search_carrier_bounds():
 
 
 @pytest.mark.parametrize(
+    "role, spec, index",
+    [
+        ("point", "mat:zmod:4:2", 200),  # another base ring
+        ("target", "mat:zmod:2:3", 1),  # another size
+        ("point", "mat:zmod:2:3", 300),
+    ],
+)
+def test_witness_search_refuses_elements_of_another_ring(m2z2, units2, role, spec, index):
+    # the index of an element of another ring packs into a wrong system
+    e12, other = units2[(1, 2)], parse_ring_spec(spec).element(index)
+    with pytest.raises(ShapeMismatchError):
+        witness_search(m2z2, [(other, e12) if role == "point" else (e12, other)])
+
+
+def test_adversarial_oracle_refuses_a_hidden_element_of_another_ring(m2z2, units2):
+    oracle = adversarial_oracle(matrix_ring(zmod(4), 2).element(1), m2z2)
+    for _ in range(2):
+        with pytest.raises(ShapeMismatchError):
+            oracle.select(units2[(1, 2)], units2[(2, 1)])
+
+
+@pytest.mark.parametrize(
     "spec", ["mat:zmod:2:2", "mat:zmod:4:2", "mat:zmod:2:3", "mat:poly:2:2:2", "mat:mat:zmod:2:2:2"]
 )
 def test_structure_table_matches_full_build(spec):
@@ -232,14 +261,6 @@ def _cache_queries(carrier, rng):
     return queries
 
 
-def _cached_bits():
-    """The total bit length of the cached pivot rows, recounted; each
-    entry's own count must agree."""
-    entries = _ECHELONS.entries.values()
-    assert all(bits == sum(map(int.bit_length, prow)) for prow, _, bits in entries)
-    return sum(bits for _, _, bits in entries)
-
-
 def _search_through_the_cache(carrier, constraints):
     """witness_search, after checking that the cache serves its points the
     form a fresh elimination builds (a form served for other points would
@@ -247,7 +268,7 @@ def _search_through_the_cache(carrier, constraints):
     search keys its form on the point indices in canonical order."""
     coords = _coordinates(carrier)
     points = tuple(sorted(carrier.index(x) for x, _ in constraints))
-    assert _ECHELONS.echelon(coords, points)[:2] == coords.echelon(points), (carrier.spec, points)
+    assert _echelon(coords, points) == coords.echelon(points), (carrier.spec, points)
     return witness_search(carrier, constraints)
 
 
@@ -258,14 +279,15 @@ def test_witness_search_cold_and_warm_cache_match_scan():
     assert any(want is None for _, _, want in cases)
     assert sum(want is not None for _, _, want in cases) >= len(cases) // 2
     for carrier, q, want in cases:  # cold: a fresh elimination every time
-        _ECHELONS.clear()
+        _echelon.cache_clear()
         assert witness_search(carrier, q) == want, (carrier.spec, q)
-    _ECHELONS.clear()
+    _echelon.cache_clear()
     for _ in range(2):  # warm: all carriers through one cache, twice
         for carrier, q, want in cases:
             assert _search_through_the_cache(carrier, q) == want, (carrier.spec, q)
-    assert _ECHELONS.reuses > _ECHELONS.eliminations
-    assert _ECHELONS.eliminations == len(_ECHELONS.entries)
+    info = _echelon.cache_info()
+    assert info.hits > info.misses
+    assert info.misses == info.currsize
 
 
 def test_reordered_points_share_one_elimination():
@@ -280,33 +302,26 @@ def test_reordered_points_share_one_elimination():
             solvable = [(p, commutator(a, p)) for p in (x, y, z)]
             for q in (solvable[:2], [(x, t), solvable[1]], solvable):
                 want = _scan(carrier, q)
-                _ECHELONS.clear()
+                _echelon.cache_clear()
                 orders = [list(order) for order in permutations(q)]
                 assert [witness_search(carrier, o) for o in orders] == [want] * len(orders)
-                assert (_ECHELONS.eliminations, _ECHELONS.reuses) == (1, len(orders) - 1)
+                info = _echelon.cache_info()
+                assert (info.misses, info.hits) == (1, len(orders) - 1)
 
 
-def test_witness_search_cache_evicts_within_its_bound(monkeypatch):
-    bound = 4_000
-    monkeypatch.setattr(deriv, "ECHELON_CACHE_BITS", bound)
-    carriers = [parse_ring_spec(spec) for spec in _CACHE_CARRIERS]
-    rng = random.Random("echelon-cache-eviction")
-    cases = [(c, q, _scan(c, q)) for c in carriers for q in _cache_queries(c, rng)]
-    _ECHELONS.clear()
-    for _ in range(2):
-        for carrier, q, want in cases:
-            assert _search_through_the_cache(carrier, q) == want, (carrier.spec, q)
-            assert _ECHELONS.bits == _cached_bits() <= bound
-    assert len(_ECHELONS.entries) < _ECHELONS.eliminations  # entries were evicted
-    assert _ECHELONS.reuses > 0
-
-
-def test_witness_search_cache_keeps_no_form_larger_than_its_bound(monkeypatch, m2z2, units2):
-    monkeypatch.setattr(deriv, "ECHELON_CACHE_BITS", 1)
-    _ECHELONS.clear()
-    found = witness_search(m2z2, [(units2[(1, 2)], units2[(1, 2)]), (units2[(2, 1)], units2[(2, 1)])])
-    assert found == units2[(2, 2)]
-    assert (_ECHELONS.entries, _ECHELONS.bits, _ECHELONS.eliminations) == ({}, 0, 1)
+def test_witness_search_cache_evicts_within_its_bound(m3z2):
+    # more distinct point pairs than the cache holds, each solved once
+    coords, zero = _coordinates(m3z2), m3z2.zero
+    sets = [(i, j) for i in range(64) for j in range(i + 1, 64)][: ECHELON_CACHE_FORMS + 8]
+    _echelon.cache_clear()
+    for points in sets:
+        x, y = map(m3z2.element, points)
+        assert witness_search(m3z2, [(x, zero), (y, zero)]) == zero
+    info = _echelon.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(sets), 0, ECHELON_CACHE_FORMS)
+    # the least recently used form went first, so the first pair is built again
+    assert _echelon(coords, sets[0]) == coords.echelon(sets[0])
+    assert _echelon.cache_info().misses == len(sets) + 1
 
 
 def test_delta_table_rebuild_reuses_every_elimination(m3z2, z2):
@@ -314,14 +329,15 @@ def test_delta_table_rebuild_reuses_every_elimination(m3z2, z2):
     S = generate_subring(matrix_unit(z2, 3, 1, 2), matrix_unit(z2, 3, 2, 1), m3z2)
     assert len(S.elements) == 16
     hidden = [m3z2.element(i) for i in (0o123, 0o456)]
-    _ECHELONS.clear()
+    _echelon.cache_clear()
     counts = []
     for a in hidden:
-        before = _ECHELONS.eliminations, _ECHELONS.reuses
+        before = _echelon.cache_info()
         # a select-only oracle reads each value off its diagonal query
         oracle = WitnessOracle(m3z2, adversarial_oracle(a, m3z2).select)
         assert all(oracle.value(p) == commutator(a, p) for p in S.elements)
-        counts.append((_ECHELONS.eliminations - before[0], _ECHELONS.reuses - before[1]))
+        after = _echelon.cache_info()
+        counts.append((after.misses - before.misses, after.hits - before.hits))
     assert counts == [(16, 0), (0, 16)]
 
 
@@ -329,12 +345,13 @@ def test_delta_table_of_a_carried_map_runs_no_elimination(m3z2, z2):
     # an oracle made by pair_oracle carries its map, so a delta table read
     # from it evaluates the map and searches for no witness
     S = generate_subring(matrix_unit(z2, 3, 1, 2), matrix_unit(z2, 3, 2, 1), m3z2)
-    _ECHELONS.clear()
+    _echelon.cache_clear()
     for i in (0o123, 0o456):
         a = m3z2.element(i)
         oracle = adversarial_oracle(a, m3z2)
         assert all(oracle.value(p) == commutator(a, p) for p in S.elements)
-    assert (_ECHELONS.eliminations, _ECHELONS.reuses) == (0, 0)
+    info = _echelon.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):
@@ -407,9 +424,10 @@ def test_adversarial_oracle_cache_traffic_matches_pair_oracle(m3z2):
     queries = [(x, y) for x in points for y in points] * 2
     counts = []
     for oracle in (adversarial_oracle(a, m3z2), pair_oracle(m3z2, partial(commutator, a))):
-        _ECHELONS.clear()
+        _echelon.cache_clear()
         answers = [oracle.select(x, y) for x, y in queries]
-        counts.append((answers, _ECHELONS.eliminations, _ECHELONS.reuses))
+        info = _echelon.cache_info()
+        counts.append((answers, info.misses, info.hits))
     assert counts[0] == counts[1]
     assert counts[0][1:] == (21, 15)  # 6 + 15 point sets; (y, x) reuses (x, y)
 
