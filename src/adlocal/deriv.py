@@ -17,7 +17,12 @@ pairs of every hidden element, the corner points of every extension
 oracle), so each form is built once and reused from a process-wide
 least-recently-used cache, :func:`_echelon`, holding at most
 ECHELON_CACHE_FORMS forms; a reused form is the one a fresh elimination
-would build, so results do not depend on the cache.  A point, target or
+would build, so results do not depend on the cache.
+:func:`check_two_local` asks only whether a witness exists, and its
+seeded pairs seldom recur, so it decides each pair by one uncached
+elimination of the image rows (:meth:`_Coordinates.consistent`) and
+leaves the cache alone; one elimination loop,
+:meth:`_Coordinates._eliminate`, serves both.  A point, target or
 hidden element of another ring is refused with ShapeMismatchError.  The
 oracles here are deliberately adversarial - they answer with the minimal
 witness, never with the element that secretly induced the map - so
@@ -548,25 +553,18 @@ class _Coordinates:
             bits += width
         return out
 
-    def echelon(self, points) -> tuple:
-        """Weak Howell form ``(prow, pdiv)`` of the system for the points
-        with canonical indices ``points``, in order; see :meth:`solve`.
-
-        ``prow[pos]`` is the pivot row whose leading lane is ``pos``
-        (lowest lane 0) and ``pdiv[pos]`` its pivot, a divisor of m; a lane
-        without a pivot has row 0 and pivot m.  ``pdiv`` is bytes when
-        m < 256.
-        """
+    def _image_rows(self, points, low: int) -> list:
+        """Row k packs the coordinates of [E_k, x_1], ..., [E_k, x_K] for
+        the points with canonical indices ``points``, one block of N lanes
+        each, x_1 most significant, above ``low`` blocks of empty lanes."""
         m, size, width = self.m, self.size, self.width
         mu, shift, row_bits, table = self.mu, self.shift, self.row_bits, self.table
-        blocks = len(points)
-        lanes = (blocks + 1) * size
-        qmask = _quotient_mask(width, shift, max(lanes, size * size))
+        qmask = _quotient_mask(width, shift, size * size)
         row_mask = (1 << row_bits) - 1
-
-        rows = [1 << (k * width) for k in range(size - 1, -1, -1)]
+        top = len(points) + low - 1
+        rows = [0] * size
         for block, i in enumerate(points):
-            offset = (blocks - block) * row_bits
+            offset = (top - block) * row_bits
             acc, l = 0, size
             while i:
                 l -= 1
@@ -576,7 +574,29 @@ class _Coordinates:
             acc -= (((acc * mu) >> shift) & qmask) * m
             for k in range(size):
                 rows[k] |= ((acc >> ((size - 1 - k) * row_bits)) & row_mask) << offset
+        return rows
 
+    def _targets(self, targets, low: int) -> int:
+        """The coordinates of t_1, ..., t_K packed like one row of
+        :meth:`_image_rows`."""
+        top, row_bits, v = len(targets) + low - 1, self.row_bits, 0
+        for block, t in enumerate(targets):
+            v |= self.pack(t) << ((top - block) * row_bits)
+        return v
+
+    def _eliminate(self, rows, lanes: int) -> tuple:
+        """Weak Howell form ``(prow, pdiv)`` of the span of packed rows of
+        ``lanes`` lanes, the one elimination loop of witness search.
+
+        ``prow[pos]`` is the pivot row whose leading lane is ``pos``
+        (lowest lane 0) and ``pdiv[pos]`` its pivot, a divisor of m; a lane
+        without a pivot has row 0 and pivot m.  The pivot rows right of
+        any lane span every combination of the rows that vanishes up to
+        that lane (Howell 1986; the elimination follows Storjohann and
+        Mulders 1998), so :meth:`_reduce` decides membership in the span.
+        """
+        m, mu, shift, width = self.m, self.mu, self.shift, self.width
+        qmask = _quotient_mask(width, shift, lanes)
         # A lane without a pivot holds the row m * e_pos, zero mod m, so a
         # first row there takes the same gcd step as a row meeting a pivot.
         prow, pdiv = [0] * lanes, [m] * lanes
@@ -596,7 +616,38 @@ class _Coordinates:
                     pdiv[pos] = g
                     r = (b // g) % m * r + (m - a // g) * p
                 r -= (((r * mu) >> shift) & qmask) * m
-        return tuple(prow), bytes(pdiv) if m < 256 else tuple(pdiv)
+        return prow, pdiv
+
+    def _reduce(self, form: tuple, v: int, floor: int) -> int | None:
+        """``v`` reduced by the pivot rows of ``form`` in lanes ``floor``
+        and up, leaving its lanes below ``floor``; None when a leading
+        entry there is not a multiple of its pivot, so that no combination
+        of the rows agrees with v on those lanes."""
+        prow, pdiv = form
+        m, mu, shift, width = self.m, self.mu, self.shift, self.width
+        qmask = _quotient_mask(width, shift, len(pdiv))
+        while v:
+            pos = (v.bit_length() - 1) // width
+            if pos < floor:
+                break
+            a, b = v >> (pos * width), pdiv[pos]
+            if a % b:
+                return None
+            v += (m - a // b) * prow[pos]
+            v -= (((v * mu) >> shift) & qmask) * m
+        return v
+
+    def echelon(self, points) -> tuple:
+        """Weak Howell form ``(prow, pdiv)`` of the system for the points
+        with canonical indices ``points``, in order (see :meth:`solve`):
+        :meth:`_eliminate` of the rows of :meth:`_image_rows` above one
+        block of identity lanes.  ``pdiv`` is bytes when m < 256."""
+        size, width = self.size, self.width
+        rows = self._image_rows(points, 1)
+        for k in range(size):
+            rows[k] |= 1 << ((size - 1 - k) * width)
+        prow, pdiv = self._eliminate(rows, (len(points) + 1) * size)
+        return tuple(prow), bytes(pdiv) if self.m < 256 else tuple(pdiv)
 
     def solve(self, cons) -> int | None:
         """Canonical index of the minimal b with [b, x] = t for every
@@ -604,13 +655,12 @@ class _Coordinates:
 
         Row k of the system is (coordinates of [E_k, x_1], ...,
         [E_k, x_K] | e_k), so the rows span the pairs (bA | b).  They are
-        brought to weak Howell form (Howell 1986; the elimination follows
-        Storjohann and Mulders 1998): one pivot row per column, whose
-        pivot d divides m, such that the pivot rows right of any column
-        span every row combination that vanishes up to that column.  Then
-        (t_1 ... t_K | 0) reduces to (0 | -b) for a solution b exactly
-        when one exists, and :meth:`least` takes b to the least element of
-        its coset.
+        brought to weak Howell form by :meth:`_eliminate`: one pivot row
+        per column, whose pivot d divides m, such that the pivot rows
+        right of any column span every row combination that vanishes up
+        to that column.  Then (t_1 ... t_K | 0) reduces to (0 | -b) for a
+        solution b exactly when one exists (:meth:`_reduce`), and
+        :meth:`least` takes b to the least element of its coset.
 
         The solution set does not depend on the order of the
         constraints, so they are taken in canonical order of their points
@@ -619,31 +669,28 @@ class _Coordinates:
         cache :func:`_echelon`; a reused form is the one a fresh
         elimination would build, so the answer does not depend on the cache.
         """
-        m, size, width = self.m, self.size, self.width
-        mu, shift, row_bits = self.mu, self.shift, self.row_bits
+        m, mu, shift, width = self.m, self.mu, self.shift, self.width
         index = self.carrier.index
         points = [index(x) for x, _ in cons]
         if len(points) > 1:
             points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
-        prow, pdiv = form = _echelon(self, tuple(points))
-        blocks = len(cons)
-        qmask = _quotient_mask(width, shift, (blocks + 1) * size)
+        form = _echelon(self, tuple(points))
+        v = self._reduce(form, self._targets([t for _, t in cons], 1), self.size)
+        if v is None:
+            return None
+        w = m * (((1 << self.row_bits) - 1) // ((1 << width) - 1)) - v  # b = -v, lanes m - v_k
+        return self.least(form, w - (((w * mu) >> shift) & self.qmask) * m)
 
-        v = 0
-        for block, (_, t) in enumerate(cons):
-            v |= self.pack(t) << ((blocks - block) * row_bits)
-        while v:
-            pos = (v.bit_length() - 1) // width
-            if pos < size:
-                break
-            a, b = v >> (pos * width), pdiv[pos]
-            if a % b:
-                return None
-            v += (m - a // b) * prow[pos]
-            v -= (((v * mu) >> shift) & qmask) * m
-
-        w = m * (((1 << row_bits) - 1) // ((1 << width) - 1)) - v  # b = -v, lanes m - v_k
-        return self.least(form, w - (((w * mu) >> shift) & qmask) * m)
+    def consistent(self, cons) -> bool:
+        """True iff some b has [b, x] = t for every (x, t) in ``cons``: the
+        targets lie in the span of the image rows of :meth:`solve` alone,
+        without its identity lanes.  Decided by one uncached
+        :meth:`_eliminate`, which builds no witness and leaves the cache
+        :func:`_echelon` untouched."""
+        index = self.carrier.index
+        rows = self._image_rows([index(x) for x, _ in cons], 0)
+        form = self._eliminate(rows, len(cons) * self.size)
+        return self._reduce(form, self._targets([t for _, t in cons], 0), 0) is not None
 
     def least(self, form: tuple, b: int) -> int:
         """Canonical index of the least element of b + C(x_1) ∩ ... ∩ C(x_K),
@@ -717,15 +764,22 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     another size or base ring with ShapeMismatchError.
     """
     coords = _coordinates(carrier)
+    cons = _constraints(coords, constraints)
+    if not cons:
+        return carrier.zero
+    found = coords.solve(cons)
+    return None if found is None else carrier.element(found)
+
+
+def _constraints(coords: _Coordinates, constraints) -> list:
+    """The (x, t) constraints, each once, in order, after the shape test of
+    :meth:`_Coordinates.check_shape` on every point and target."""
     cons = []
     for x, t in constraints:
         coords.check_shape(x, t)
         if (x, t) not in cons:
             cons.append((x, t))
-    if not cons:
-        return carrier.zero
-    found = coords.solve(cons)
-    return None if found is None else carrier.element(found)
+    return cons
 
 
 def _memo_oracle(carrier: Ring, answer, values: _Memo) -> WitnessOracle:
@@ -793,9 +847,20 @@ def check_two_local(
     pair_samples: int = TWO_LOCAL_PAIR_SAMPLE,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """For ordered domain pairs (x, y), search for one element implementing
-    the map at both points; pass iff every pair has a witness, and stop at
-    the first pair without one.
+    """For ordered domain pairs (x, y), decide whether one element
+    implements the map at both points; pass iff every pair has one, and
+    stop at the first pair without one.
+
+    Each pair asks :meth:`_Coordinates.consistent`, which decides that
+    existence by one uncached elimination and builds no witness, so the
+    check leaves the cache :func:`_echelon` as it found it.  Two kinds of
+    pair pass without a solve, because a passed pair proves them: (y, x)
+    once (x, y) has passed, and (z, z) once some passed pair contains z,
+    as a common witness of (x, z) implements the map at z alone.  So the
+    report is the one a solve of every pair gives.  The carrier's
+    coordinates are built at the first pair, so a stream without pairs
+    passes with 0 checked, and later refusals are those of
+    :func:`witness_search`.
 
     Additivity of the map is deliberately not required.
     """
@@ -804,10 +869,17 @@ def check_two_local(
         raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
     pairs, _ = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    passed, witnessed = set(), set()
 
     def no_common_witness(x, y):
-        if witness_search(carrier, [(x, ev(x)), (y, ev(y))]) is None:
+        if (x, y) in passed or (x == y and x in witnessed):
+            return None
+        constraints = [(x, ev(x)), (y, ev(y))]
+        coords = _coordinates(carrier)
+        if not coords.consistent(_constraints(coords, constraints)):
             return Failure((x, y), (ev(x), ev(y)), None, "no common witness")
+        passed.update(((x, y), (y, x)))
+        witnessed.update((x, y))
         return None
 
     return _first_failure(pairs, no_common_witness)

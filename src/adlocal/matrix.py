@@ -27,8 +27,11 @@ codes, so that hashing and comparing them are tuple operations.  A matrix
 ring with a row table carries it as ``row_codes``: the pair scan of
 :func:`adlocal.deriv.check_derivation` builds x + y, D(x) + D(y), xy and
 D(x)y + xD(y) of a pair in one pass of :meth:`RowTable.derivation_pair`,
-and the coset-tree walks of :mod:`adlocal.deriv` and :mod:`adlocal.twogen`
-add with :meth:`RowTable.plus`, without building Matrix objects.  The
+the coset-tree walks of :mod:`adlocal.deriv` and :mod:`adlocal.twogen`
+add with :meth:`RowTable.plus`, and the sampled axiom self-test of
+:func:`adlocal.rings.ring_axiom_check` computes with :meth:`RowTable.plus`,
+:meth:`RowTable.times` and :meth:`RowTable.minus`, all without building
+Matrix objects.  The
 row-code format stays in this module: callers read and rebuild matrices
 only through ``RowTable.codes`` and ``RowTable.matrix``.
 """
@@ -60,8 +63,9 @@ class RowTable:
 
     For loops on row-code tuples, ``codes`` reads the row codes of a
     value, ``matrix`` builds the Matrix back, ``zero`` is the zero
-    matrix's codes, and :meth:`plus` and :meth:`derivation_pair` compute
-    on codes.
+    matrix's codes, and :meth:`plus`, :meth:`minus`, :meth:`times` and
+    :meth:`derivation_pair` compute on codes; the Matrix product and
+    negation are :meth:`times` and :meth:`minus`.
     """
 
     __slots__ = ("ring", "n", "size", "rows", "code", "add", "neg", "terms", "negterms", "zero")
@@ -108,6 +112,22 @@ class RowTable:
     def plus(self, c: tuple, d: tuple) -> tuple:
         add = self.add
         return tuple([add[p][q] for p, q in zip(c, d)])
+
+    def minus(self, c: tuple) -> tuple:
+        """The row codes of the negation."""
+        return tuple(map(self.neg.__getitem__, c))
+
+    def times(self, c: tuple, d: tuple) -> tuple:
+        """The row codes of the product: row i is the sum over k of
+        c_ik * (row k of d), each term a left-scaled row of ``terms``."""
+        add, terms = self.add, self.terms
+        out = []
+        for p in c:
+            acc = 0
+            for k, scaled in terms[p]:
+                acc = add[acc][scaled[d[k]]]
+            out.append(acc)
+        return tuple(out)
 
     def derivation_pair(self, x: tuple, y: tuple, dx: tuple, dy: tuple) -> tuple:
         """The row codes of x + y, dx + dy, x*y and dx*y + x*dy, each row
@@ -202,7 +222,7 @@ class Matrix:
     def __neg__(self):
         rt = self._rt
         if rt is not None:
-            return _coded(self.ring, self.n, rt, tuple(map(rt.neg.__getitem__, self._data)))
+            return _coded(self.ring, self.n, rt, rt.minus(self._data))
         neg = self.ring.neg
         return Matrix(self.ring, tuple(tuple(map(neg, r)) for r in self._data))
 
@@ -218,16 +238,7 @@ class Matrix:
     def __mul__(self, other):
         rt = self._rt
         if rt is not None and other.__class__ is Matrix and other._rt is rt:
-            # row i of the product is the sum over k of a_ik * (row k of other)
-            add, terms = rt.add, rt.terms
-            theirs = other._data
-            out = []
-            for c in self._data:
-                acc = 0
-                for k, scaled in terms[c]:
-                    acc = add[acc][scaled[theirs[k]]]
-                out.append(acc)
-            return _coded(self.ring, self.n, rt, tuple(out))
+            return _coded(self.ring, self.n, rt, rt.times(self._data, other._data))
         self._check_compatible(other)
         ring = self.ring
         add, rmul, zero = ring.add, ring.mul, ring.zero

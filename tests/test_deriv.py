@@ -42,10 +42,14 @@ from adlocal import (
 from adlocal import deriv
 from adlocal.deriv import (
     ECHELON_CACHE_FORMS,
+    TWO_LOCAL_PAIR_CAP,
+    TWO_LOCAL_PAIR_SAMPLE,
     Failure,
     VerificationReport,
+    _Coordinates,
     _coordinates,
     _echelon,
+    _pair_stream,
     _sampled_domain,
 )
 from adlocal.sampling import rng_for
@@ -587,6 +591,125 @@ def test_check_two_local_accepts_non_additive_input(m2z2):
     report = check_two_local(squaring)
     assert not report.passed
     assert report.failures[0].note == "no common witness"
+
+
+_CONSISTENCY_CARRIERS = [
+    "mat:zmod:2:2",
+    "mat:zmod:3:2",
+    "mat:zmod:4:2",
+    "mat:zmod:6:2",
+    "mat:poly:2:2:2",
+]
+
+
+def _consistent(carrier, constraints):
+    """The consistency test on constraints in the form witness_search takes."""
+    return _coordinates(carrier).consistent(list(dict.fromkeys(constraints)))
+
+
+@pytest.mark.parametrize("spec", _CONSISTENCY_CARRIERS)
+def test_consistency_matches_witness_search_at_every_point(spec):
+    carrier = parse_ring_spec(spec)
+    card = carrier.cardinality
+    rng = random.Random(f"consistency-points:{spec}")
+    verdicts = set()
+    for x in carrier.elements():
+        a = carrier.element(rng.randrange(card))
+        for t in (commutator(a, x), carrier.element(rng.randrange(card))):
+            want = witness_search(carrier, [(x, t)]) is not None
+            assert _consistent(carrier, [(x, t)]) == want, (x, t)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", _CONSISTENCY_CARRIERS)
+def test_consistency_matches_witness_search_on_two_point_sets(spec):
+    carrier = parse_ring_spec(spec)
+    card = carrier.cardinality
+    rng = random.Random(f"consistency-pairs:{spec}")
+    verdicts = []
+    for trial in range(120):
+        x, y, a, b = (carrier.element(rng.randrange(card)) for _ in range(4))
+        if trial % 3 == 0:  # one element at both points: always solvable
+            constraints = [(x, commutator(a, x)), (y, commutator(a, y))]
+        elif trial % 3 == 1:  # each point solvable alone, by different elements
+            constraints = [(x, commutator(a, x)), (y, commutator(b, y))]
+        else:
+            constraints = [(x, commutator(a, x)), (y, carrier.element(rng.randrange(card)))]
+        want = witness_search(carrier, constraints) is not None
+        assert _consistent(carrier, constraints) == want, constraints
+        verdicts.append(want)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 40
+
+
+def _two_local_reference(
+    D, pair_cap=TWO_LOCAL_PAIR_CAP, pair_samples=TWO_LOCAL_PAIR_SAMPLE, seed=0
+):
+    """(checked, failures) of check_two_local by a witness search of every
+    pair of its stream, with no pair skipped and nothing reused."""
+    pairs, _ = _pair_stream(D.carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        fx, fy = D.evaluate(x), D.evaluate(y)
+        if witness_search(D.carrier, [(x, fx), (y, fy)]) is None:
+            return checked, [Failure((x, y), (fx, fy), None, "no common witness")]
+    return checked, []
+
+
+def test_check_two_local_report_matches_a_search_of_every_pair(m2z2, units2):
+    a = units2[(1, 2)]
+    faults = (m2z2.element(5), m2z2.element(12))
+    domain = verification_domain(m2z2)
+    zero = m2z2.zero
+
+    def mid_stream(x):
+        return commutator(a, x) + x if x in faults else commutator(a, x)
+
+    def split(x):  # [e21, x] at trace 1, else [e12, x]: inner at each point
+        return commutator(units2[(2, 1)] if x.entry(1, 1) != x.entry(2, 2) else a, x)
+
+    maps = [mid_stream, split, lambda x: x, lambda x: x * x, lambda x: zero]
+    maps += [partial(commutator, m2z2.element(i)) for i in (0, 6, 9, 15)]
+    cases = [(DerivationMap(m2z2, f, domain), {}) for f in maps]
+    # sampled streams: the 16 units pairs, then 300 draws with many repeats
+    cases += [(DerivationMap(m2z2, f, domain), {"pair_cap": 0, "pair_samples": 300}) for f in maps]
+    m3z2 = matrix_ring(zmod(2), 3)
+    hidden = m3z2.element(0o321)
+    odd = {m3z2.element(i) for i in range(5, 512, 37)}  # each breaks (x, x) alone
+
+    def late_fault(x):
+        return commutator(hidden, x) + (m3z2.one if x in odd else m3z2.zero)
+
+    for f in (partial(commutator, hidden), late_fault):
+        cases.append((DerivationMap(m3z2, f, m3z2.elements()), {"pair_samples": 400}))
+    failing = 0
+    for D, budget in cases:
+        report = check_two_local(D, **budget)
+        assert (report.checked, report.failures) == _two_local_reference(D, **budget)
+        failing += not report.passed
+    assert failing >= 6
+
+
+def test_check_two_local_on_the_item_shape_runs_two_eliminations(monkeypatch, m3z2):
+    # the witness-search item checks the pairs (x, x), (x, y), (y, x), (y, y)
+    rng = random.Random("two-local-item")
+    a, x, y = (m3z2.element(rng.randrange(m3z2.cardinality)) for _ in range(3))
+    assert x != y
+    eliminate, runs = _Coordinates._eliminate, []
+
+    def counted(self, rows, lanes):
+        runs.append(lanes)
+        return eliminate(self, rows, lanes)
+
+    monkeypatch.setattr(_Coordinates, "_eliminate", counted)
+    _coordinates(m3z2)
+    before = _echelon.cache_info()
+    D = DerivationMap(m3z2, inner_derivation(a, m3z2).evaluate, (x, y), witness=a)
+    report = check_two_local(D, pair_cap=4)
+    assert report.passed and report.checked == 4
+    assert runs == [9, 18]  # (x, x) with one constraint, then (x, y)
+    assert _echelon.cache_info() == before
 
 
 def test_maps_equal_first_difference(units2, m2z2):

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from importlib import import_module
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from adlocal import (
     ring_axiom_check,
     zmod,
 )
+from adlocal.matrix import MatrixRing
 from adlocal.rings import AXIOM_EXHAUSTIVE_CAP
 
 
@@ -138,6 +142,35 @@ def test_sampled_axiom_check_catches_broken_ring(broken, message):
     with pytest.raises(ValueError) as info:
         ring_axiom_check(ring)
     assert str(info.value) == f"zmod:101: {message}"
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_AddNotAssociative, "addition not associative"),
+        (_AddNotCommutative, "addition not commutative"),
+        (_MulNotAssociative, "multiplication not associative"),
+        (_LeftProjection, "multiplication not associative"),
+        (_RightProjection, "multiplication not associative"),
+        (_WrongUnit, "unit law fails at [[1,2],[2,1]]@zmod:4"),
+        (_WrongNegAbove95, None),  # no residue of Z4 is above 95
+    ],
+)
+def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(monkeypatch, broken, message):
+    # M2 over a broken Z4 has 256 elements, so the seeded triples run on
+    # its row table; the messages are those of the Matrix operators.  Row
+    # tables are interned by ring equality, which compares specs, so each
+    # broken base gets a fresh intern table and not the one of zmod(4).
+    module = import_module("adlocal.matrix")  # the name adlocal.matrix is a function
+    monkeypatch.setattr(module, "row_table", lru_cache(module.row_table.__wrapped__))
+    ring = MatrixRing(broken(4), 2)
+    assert ring.cardinality > AXIOM_EXHAUSTIVE_CAP and ring.row_codes is not None
+    if message is None:
+        ring_axiom_check(ring)
+        return
+    with pytest.raises(ValueError) as info:
+        ring_axiom_check(ring)
+    assert str(info.value) == f"mat:zmod:4:2: {message}"
 
 
 def test_is_commutative_z6():
