@@ -14,7 +14,6 @@ from .deriv import (
     WitnessOracle,
     adversarial_oracle,
     check_derivation,
-    check_oracle_consistency,
     check_two_local,
     inner_derivation,
     maps_equal,
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .extend import (
     double_derivation,
-    extend_corner_derivation,
     extend_derivation_to_n,
     extend_extract_compress,
     extend_two_local_to_n,
@@ -56,12 +54,10 @@ from .matrix import (
     Matrix,
     MatrixRing,
     block_flatten,
-    block_view,
     commutator,
     corner_embed,
     corner_extract,
     identity_matrix,
-    matrix,
     matrix_index,
     matrix_ring,
     matrix_to_strings,
@@ -71,11 +67,9 @@ from .matrix import (
     zero_matrix,
 )
 from .rings import (
-    CommutativityEvidence,
     PolyQuot,
     Ring,
     Zmod,
-    is_central,
     is_commutative,
     parse_ring_spec,
     polyquot,

@@ -62,7 +62,7 @@ from .errors import (
     PreconditionError,
 )
 from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, matrix_ring, staircase
-from .rings import Ring
+from .rings import Ring, _per_ring
 from .sampling import rng_for
 
 DEFAULT_SEED = 0
@@ -178,17 +178,18 @@ def _domain_lead(carrier: Ring) -> list:
     return lead
 
 
-@lru_cache(maxsize=None)
+@_per_ring
 def _sampled_domain(carrier: Ring, seed: int, sample: int) -> tuple:
     """Units, then the staircase, then ``sample`` seeded draws of the
-    carrier, each element once, in the order first met."""
+    carrier, each element once, in the order first met; interned on the
+    carrier object, as :func:`verification_domain` is."""
     rng = rng_for(seed, f"domain:{carrier.spec}")
     card = carrier.cardinality
     draws = [carrier.element(rng.randrange(card)) for _ in range(sample)]
     return tuple(dict.fromkeys(_domain_lead(carrier) + draws))
 
 
-@lru_cache(maxsize=None)
+@_per_ring
 def verification_domain(carrier: Ring) -> tuple:
     """Units, then the staircase, then all remaining elements in canonical
     order (carriers of at most FULL_DOMAIN_CAP elements) or DOMAIN_SAMPLE
@@ -724,9 +725,10 @@ def _echelon(coords: _Coordinates, points: tuple) -> tuple:
     return coords.echelon(points)
 
 
-@lru_cache(maxsize=None)
+@_per_ring
 def _coordinates(carrier: Ring) -> _Coordinates:
-    """The interned coordinates of a carrier with at most COORDINATE_CAP of them."""
+    """The coordinates of a carrier with at most COORDINATE_CAP of them,
+    interned on the carrier object."""
     if carrier.cardinality is None:
         raise InfiniteRingError("witness search needs a finite carrier")
     rank = _module_rank(carrier)
@@ -884,24 +886,3 @@ def check_two_local(
 
     return _first_failure(pairs, no_common_witness)
 
-
-def check_oracle_consistency(oracle: WitnessOracle, xs) -> VerificationReport:
-    """Well-definedness of the induced map on the pairs of ``xs``, up to the
-    first failing pair: commutator(select(x, y), x) must not depend on y,
-    and each answer must implement the induced values at both points of
-    its pair."""
-    commutator = oracle.carrier.commutator
-    values = _Memo(oracle.value)
-
-    def drift(x, y):
-        vx = values[x]
-        w = oracle.select(x, y)
-        got_x = commutator(w, x)
-        if got_x != vx:
-            return Failure((x, y), vx, got_x, "witness drifts at x")
-        got_y = commutator(w, y)
-        if got_y != values[y]:
-            return Failure((x, y), values[y], got_y, "witness drifts at y")
-        return None
-
-    return _first_failure(product(xs, xs), drift)

@@ -64,43 +64,17 @@ def _block_maps(A, ev) -> tuple:
     return diag.__getitem__, plus.__getitem__, minus.__getitem__
 
 
-def _corner_rule(A, ev):
-    """The corner-extension rule for the map D = ``ev`` on A, on a 2x2 grid
-    of elements of A:
-    ((b11, b12), (b21, b22)) -> ((D b11, (D+id) b12), ((D-id) b21, D b22))."""
-    dv, pv, mv = _block_maps(A, ev)
-
-    def rule(grid):
-        (b11, b12), (b21, b22) = grid
-        return (dv(b11), pv(b12)), (mv(b21), dv(b22))
-
-    return rule
-
-
 def _map_on(ring, evaluate) -> DerivationMap:
     return DerivationMap(ring, evaluate, verification_domain(ring))
 
 
-def extend_corner_derivation(D: DerivationMap) -> DerivationMap:
-    """Extend a derivation on the corner ring A to all of M_2(A).
-
-    Entrywise, the extension sends [[b11, b12], [b21, b22]] to
-    [[D(b11), D(b12) + b12], [D(b21) - b21, D(b22)]]: the (1,1) entry is
-    the given map, the (2,2) entry is the map transported through the
-    corner isomorphism, and the off-diagonal entries pick up the fixed
-    images of the off-diagonal units.  This is the block-matrix form of
-    :func:`double_derivation`, kept as its reference.
-    """
-    A = D.carrier
-    rule = _corner_rule(A, D.evaluate)
-    return _map_on(matrix_ring(A, 2), lambda x: Matrix(A, rule(x.rows)))
-
-
 def double_derivation(D: DerivationMap) -> DerivationMap:
-    """One doubling step of a derivation D on M_m(R) to M_2m(R): the corner
-    rule for D applied to the four m x m blocks of a flat 2m x 2m matrix,
-    which is the corner extension read back through the block
-    reinterpretation.
+    """One doubling step of a derivation D on A = M_m(R) to M_2m(R).  The
+    corner extension of D to M_2(A) sends [[b11, b12], [b21, b22]] to
+    [[D b11, (D+id) b12], [(D-id) b21, D b22]]; the doubled map is that
+    extension on flat 2m x 2m matrices, read through the isomorphism
+    :func:`adlocal.matrix.block_flatten`, so the rule acts on the four
+    m x m blocks.
 
     The rule keeps each block in its row band: the top m rows of the image
     are (D b11 | (D+id) b12), read off the top m rows of the argument, and

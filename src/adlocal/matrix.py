@@ -2,8 +2,8 @@
 
 Carries the matrix ring M_n(R): matrix units, Pierce components, the
 staircase element (ones on the first superdiagonal), commutators, the
-block reinterpretation of M_{2m}(R) as 2x2 matrices over M_m(R), and the
-top-left corner subring with its embed/extract converters.
+flattening of 2x2 matrices over M_m(R) into M_{2m}(R), and the top-left
+corner subring with its embed/extract converters.
 
 Indices are 1-based throughout the public API; storage is 0-based.
 Matrices are immutable and hashable, so they double as canonical
@@ -39,12 +39,11 @@ only through ``RowTable.codes`` and ``RowTable.matrix``.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import product
 from operator import getitem
 
 from .errors import CarrierTooLargeError, DimensionError, ShapeMismatchError
-from .rings import PolyQuot, Ring, Zmod, ring_axiom_check
+from .rings import PolyQuot, Ring, Zmod, _per_ring, ring_axiom_check
 
 ROW_TABLE_CAP = 256
 COORDINATE_CAP = 64
@@ -149,9 +148,10 @@ class RowTable:
         return tuple(total), tuple(dtotal), tuple(prod), tuple(leib)
 
 
-@lru_cache(maxsize=None)
+@_per_ring
 def row_table(base: Ring, n: int) -> RowTable | None:
-    """The interned row table of M_n(base), or None above ROW_TABLE_CAP."""
+    """The row table of M_n(base), interned on the base ring object, or
+    None above ROW_TABLE_CAP."""
     card = base.cardinality
     if card is None or card**n > ROW_TABLE_CAP:
         return None
@@ -205,8 +205,8 @@ class Matrix:
                 f"M_{other.n}({other.ring.spec})"
             )
 
-    # Row tables are interned per (ring, n), so sharing one is the
-    # compatibility check of the fast paths.  Row code 0 is the zero row.
+    # Row tables are interned per (base ring object, n), so sharing one is
+    # the compatibility check of the fast paths.  Row code 0 is the zero row.
 
     def __add__(self, other):
         rt = self._rt
@@ -286,19 +286,6 @@ def _coded(ring: Ring, n: int, rt: RowTable, codes: tuple) -> Matrix:
     x = _new(Matrix)
     x.ring, x.n, x._rt, x._data, x._hash = ring, n, rt, codes, None
     return x
-
-
-def matrix(ring: Ring, rows) -> Matrix:
-    """Validating constructor: every entry must be canonical for ``ring``."""
-    frozen = tuple(tuple(row) for row in rows)
-    n = len(frozen)
-    for row in frozen:
-        if len(row) != n:
-            raise ShapeMismatchError("matrix must be square")
-        for x in row:
-            if not ring.contains(x):
-                raise ValueError(f"{x!r} is not a canonical element of {ring.spec}")
-    return Matrix(ring, frozen)
 
 
 def zero_matrix(ring: Ring, n: int) -> Matrix:
@@ -496,9 +483,10 @@ def _module_rank(carrier: Ring) -> tuple | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@_per_ring
 def matrix_ring(base: Ring, n: int) -> MatrixRing:
-    """Interned M_n(R) descriptor, axiom-checked on first construction.
+    """M_n(R) descriptor, interned on the base ring object and axiom-checked
+    on first construction.
 
     A carrier of more than COORDINATE_CAP Z_m coordinates is refused with
     CarrierTooLargeError before anything is built.
@@ -516,22 +504,6 @@ def matrix_ring(base: Ring, n: int) -> MatrixRing:
     return ring
 
 
-def split_blocks(x: Matrix, m: int) -> tuple:
-    """The 2x2 grid ((x11, x12), (x21, x22)) of m x m blocks of a 2m x 2m
-    matrix: block (I, J) sits at rows (I-1)m+1..Im and columns
-    (J-1)m+1..Jm.  join_blocks inverts exactly."""
-    if x.n != 2 * m:
-        raise ShapeMismatchError(f"dimension {x.n} is not 2*{m}")
-    ring, rows = x.ring, x.rows
-    return tuple(
-        tuple(
-            Matrix(ring, tuple(row[bj * m : bj * m + m] for row in rows[bi * m : bi * m + m]))
-            for bj in range(2)
-        )
-        for bi in range(2)
-    )
-
-
 def join_blocks(grid) -> Matrix:
     """Flat matrix of a k x k grid (rows of m x m blocks over one ring)."""
     first = grid[0][0]
@@ -544,18 +516,10 @@ def join_blocks(grid) -> Matrix:
     return Matrix(ring, tuple(rows))
 
 
-def block_view(x: Matrix, m: int) -> Matrix:
-    """Reinterpret a 2m x 2m matrix as a 2x2 matrix over M_m(R).
-
-    Block (I, J) is the contiguous m x m block at rows (I-1)m+1..Im and
-    columns (J-1)m+1..Jm; block_flatten inverts exactly.
-    """
-    blocks = split_blocks(x, m)
-    return Matrix(matrix_ring(x.ring, m), blocks)
-
-
 def block_flatten(b: Matrix) -> Matrix:
-    """Inverse of block_view: matrix over M_m(R) back to flat rows over R."""
+    """The flat 2m x 2m matrix over R of a 2x2 matrix over M_m(R): block
+    (I, J) lands at rows (I-1)m+1..Im and columns (J-1)m+1..Jm.  This is
+    the ring isomorphism M_2(M_m(R)) -> M_2m(R)."""
     if not isinstance(b.ring, MatrixRing):
         raise ShapeMismatchError("block_flatten needs a matrix over a matrix ring")
     return join_blocks(b.rows)

@@ -11,8 +11,7 @@ witness" well defined everywhere else in the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import CarrierTooLargeError, InfiniteRingError
 
@@ -234,54 +233,35 @@ class PolyQuot(Ring):
         return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class CommutativityEvidence:
-    """Outcome of a commutativity check, with how it was established."""
+def _per_ring(fn):
+    """Cache ``fn(ring, *args)`` on the ring object itself, not by spec:
+    two objects with one spec need not share their arithmetic."""
+    attr = f"_{fn.__name__}_cache"
 
-    commutative: bool
-    method: str  # "exhaustive" or "declared"
-    counterexample: tuple | None = None
+    @wraps(fn)
+    def cached(ring, *args):
+        try:
+            return ring.__dict__[attr][args]
+        except KeyError:
+            value = fn(ring, *args)
+            ring.__dict__.setdefault(attr, {})[args] = value
+            return value
 
-    def __bool__(self) -> bool:
-        return self.commutative
-
-
-def is_commutative(ring: Ring) -> CommutativityEvidence:
-    """Decide commutativity: exhaustive pairwise check for small finite rings.
-
-    Rings above the exhaustive cap (or infinite ones) fall back to the
-    declared flag, tagged as such.  The verdict is cached on the ring
-    object, not by spec: two objects with one spec need not share their
-    multiplication.
-    """
-    cached = getattr(ring, "_commutativity", None)
-    if cached is None:
-        cached = ring._commutativity = _decide_commutativity(ring)
     return cached
 
 
-def _decide_commutativity(ring: Ring) -> CommutativityEvidence:
+@_per_ring
+def is_commutative(ring: Ring) -> bool:
+    """Decide commutativity: exhaustive pairwise check for small finite rings.
+
+    Rings above the exhaustive cap (or infinite ones) answer with the
+    declared flag.  The verdict is cached on the ring object.
+    """
     card = ring.cardinality
     if card is None or card > COMMUTATIVITY_EXHAUSTIVE_CAP:
-        return CommutativityEvidence(ring.commutative_declared, "declared")
-    els = ring.elements()
-    mul = ring.mul
-    for a in els:
-        for b in els:
-            if mul(a, b) != mul(b, a):
-                return CommutativityEvidence(False, "exhaustive", (a, b))
-    return CommutativityEvidence(True, "exhaustive")
-
-
-def is_central(ring: Ring, a) -> bool:
-    """True iff ``a`` commutes with every element of the finite ring."""
-    if ring.cardinality is None:
-        raise InfiniteRingError(f"{ring.spec} has no finite enumeration")
-    mul = ring.mul
-    for x in ring.elements():
-        if mul(a, x) != mul(x, a):
-            return False
-    return True
+        return ring.commutative_declared
+    els, mul = ring.elements(), ring.mul
+    return all(mul(a, b) == mul(b, a) for a in els for b in els)
 
 
 def ring_axiom_check(ring: Ring) -> None:

@@ -5,12 +5,12 @@ import pytest
 
 from adlocal import (
     DerivationMap,
+    Matrix,
     InconsistentOracleError,
     VerificationFailedError,
     adversarial_oracle,
     check_two_local,
     commutator,
-    matrix,
     matrix_ring,
     matrix_unit,
     parse_ring_spec,
@@ -395,7 +395,7 @@ def test_extract_all_sampled_domain_without_a_failing_x_reports_the_basis(monkey
     base = parse_ring_spec("mat:zmod:2:2")
     carrier = matrix_ring(base, 2)
     e11 = matrix_unit(zmod(2), 2, 1, 1)
-    z = matrix(base, [[e11, base.zero], [base.zero, e11]])
+    z = Matrix(base, ((e11, base.zero), (base.zero, e11)))
     _shifted_extraction(monkeypatch, z, keep=False)
     monkeypatch.setattr(cli, "verification_elements", lambda carrier, seed: carrier.units())
     cfg = ExperimentConfig(ring="mat:zmod:2:2", n=2, experiment="extract-all", force=True)

@@ -19,7 +19,6 @@ from adlocal import (
     WitnessOracle,
     adversarial_oracle,
     check_derivation,
-    check_oracle_consistency,
     check_two_local,
     commutator,
     corner_embed,
@@ -445,19 +444,23 @@ def test_adversarial_oracle_consistent_and_induces_inner(mod):
         assert maps_equal(oracle.value, inner_derivation(a, carrier).evaluate, els)
 
 
+def _assert_consistent(oracle, xs):
+    """Each answer implements the oracle's induced map at both points of its pair."""
+    for x, y in product(xs, xs):
+        w = oracle.select(x, y)
+        assert commutator(w, x) == oracle.value(x) and commutator(w, y) == oracle.value(y)
+
+
 def test_adversarial_oracle_full_consistency_sweep_z2(m2z2):
     els = m2z2.elements()
     for a in els:
-        report = check_oracle_consistency(adversarial_oracle(a, m2z2), els)
-        assert report.passed
-        assert report.checked == len(els) ** 2
+        _assert_consistent(adversarial_oracle(a, m2z2), els)
 
 
 def test_adversarial_oracle_full_consistency_sweep_z3(m2z3):
     els = m2z3.elements()
     for a in els[::9]:  # every ninth witness; each sweep runs 81^2 queries
-        report = check_oracle_consistency(adversarial_oracle(a, m2z3), els)
-        assert report.passed
+        _assert_consistent(adversarial_oracle(a, m2z3), els)
 
 
 def test_pair_oracle_raises_where_the_map_is_not_two_local(m2z2, units2):
@@ -485,52 +488,6 @@ def test_pair_oracle_evaluates_each_point_once(m2z2, units2):
     assert oracle.select(x, y) == oracle.select(y, x)
     assert oracle.value(x) == commutator(w, x) == commutator(a, x)
     assert sorted(calls, key=m2z2.index) == sorted([x, y], key=m2z2.index)
-
-
-def _drifting(oracle, shift, faults):
-    """The oracle with ``shift`` added to its answers at the ordered pairs
-    in ``faults``."""
-
-    def select(x, y):
-        w = oracle.select(x, y)
-        return w + shift if (x, y) in faults else w
-
-    return WitnessOracle(oracle.carrier, select)
-
-
-def _stream_position(els, x, y):
-    """Position of the pair (x, y) in the ordered pair stream of els, from 1."""
-    return els.index(x) * len(els) + els.index(y) + 1
-
-
-def test_check_oracle_consistency_stops_at_first_drift_at_x(m2z2, units2):
-    # e12 does not commute with e11, so shifting an answer at (e11, y) by
-    # it breaks the value at e11; (e11, e21) comes first in the stream
-    els = m2z2.elements()
-    e11, e12, e21 = units2[(1, 1)], units2[(1, 2)], units2[(2, 1)]
-    base = adversarial_oracle(e12, m2z2)
-    oracle = _drifting(base, e12, {(e11, e12), (e11, e21)})
-    report = check_oracle_consistency(oracle, els)
-    drifted = base.select(e11, e21) + e12
-    assert report.failures == [
-        Failure((e11, e21), base.value(e11), commutator(drifted, e11), "witness drifts at x")
-    ]
-    assert report.checked == _stream_position(els, e11, e21)
-
-
-def test_check_oracle_consistency_stops_at_first_drift_at_y(m2z2, units2):
-    # at x = 0 every answer implements the value 0, so shifting the answers
-    # at (0, e11) and (0, e21) by e12 breaks only the value at y
-    els = m2z2.elements()
-    zero, e11, e12, e21 = m2z2.zero, units2[(1, 1)], units2[(1, 2)], units2[(2, 1)]
-    base = adversarial_oracle(e12, m2z2)
-    oracle = _drifting(base, e12, {(zero, e11), (zero, e21)})
-    report = check_oracle_consistency(oracle, els)
-    drifted = base.select(zero, e21) + e12
-    assert report.failures == [
-        Failure((zero, e21), base.value(e21), commutator(drifted, e21), "witness drifts at y")
-    ]
-    assert report.checked == _stream_position(els, zero, e21)
 
 
 def test_check_two_local_stops_at_first_failing_pair(m2z2, units2):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from adlocal import (
@@ -9,14 +11,12 @@ from adlocal import (
     WitnessOracle,
     adversarial_oracle,
     block_flatten,
-    block_view,
     check_derivation,
     check_two_local,
     commutator,
     corner_embed,
     corner_extract,
     double_derivation,
-    extend_corner_derivation,
     extend_derivation_to_n,
     extend_extract_compress,
     extend_two_local_to_n,
@@ -33,8 +33,6 @@ from adlocal import (
     zmod,
 )
 from adlocal import extend
-from adlocal.extend import _corner_rule
-from adlocal.matrix import join_blocks, split_blocks
 from adlocal.sampling import rng_for
 
 
@@ -67,65 +65,80 @@ def literal_six_condition_extension(corner_eval, A):
     return evaluate
 
 
-def test_extension_matches_literal_conditions_scalar_corner(z2, m2z2):
-    D = DerivationMap(z2, lambda a: 0, tuple(z2.elements()))
-    fast = extend_corner_derivation(D)
-    literal = literal_six_condition_extension(D.evaluate, z2)
-    assert maps_equal(fast.evaluate, literal, m2z2.elements())
+def rand(ring, rng):
+    return ring.element(rng.randrange(ring.cardinality))
+
+
+def corner_rule(D):
+    """D's corner extension to M_2(A): [[p, q], [r, s]] -> [[Dp, Dq + q], [Dr - r, Ds]]."""
+    ev = D.evaluate
+
+    def rule(b):
+        (p, q), (r, s) = b.rows
+        return Matrix(D.carrier, ((ev(p), ev(q) + q), (ev(r) - r, ev(s))))
+
+    return rule
+
+
+def test_extension_matches_literal_conditions_scalar_corner(z2):
+    # the scalar corner M1(Z2) doubles into M2(Z2)
+    A = matrix_ring(z2, 1)
+    D = DerivationMap(A, lambda a: A.zero, A.elements())
+    doubled = double_derivation(D)
+    literal = literal_six_condition_extension(D.evaluate, A)
+    for b in matrix_ring(A, 2).elements():
+        assert doubled.evaluate(block_flatten(b)) == block_flatten(literal(b))
 
 
 def test_extension_matches_literal_conditions_matrix_corner(m2z2):
     b = matrix_unit(zmod(2), 2, 1, 2)
     D = inner_derivation(b, m2z2)
-    fast = extend_corner_derivation(D)
+    doubled = double_derivation(D)
     literal = literal_six_condition_extension(D.evaluate, m2z2)
     big = matrix_ring(m2z2, 2)
     rng = rng_for(0, "literal-vs-fast")
     sample = [big.element(rng.randrange(big.cardinality)) for _ in range(300)]
-    assert maps_equal(fast.evaluate, literal, list(big.units()) + sample)
+    for x in list(big.units()) + sample:
+        assert doubled.evaluate(block_flatten(x)) == block_flatten(literal(x))
 
 
 def test_fixed_unit_images(z2, m2z2):
+    # the block units E12 = e13 + e24 -> E12 and E21 = e31 + e42 -> -E21
+    E12 = block_flatten(matrix_unit(m2z2, 2, 1, 2))
+    E21 = block_flatten(matrix_unit(m2z2, 2, 2, 1))
     for b_idx in (0, 5, 9):
-        D = inner_derivation(m2z2.element(b_idx), m2z2)
-        ext = extend_corner_derivation(D)
-        big = matrix_ring(m2z2, 2)
-        E12 = matrix_unit(m2z2, 2, 1, 2)
-        E21 = matrix_unit(m2z2, 2, 2, 1)
-        assert ext.evaluate(E12) == E12
-        assert ext.evaluate(E21) == -E21
+        doubled = double_derivation(inner_derivation(m2z2.element(b_idx), m2z2))
+        assert doubled.evaluate(E12) == E12
+        assert doubled.evaluate(E21) == -E21
 
 
 def test_zero_corner_map_extends_to_ad_e11(z2, m2z2, units2):
-    D = DerivationMap(z2, lambda a: 0, tuple(z2.elements()))
-    ext = extend_corner_derivation(D)
-    assert maps_equal(ext, inner_derivation(units2[(1, 1)]), m2z2.elements())
+    A = matrix_ring(z2, 1)
+    doubled = double_derivation(DerivationMap(A, lambda a: A.zero, A.elements()))
+    assert maps_equal(doubled, inner_derivation(units2[(1, 1)]), m2z2.elements())
 
 
 def test_extension_restricts_to_corner_map(m2z2):
     for b_idx in range(16):
         b = m2z2.element(b_idx)
         D = inner_derivation(b, m2z2)
-        ext = extend_corner_derivation(D)
-        big = matrix_ring(m2z2, 2)
-        z = m2z2.zero
+        doubled = double_derivation(D)
         for v in m2z2.elements():
-            emb = Matrix(m2z2, ((v, z), (z, z)))
-            assert ext.evaluate(emb) == Matrix(m2z2, ((D.evaluate(v), z), (z, z)))
+            assert doubled.evaluate(corner_embed(v, 4)) == corner_embed(D.evaluate(v), 4)
 
 
 def test_inner_extension_predicted_witness(m2z2):
     b = matrix_unit(zmod(2), 2, 1, 2)
     D = inner_derivation(b, m2z2)
-    ext = extend_corner_derivation(D)
-    big = matrix_ring(m2z2, 2)
+    doubled = double_derivation(D)
     E11 = matrix_unit(m2z2, 2, 1, 1)
     E12 = matrix_unit(m2z2, 2, 1, 2)
     E21 = matrix_unit(m2z2, 2, 2, 1)
     w_pred = Matrix(m2z2, ((b, m2z2.zero), (m2z2.zero, m2z2.zero))) + E21 * Matrix(
         m2z2, ((b, m2z2.zero), (m2z2.zero, m2z2.zero))
     ) * E12 + E11
-    assert maps_equal(ext, inner_derivation(w_pred, big), verification_domain(big))
+    m4 = matrix_ring(zmod(2), 4)
+    assert maps_equal(doubled, inner_derivation(block_flatten(w_pred), m4), verification_domain(m4))
     # flattened, the predicted witness reads e12 + e34 + e11 + e22
     z2 = zmod(2)
     expected_flat = (
@@ -138,17 +151,14 @@ def test_inner_extension_predicted_witness(m2z2):
 
 
 def test_double_derivation_matches_block_composition(m2z2):
-    from adlocal import double_derivation
-
+    big = matrix_ring(m2z2, 2)
     for b_idx in (1, 5, 12):
         D = inner_derivation(m2z2.element(b_idx), m2z2)
-        fast = double_derivation(D)
-        block_ext = extend_corner_derivation(D)
-        m4 = matrix_ring(zmod(2), 4)
+        doubled, rule = double_derivation(D), corner_rule(D)
         rng = rng_for(9, "double-vs-block")
-        sample = [m4.element(rng.randrange(m4.cardinality)) for _ in range(400)]
-        for x in list(m4.units()) + sample:
-            assert fast.evaluate(x) == block_flatten(block_ext.evaluate(block_view(x, 2)))
+        sample = [big.element(rng.randrange(big.cardinality)) for _ in range(400)]
+        for x in list(big.units()) + sample:
+            assert doubled.evaluate(block_flatten(x)) == block_flatten(rule(x))
 
 
 def test_double_derivation_untabulated_corner(z2):
@@ -164,9 +174,10 @@ def test_double_derivation_untabulated_corner(z2):
         w = block_flatten(Matrix(m4, ((b + m4.one, m4.zero), (m4.zero, b))))
         for x in m8.units() + tuple(sample):
             assert doubled.evaluate(x) == commutator(w, x)
-        block_ext = extend_corner_derivation(D)
-        for x in sample[:50]:
-            assert doubled.evaluate(x) == block_flatten(block_ext.evaluate(block_view(x, 4)))
+        rule = corner_rule(D)
+        for _ in range(50):
+            x = Matrix(m4, tuple(tuple(rand(m4, rng) for _ in "pq") for _ in "rs"))
+            assert doubled.evaluate(block_flatten(x)) == block_flatten(rule(x))
 
 
 def test_double_derivation_evaluates_each_block_value_once(z2):
@@ -188,15 +199,7 @@ def test_double_derivation_evaluates_each_block_value_once(z2):
     assert sorted(calls, key=m4.index) == [p, q, r]
 
 
-def four_block_reference(D):
-    """The doubled map evaluated block by block: split a flat 2m x 2m
-    matrix into its four m x m blocks, apply the corner rule, join."""
-    A = D.carrier
-    rule = _corner_rule(A, D.evaluate)
-    return lambda x: join_blocks(rule(split_blocks(x, A.n)))
-
-
-# corner A and how many seeded points of M_2m to check (None: every one);
+# corner A and how many seeded 2x2 grids over A to check (None: every one);
 # M4(Z2) has a row table, M2(M2(Z3)) has none (6,561 possible rows)
 DOUBLING_CASES = {
     "M2(Z2)->M4(Z2)": (lambda: matrix_ring(zmod(2), 2), None),
@@ -215,17 +218,17 @@ def test_double_derivation_matches_four_block_reference(case, kind):
     else:
         # v -> v*v is neither additive nor a derivation
         D = DerivationMap(A, lambda v: v * v, verification_domain(A))
-    big = matrix_ring(A.base, 2 * A.n)
     if samples is None:
-        points = list(big.elements())
+        grids = list(product(A.elements(), repeat=4))
     else:
-        points = [big.element(rng.randrange(big.cardinality)) for _ in range(samples)]
+        grids = [tuple(rand(A, rng) for _ in "pqrs") for _ in range(samples)]
     # corner-embedded points have an all-zero bottom half
-    points += [corner_embed(v, 2 * A.n) for v in A.elements()]
-    doubled, reference = double_derivation(D), four_block_reference(D)
-    for x in points:
-        got, want = doubled.evaluate(x), reference(x)
-        assert got == want and got.rows == want.rows, x
+    grids += [(v, A.zero, A.zero, A.zero) for v in A.elements()]
+    doubled, rule = double_derivation(D), corner_rule(D)
+    for p, q, r, s in grids:
+        b = Matrix(A, ((p, q), (r, s)))
+        got, want = doubled.evaluate(block_flatten(b)), block_flatten(rule(b))
+        assert got == want and got.rows == want.rows, b
 
 
 def test_compression_preserves_leibniz(z2):
@@ -306,7 +309,7 @@ def test_corner_two_local_second_case_transport(m2z2, units2):
     for v in m2z2.elements():
         a = block_flatten(Matrix(m2z2, ((z, z), (z, v))))
         assert ext.value(a) == block_flatten(Matrix(m2z2, ((z, z), (z, oracle.value(v)))))
-        w = split_blocks(ext.select(a, a), 2)[1][1]
+        w = Matrix(zmod(2), tuple(row[2:] for row in ext.select(a, a).rows[2:]))
         assert commutator(w, v) == oracle.value(v)
 
 

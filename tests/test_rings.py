@@ -1,25 +1,22 @@
-from functools import lru_cache
-from importlib import import_module
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlocal import (
     InfiniteRingError,
+    PreconditionError,
     Ring,
     Zmod,
-    is_central,
     is_commutative,
     matrix_ring,
-    matrix_unit,
     parse_ring_spec,
     polyquot,
     ring_axiom_check,
     zmod,
 )
-from adlocal.matrix import MatrixRing
-from adlocal.rings import AXIOM_EXHAUSTIVE_CAP
+from adlocal.deriv import _coordinates, verification_domain
+from adlocal.matrix import MatrixRing, row_table
+from adlocal.rings import AXIOM_EXHAUSTIVE_CAP, COMMUTATIVITY_EXHAUSTIVE_CAP
 
 
 def test_enumerate_z2():
@@ -156,13 +153,11 @@ def test_sampled_axiom_check_catches_broken_ring(broken, message):
         (_WrongNegAbove95, None),  # no residue of Z4 is above 95
     ],
 )
-def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(monkeypatch, broken, message):
+def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(broken, message):
     # M2 over a broken Z4 has 256 elements, so the seeded triples run on
     # its row table; the messages are those of the Matrix operators.  Row
-    # tables are interned by ring equality, which compares specs, so each
-    # broken base gets a fresh intern table and not the one of zmod(4).
-    module = import_module("adlocal.matrix")  # the name adlocal.matrix is a function
-    monkeypatch.setattr(module, "row_table", lru_cache(module.row_table.__wrapped__))
+    # tables are interned on the base ring object, so each broken base
+    # gets its own table and not the one of zmod(4).
     ring = MatrixRing(broken(4), 2)
     assert ring.cardinality > AXIOM_EXHAUSTIVE_CAP and ring.row_codes is not None
     if message is None:
@@ -174,26 +169,15 @@ def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(monkeypatch, br
 
 
 def test_is_commutative_z6():
-    ev = is_commutative(zmod(6))
-    assert ev and ev.method == "exhaustive"
+    assert is_commutative(zmod(6)) is True
 
 
 def test_is_commutative_matrix_base_false():
-    ev = is_commutative(matrix_ring(zmod(2), 2))
-    assert not ev
-    assert ev.method == "exhaustive"
-    a, b = ev.counterexample
-    assert a * b != b * a
+    assert is_commutative(matrix_ring(zmod(2), 2)) is False
 
 
 def test_is_commutative_poly_2_3():
-    ev = is_commutative(polyquot(2, 3))
-    assert ev and ev.method == "exhaustive"
-
-
-def test_is_commutative_declared_above_cap():
-    ev = is_commutative(zmod(10007))
-    assert ev and ev.method == "declared"
+    assert is_commutative(polyquot(2, 3)) is True
 
 
 class _CountingZmod(Zmod):
@@ -206,13 +190,22 @@ class _CountingZmod(Zmod):
         return super().mul(a, b)
 
 
+def test_is_commutative_declared_above_cap():
+    # above the cap the declared flag is the verdict, with no product taken
+    for declared in (True, False):
+        ring = _CountingZmod(10007)
+        assert ring.cardinality > COMMUTATIVITY_EXHAUSTIVE_CAP
+        ring.commutative_declared = declared
+        assert is_commutative(ring) is declared
+        assert ring.muls == 0
+
+
 def test_is_commutative_caches_the_verdict_on_the_ring():
     ring = _CountingZmod(7)
-    first = is_commutative(ring)
-    assert first and first.method == "exhaustive"
+    assert is_commutative(ring) is True
     assert ring.muls == 2 * 7 * 7
     ring.muls = 0
-    assert is_commutative(ring) is first
+    assert is_commutative(ring) is True
     assert ring.muls == 0
 
 
@@ -222,29 +215,39 @@ def test_commutativity_verdict_is_not_shared_by_spec():
     for first, second in ((_LeftProjection(3), Zmod(3)), (Zmod(3), _LeftProjection(3))):
         assert first == second  # Ring equality compares spec
         verdicts = {type(r): is_commutative(r) for r in (first, second)}
-        assert verdicts[Zmod] and verdicts[Zmod].method == "exhaustive"
-        broken = verdicts[_LeftProjection]
-        assert not broken and broken.method == "exhaustive"
-        assert broken.counterexample == (0, 1)
+        assert verdicts == {Zmod: True, _LeftProjection: False}
 
 
 def test_declared_flag_agrees_with_exhaustive_check():
     for ring in (zmod(6), polyquot(2, 3), matrix_ring(zmod(2), 2), matrix_ring(zmod(3), 2)):
-        ev = is_commutative(ring)
-        assert ev.method == "exhaustive"
-        assert ev.commutative == ring.commutative_declared
+        assert ring.cardinality <= COMMUTATIVITY_EXHAUSTIVE_CAP
+        assert is_commutative(ring) is ring.commutative_declared
 
 
-def test_is_central_examples(z2, m2z2):
-    assert is_central(m2z2, m2z2.one)
-    assert not is_central(m2z2, matrix_unit(z2, 2, 1, 2))
-    assert is_central(zmod(5), 3)
+def test_matrix_ring_is_interned_per_base_object():
+    # a spec-equal base with other arithmetic gets its own matrix ring,
+    # so its broken addition is axiom-checked
+    assert matrix_ring(zmod(4), 2).spec == "mat:zmod:4:2"
+    broken = _AddNotAssociative(4)
+    assert broken == zmod(4)  # Ring equality compares spec
+    with pytest.raises(ValueError, match="addition not associative"):
+        matrix_ring(broken, 2)
 
 
-def test_zero_and_one_always_central():
-    for ring in (zmod(4), polyquot(2, 2), matrix_ring(zmod(2), 2)):
-        assert is_central(ring, ring.zero)
-        assert is_central(ring, ring.one)
+def test_tables_coordinates_and_domains_are_interned_per_ring_object():
+    left = _LeftProjection(3)
+    assert left == zmod(3)
+    assert row_table(left, 2) is not row_table(zmod(3), 2)
+    assert row_table(left, 2).terms != row_table(zmod(3), 2).terms
+    m2z3 = matrix_ring(zmod(3), 2)
+    assert _coordinates(MatrixRing(zmod(3), 2)) is not _coordinates(m2z3)
+    # the subclass's Z_m coordinates are not known, so it gets none
+    with pytest.raises(PreconditionError):
+        _coordinates(MatrixRing(left, 2))
+    # a verification domain lists the carrier's own elements
+    other = MatrixRing(left, 2)
+    assert verification_domain(other) is not verification_domain(m2z3)
+    assert {x._rt for x in verification_domain(other)} == {other.row_codes}
 
 
 def test_infinite_ring_enumeration_refused():
