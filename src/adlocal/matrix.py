@@ -28,12 +28,19 @@ ring with a row table carries it as ``row_codes``: the pair scan of
 :func:`adlocal.deriv.check_derivation` builds x + y, D(x) + D(y), xy and
 D(x)y + xD(y) of a pair in one pass of :meth:`RowTable.derivation_pair`,
 the coset-tree walks of :mod:`adlocal.deriv` and :mod:`adlocal.twogen`
-add with :meth:`RowTable.plus`, and the sampled axiom self-test of
-:func:`adlocal.rings.ring_axiom_check` computes with :meth:`RowTable.plus`,
+add with :meth:`RowTable.plus`, :func:`adlocal.twogen.generate_subring`
+grows a closure with :meth:`RowTable.plus` and :meth:`RowTable.times`,
+and the sampled axiom self-test of :func:`adlocal.rings.ring_axiom_check`
+draws with :meth:`RowTable.decode` and computes with :meth:`RowTable.plus`,
 :meth:`RowTable.times` and :meth:`RowTable.minus`, all without building
-Matrix objects.  The
-row-code format stays in this module: callers read and rebuild matrices
-only through ``RowTable.codes`` and ``RowTable.matrix``.
+Matrix objects.  The row-code format stays in this module: callers read
+and rebuild matrices only through ``RowTable.codes``, ``RowTable.decode``
+and ``RowTable.matrix``.
+
+Ring equality compares specs alone; matrices mix only over bases of the
+same spec and the same classes, down through nested matrix bases (see
+:func:`_same_ring`).  A carrier that has been listed hands out its listed
+objects from :meth:`MatrixRing.element`.
 """
 
 from __future__ import annotations
@@ -61,8 +68,9 @@ class RowTable:
     row, -(x*d), so a difference of products needs no negation pass.
 
     For loops on row-code tuples, ``codes`` reads the row codes of a
-    value, ``matrix`` builds the Matrix back, ``zero`` is the zero
-    matrix's codes, and :meth:`plus`, :meth:`minus`, :meth:`times` and
+    value, ``matrix`` builds the Matrix back, ``decode`` gives the row
+    codes of a canonical index, ``zero`` is the zero matrix's codes, and
+    :meth:`plus`, :meth:`minus`, :meth:`times` and
     :meth:`derivation_pair` compute on codes; the Matrix product and
     negation are :meth:`times` and :meth:`minus`.
     """
@@ -107,6 +115,16 @@ class RowTable:
 
     def matrix(self, codes: tuple) -> Matrix:
         return _coded(self.ring, self.n, self, codes)
+
+    def decode(self, i: int) -> tuple:
+        """The row codes of the matrix with canonical index ``i``: its n
+        base-``size`` digits, first row most significant."""
+        size, codes = self.size, []
+        for _ in range(self.n):
+            i, c = divmod(i, size)
+            codes.append(c)
+        codes.reverse()
+        return tuple(codes)
 
     def plus(self, c: tuple, d: tuple) -> tuple:
         add = self.add
@@ -199,7 +217,7 @@ class Matrix:
     def _check_compatible(self, other):
         if not isinstance(other, Matrix):
             raise ShapeMismatchError(f"expected a Matrix, got {other!r}")
-        if self.n != other.n or self.ring != other.ring:
+        if self.n != other.n or not _same_ring(self.ring, other.ring):
             raise ShapeMismatchError(
                 f"operands live in M_{self.n}({self.ring.spec}) and "
                 f"M_{other.n}({other.ring.spec})"
@@ -262,7 +280,7 @@ class Matrix:
         rt = self._rt
         if rt is not None and other._rt is rt:
             return self._data == other._data
-        return self.n == other.n and self.ring == other.ring and self.rows == other.rows
+        return self.n == other.n and _same_ring(self.ring, other.ring) and self.rows == other.rows
 
     def __ne__(self, other):
         rt = self._rt
@@ -279,6 +297,20 @@ class Matrix:
     def __repr__(self):
         body = ",".join("[" + ",".join(self.ring.el_str(x) for x in r) + "]" for r in self.rows)
         return f"[{body}]@{self.ring.spec}"
+
+
+def _same_ring(r: Ring, s: Ring) -> bool:
+    """Whether matrices over r and over s may mix: the same spec and, down
+    through nested matrix bases, the same ring classes.  Ring equality
+    compares specs alone, and two classes with one spec need not share
+    their arithmetic."""
+    while r is not s:
+        if r.__class__ is not s.__class__ or r.spec != s.spec:
+            return False
+        if not isinstance(r, MatrixRing):
+            return True
+        r, s = r.base, s.base
+    return True
 
 
 def _coded(ring: Ring, n: int, rt: RowTable, codes: tuple) -> Matrix:
@@ -419,15 +451,17 @@ class MatrixRing(Ring):
         return matrix_index(a)
 
     def element(self, i):
+        """The element with canonical index ``i``, after a range check:
+        the carrier's own object from :meth:`elements` once it has been
+        listed, a Matrix decoded from ``i`` before that."""
         if self.cardinality is not None and not 0 <= i < self.cardinality:
             raise IndexError(f"no element {i} in {self.spec}")
+        listed = self._elements
+        if listed is not None:
+            return listed[i]
         base, n, rt = self.base, self.n, self.row_codes
         if rt is not None:
-            codes = []
-            for _ in range(n):
-                i, c = divmod(i, rt.size)
-                codes.append(c)
-            return _coded(base, n, rt, tuple(reversed(codes)))
+            return _coded(base, n, rt, rt.decode(i))
         card = base.cardinality
         digits = []
         for _ in range(n * n):
@@ -447,10 +481,17 @@ class MatrixRing(Ring):
         return tuple(_coded(base, n, rt, c) for c in product(range(rt.size), repeat=n))
 
     def contains(self, a):
+        """Whether ``a`` is an element: at once for a Matrix on this
+        carrier's row table; otherwise a Matrix of size n over a base of
+        the same spec and class (see :func:`_same_ring`) whose entries the
+        base contains."""
+        rt = self.row_codes
+        if rt is not None and a.__class__ is Matrix and a._rt is rt:
+            return True
         return (
             isinstance(a, Matrix)
             and a.n == self.n
-            and a.ring == self.base
+            and _same_ring(a.ring, self.base)
             and all(self.base.contains(v) for row in a.rows for v in row)
         )
 

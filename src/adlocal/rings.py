@@ -35,6 +35,8 @@ class Ring:
     # the row table of a matrix ring that has one
     # (adlocal.matrix.RowTable); None for every other ring
     row_codes = None
+    # the tuple of elements() once listed
+    _elements = None
 
     def add(self, a, b):
         raise NotImplementedError
@@ -76,7 +78,7 @@ class Ring:
 
     def elements(self) -> tuple:
         """All elements in canonical order; cached after the first call."""
-        cached = getattr(self, "_elements", None)
+        cached = self._elements
         if cached is None:
             card = self.cardinality
             if card is None:
@@ -273,7 +275,8 @@ def ring_axiom_check(ring: Ring) -> None:
     ValueError on the first violated axiom; misconfigured custom rings
     fail here instead of poisoning downstream checks.  On a matrix ring
     with a row table (``row_codes``) the sample runs on row codes: each
-    draw is ``element`` then ``RowTable.codes``, the identities use
+    drawn index goes straight to row codes by ``RowTable.decode``, the
+    decoder of ``MatrixRing.element``, the identities use
     ``RowTable.plus``, ``times`` and ``minus``, the arithmetic of the
     Matrix operators without building a Matrix, and a message prints the
     element as its Matrix.
@@ -317,11 +320,8 @@ def ring_axiom_check(ring: Ring) -> None:
         draw, shown = ring.element, repr
     else:
         # the same draws and identities on row codes, printed as matrices
-        add, mul, neg = rt.plus, rt.times, rt.minus
+        add, mul, neg, draw = rt.plus, rt.times, rt.minus, rt.decode
         zero, one = rt.codes(zero), rt.codes(one)
-
-        def draw(i):
-            return rt.codes(ring.element(i))
 
         def shown(a):
             return repr(rt.matrix(a))

@@ -1,11 +1,15 @@
 """Subrings generated by two elements, and the inner-implementation check.
 
 The closure is non-unital: it contains the identity only when the
-generators produce it.  An additive map on such a closure that agrees with
-the commutator map of some element d at both generators must agree with it
-on every element of the closure; :func:`check_inner_on_subring` verifies
-that claim for a map given as a table on the closure, on every element,
-and reports where it first breaks.
+generators produce it.  :func:`generate_subring` grows it on row codes
+(:class:`adlocal.matrix.RowTable`) when the ambient ring has a row table
+and both generators are on it, and with the ambient ring's operators
+otherwise; both walks give the same elements and span generators.  An
+additive map on such a closure that agrees with the commutator map of
+some element d at both generators must agree with it on every element of
+the closure; :func:`check_inner_on_subring` verifies that claim for a map
+given as a table on the closure, on every element, and reports where it
+first breaks.
 
 :func:`generate_subring` also returns a small additive generating set G of
 the closure S, at most log2 |S| elements, each one outside the span of
@@ -72,6 +76,13 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
     Negatives come free in a finite additive group.  A closure of more
     than ELEMENT_CAP elements is refused with ClosureBudgetError before
     the span grows past the cap.
+
+    When the ambient ring has a row table and x and y are matrices on it,
+    the span grows on row codes (:meth:`RowTable.plus` and
+    :meth:`RowTable.times`), whose tuple order is canonical order, and one
+    Matrix is built per element at the end; otherwise it grows with the
+    ambient ring's operators.  Both walks keep the same span generators in
+    the same order, and ``generators`` are the caller's x and y.
     """
     if ambient is None:
         ambient = matrix_ring(x.ring, x.n)
@@ -79,8 +90,25 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
         raise ValueError("generators do not live in the ambient ring")
     if ambient.cardinality is None:
         raise InfiniteRingError("closure needs a finite ambient ring")
-    add, mul = ambient.add, ambient.mul
-    span, gens = {ambient.zero}, []
+    rt = ambient.row_codes
+    if rt is not None:
+        cx, cy = rt.codes(x), rt.codes(y)
+        if cx is not None and cy is not None:
+            span, gens = _span(rt.plus, rt.times, rt.zero, cx, cy)
+            built = rt.matrix
+            return GeneratedSubring(
+                ambient, (x, y), tuple(map(built, sorted(span))), tuple(map(built, gens))
+            )
+    span, gens = _span(ambient.add, ambient.mul, ambient.zero, x, y)
+    ordered = tuple(sorted(span, key=ambient.index))
+    return GeneratedSubring(ambient, (x, y), ordered, tuple(gens))
+
+
+def _span(add, mul, zero, x, y) -> tuple:
+    """The closure of {x, y} as a set, and its span generators in order,
+    grown with ``add`` and ``mul`` from ``zero`` (see
+    :func:`generate_subring`)."""
+    span, gens = {zero}, []
 
     def absorb(g):
         if g in span:
@@ -99,9 +127,7 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
         for h in gens[: i + 1]:
             absorb(mul(g, h))
             absorb(mul(h, g))
-
-    ordered = tuple(sorted(span, key=ambient.index))
-    return GeneratedSubring(ambient, (x, y), ordered, tuple(gens))
+    return span, gens
 
 
 def _additive(S: GeneratedSubring, delta) -> bool:

@@ -411,17 +411,42 @@ def test_row_table_arithmetic_all_pairs(label):
 
 @pytest.mark.parametrize("label", sorted(SAMPLED_CARRIERS))
 def test_row_table_arithmetic_sampled_pairs(label):
-    carrier = SAMPLED_CARRIERS[label]()
-    base, n, card = carrier.base, carrier.n, carrier.cardinality
+    # a carrier not listed yet decodes each index; once listed, element
+    # hands out the listed objects, equal to the decoded ones
+    interned = SAMPLED_CARRIERS[label]()
+    base, n = interned.base, interned.n
+    carrier = MatrixRing(base, n)
+    card = carrier.cardinality
     rng = rng_for(0, f"row-table:{label}")
-    els = carrier.elements()
+    decoded = []
     for _ in range(1000):
         i, j = rng.randrange(card), rng.randrange(card)
         a, b = carrier.element(i), carrier.element(j)
-        assert a is not els[i] and a == els[i]
         assert a.rows == _ref_rows(base, n, i)
         assert matrix_index(a) == _ref_index(a) == i
         _assert_ops_match(a, b)
+        decoded.append((i, a))
+    els = carrier.elements()
+    for i, a in decoded:
+        assert carrier.element(i) is els[i] and els[i] == a
+    with pytest.raises(IndexError):
+        carrier.element(card)
+
+
+def test_contains_takes_a_matrix_on_the_row_table_without_its_entries(monkeypatch):
+    carrier = MatrixRing(zmod(2), 3)
+    x = carrier.element(300)
+
+    def refuse(v):
+        raise AssertionError("entry scanned")
+
+    monkeypatch.setattr(carrier.base, "contains", refuse)
+    assert carrier.contains(x)
+    # off the row table, the entries are still scanned
+    above = MatrixRing(zmod(7), 3)
+    monkeypatch.setattr(above.base, "contains", refuse)
+    with pytest.raises(AssertionError, match="entry scanned"):
+        above.contains(above.element(300))
 
 
 def test_entrywise_arithmetic_above_row_table_cap():

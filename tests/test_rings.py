@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,16 +8,20 @@ from adlocal import (
     InfiniteRingError,
     PreconditionError,
     Ring,
+    ShapeMismatchError,
     Zmod,
+    commutator,
+    generate_subring,
     is_commutative,
     matrix_ring,
     parse_ring_spec,
     polyquot,
     ring_axiom_check,
+    verify_diagonal_differences,
     zmod,
 )
 from adlocal.deriv import _coordinates, verification_domain
-from adlocal.matrix import MatrixRing, row_table
+from adlocal.matrix import Matrix, MatrixRing, row_table
 from adlocal.rings import AXIOM_EXHAUSTIVE_CAP, COMMUTATIVITY_EXHAUSTIVE_CAP
 
 
@@ -248,6 +254,36 @@ def test_tables_coordinates_and_domains_are_interned_per_ring_object():
     other = MatrixRing(left, 2)
     assert verification_domain(other) is not verification_domain(m2z3)
     assert {x._rt for x in verification_domain(other)} == {other.row_codes}
+
+
+def test_matrices_over_spec_equal_bases_of_other_classes_do_not_mix():
+    left, z3 = _LeftProjection(3), zmod(3)
+    rows = ((1, 2), (0, 1))
+    a, b = Matrix(left, rows), Matrix(z3, ((2, 0), (1, 1)))
+    for op in (operator.add, operator.sub, operator.mul, commutator):
+        for u, v in ((a, b), (b, a)):
+            with pytest.raises(ShapeMismatchError):
+                op(u, v)
+    assert Matrix(left, rows) != Matrix(z3, rows)
+    assert not Matrix(left, rows) == Matrix(z3, rows)
+    assert Matrix(left, rows) == Matrix(left, rows)
+    assert not matrix_ring(z3, 2).contains(Matrix(left, rows))
+    assert MatrixRing(left, 2).contains(Matrix(left, rows))
+    with pytest.raises(ValueError, match="do not live in the ambient ring"):
+        generate_subring(Matrix(left, rows), b, matrix_ring(z3, 2))
+    with pytest.raises(PreconditionError, match="different matrix rings"):
+        verify_diagonal_differences(Matrix(left, rows), Matrix(z3, rows))
+    # the classes are compared down through nested matrix bases
+    outer_left, outer_z3 = MatrixRing(left, 1), MatrixRing(z3, 1)
+    assert outer_left == outer_z3  # Ring equality compares spec
+    nested = [
+        Matrix(ring, ((ring.one, ring.zero), (ring.one, ring.one)))
+        for ring in (outer_left, outer_z3)
+    ]
+    assert nested[0] != nested[1]
+    with pytest.raises(ShapeMismatchError):
+        nested[0] * nested[1]
+    assert not MatrixRing(outer_z3, 2).contains(nested[0])
 
 
 def test_infinite_ring_enumeration_refused():

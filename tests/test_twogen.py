@@ -292,10 +292,26 @@ def _seeded_pairs(label, carrier, count):
 
 
 @pytest.mark.parametrize("label", sorted(DIFF_CARRIERS))
-def test_generate_subring_matches_reference(label):
+def test_generate_subring_matches_reference(monkeypatch, label):
     carrier = DIFF_CARRIERS[label]()
-    for x, y in _seeded_pairs(label, carrier, 25):
-        S = generate_subring(x, y, carrier)
+    pairs = _seeded_pairs(label, carrier, 25)
+    closures = [generate_subring(x, y, carrier) for x, y in pairs]
+    # the operator walk, with the row table hidden, gives the same closure:
+    # elements, span generators in order, and the caller's generators
+    with monkeypatch.context() as patched:
+        patched.setattr(carrier, "row_codes", None)
+        for (x, y), S in zip(pairs, closures):
+            assert S == generate_subring(x, y, carrier)
+            assert S.generators[0] is x and S.generators[1] is y
+    # a generator off the row table takes the operator walk, which keeps
+    # the caller's objects as span generators
+    for (x, y), S in zip(pairs[:10], closures):
+        off = _Sub(carrier.base, x.rows)
+        T = generate_subring(off, y, carrier)
+        assert T == S
+        if T.span_generators:
+            assert T.span_generators[0] is off or T.span_generators[0] is y
+    for (x, y), S in zip(pairs, closures):
         assert S.elements == _closure_reference(x, y, carrier)
         # each span generator at least doubles the span of those before it
         gens = S.span_generators
