@@ -95,9 +95,8 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
         cx, cy = rt.codes(x), rt.codes(y)
         if cx is not None and cy is not None:
             span, gens = _span(rt.plus, rt.times, rt.zero, cx, cy)
-            built = rt.matrix
             return GeneratedSubring(
-                ambient, (x, y), tuple(map(built, sorted(span))), tuple(map(built, gens))
+                ambient, (x, y), tuple(map(rt.matrix, sorted(span))), tuple(map(rt.matrix, gens))
             )
     span, gens = _span(ambient.add, ambient.mul, ambient.zero, x, y)
     ordered = tuple(sorted(span, key=ambient.index))
