@@ -32,6 +32,7 @@ BATTERY = [
     ("prop10", "zmod:2", 3, {"gen_pairs": 25}),
     ("prop10", "zmod:2", 4, {"gen_pairs": 1}),
     ("two-local-check", "zmod:2", 2, {}),
+    ("two-local-check", "zmod:2", 3, {}),
 ]
 
 STATUS_CODE = {"pass": 0, "fail": 2, "error": 3}

@@ -19,10 +19,13 @@ least-recently-used cache, :func:`_echelon`, holding at most
 ECHELON_CACHE_FORMS forms; a reused form is the one a fresh elimination
 would build, so results do not depend on the cache.
 :func:`check_two_local` asks only whether a witness exists, and its
-seeded pairs seldom recur, so it decides each pair by one uncached
-elimination of the image rows (:meth:`_Coordinates.consistent`) and
-leaves the cache alone; one elimination loop,
-:meth:`_Coordinates._eliminate`, serves both.  A point, target or
+seeded pairs seldom recur, so it leaves the cache alone.  It first looks
+for one element implementing the map at every point of its stream
+(:func:`_common_witness`), a few uncached solves over a handful of pinned
+points, which settles the inner maps the paper is about at once; only
+when there is none does it decide each pair by one uncached elimination
+of the image rows (:meth:`_Coordinates.consistent`).  One elimination
+loop, :meth:`_Coordinates._eliminate`, serves them all.  A point, target or
 hidden element of another ring is refused with ShapeMismatchError.  The
 oracles here are deliberately adversarial - they answer with the minimal
 witness, never with the element that secretly induced the map - so
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable
 
@@ -650,7 +653,7 @@ class _Coordinates:
         prow, pdiv = self._eliminate(rows, (len(points) + 1) * size)
         return tuple(prow), bytes(pdiv) if self.m < 256 else tuple(pdiv)
 
-    def solve(self, cons) -> int | None:
+    def solve(self, cons, echelon) -> int | None:
         """Canonical index of the minimal b with [b, x] = t for every
         (x, t) in ``cons``, or None.
 
@@ -666,16 +669,18 @@ class _Coordinates:
         The solution set does not depend on the order of the
         constraints, so they are taken in canonical order of their points
         x_1 ... x_K.  The form depends on those points alone, not on the
-        targets, so it comes from :meth:`echelon` through the process-wide
-        cache :func:`_echelon`; a reused form is the one a fresh
-        elimination would build, so the answer does not depend on the cache.
+        targets, and ``echelon(self, points)`` gives it: the process-wide
+        cache :func:`_echelon` for :func:`witness_search`, or the uncached
+        :meth:`echelon` for :func:`_common_witness`, whose pin sets seldom
+        recur.  A reused form is the one a fresh elimination would build,
+        so the answer does not depend on the source.
         """
         m, mu, shift, width = self.m, self.mu, self.shift, self.width
         index = self.carrier.index
         points = [index(x) for x, _ in cons]
         if len(points) > 1:
             points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
-        form = _echelon(self, tuple(points))
+        form = echelon(self, tuple(points))
         v = self._reduce(form, self._targets([t for _, t in cons], 1), self.size)
         if v is None:
             return None
@@ -695,8 +700,8 @@ class _Coordinates:
 
     def least(self, form: tuple, b: int) -> int:
         """Canonical index of the least element of b + C(x_1) ∩ ... ∩ C(x_K),
-        for b packed in the N low lanes and ``form`` the cached Howell form
-        of the points x_1 ... x_K (see :meth:`solve`), whose pivot rows in
+        for b packed in the N low lanes and ``form`` the Howell form of
+        the points x_1 ... x_K (see :meth:`solve`), whose pivot rows in
         the second block span that common centralizer.  Taking each
         coordinate of b mod its pivot, left to right, gives the least
         element of the coset in lexicographic order, which is canonical
@@ -769,7 +774,7 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     cons = _constraints(coords, constraints)
     if not cons:
         return carrier.zero
-    found = coords.solve(cons)
+    found = coords.solve(cons, _echelon)
     return None if found is None else carrier.element(found)
 
 
@@ -843,6 +848,42 @@ def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
     return _memo_oracle(carrier, answer, _Memo(partial(carrier.commutator, a)))
 
 
+def _common_witness(carrier: Ring, ev, points: list) -> bool:
+    """True iff one element b has [b, x] = ev(x) at every one of the
+    distinct ``points``, given in the order the pair stream first meets
+    them; such a b implements the map at both points of every pair.
+
+    The first two points are the pins.  When they are all the points, one
+    :meth:`_Coordinates.consistent` decides, and no witness is built.
+    Otherwise :meth:`_Coordinates.solve` finds a b for the pins, uncached,
+    and b is checked at every other point in order, evaluating each point
+    only once every earlier one has been checked.  The first point where
+    [b, x] differs from ev(x) joins the pins and the solve runs again;
+    False once the pins have no common witness.  A rerun drops the old b,
+    so each one shrinks the pins' solution set, a coset of a subgroup of
+    Z_m^N, to a proper subcoset, at most half its size.  The first set has
+    at most m^N elements, so there are at most N*log2(m) + 1 solves, each
+    over a handful of pins, however many points there are.  No system is
+    built over all the points at once.
+    """
+    coords = _coordinates(carrier)
+    pins = _constraints(coords, [(x, ev(x)) for x in points[:2]])
+    if len(points) <= 2:
+        return coords.consistent(pins)
+    element, commutator = carrier.element, carrier.commutator
+    rest = points[2:]
+    while True:
+        found = coords.solve(pins, _Coordinates.echelon)
+        if found is None:
+            return False
+        b = element(found)
+        miss = next((x for x in rest if commutator(b, x) != ev(x)), None)
+        if miss is None:
+            return True
+        rest.remove(miss)
+        pins += _constraints(coords, [(miss, ev(miss))])
+
+
 def check_two_local(
     D: DerivationMap,
     pair_cap: int = TWO_LOCAL_PAIR_CAP,
@@ -853,16 +894,25 @@ def check_two_local(
     implements the map at both points; pass iff every pair has one, and
     stop at the first pair without one.
 
-    Each pair asks :meth:`_Coordinates.consistent`, which decides that
-    existence by one uncached elimination and builds no witness, so the
-    check leaves the cache :func:`_echelon` as it found it.  Two kinds of
-    pair pass without a solve, because a passed pair proves them: (y, x)
-    once (x, y) has passed, and (z, z) once some passed pair contains z,
-    as a common witness of (x, z) implements the map at z alone.  So the
-    report is the one a solve of every pair gives.  The carrier's
-    coordinates are built at the first pair, so a stream without pairs
-    passes with 0 checked, and later refusals are those of
-    :func:`witness_search`.
+    The stream is first certified whole: when one element implements the
+    map at every point of the stream (:func:`_common_witness`), every pair
+    has it as a witness and the report passes with every pair checked.
+    On M_n(R) over a commutative R every inner 2-local derivation is
+    inner, so that settles most streams with a few uncached eliminations.
+    Should the certificate find no common witness, or raise, the scan below
+    decides, with its own report or exception: a map may raise at a point
+    the scan never reaches, after a failing pair.
+
+    The scan asks :meth:`_Coordinates.consistent` at each pair, which
+    decides that existence by one uncached elimination and builds no
+    witness, so the check leaves the cache :func:`_echelon` as it found
+    it.  Two kinds of pair pass without a solve, because a passed pair
+    proves them: (y, x) once (x, y) has passed, and (z, z) once some
+    passed pair contains z, as a common witness of (x, z) implements the
+    map at z alone.  So the report is the one a solve of every pair gives.
+    The carrier's coordinates are built only for a stream with pairs, so
+    a stream without pairs passes with 0 checked, and refusals are those
+    of :func:`witness_search`.
 
     Additivity of the map is deliberately not required.
     """
@@ -870,7 +920,15 @@ def check_two_local(
     if carrier.cardinality is None:
         raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
-    pairs, _ = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    stream = partial(_pair_stream, carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    pairs, length = stream()
+    points = list(dict.fromkeys(chain.from_iterable(pairs)))
+    try:
+        if points and _common_witness(carrier, ev, points):
+            return VerificationReport(length)
+    except Exception:
+        pass  # the scan raises it again, or fails at a pair before it
+    pairs, _ = stream()
     passed, witnessed = set(), set()
 
     def no_common_witness(x, y):
@@ -885,4 +943,3 @@ def check_two_local(
         return None
 
     return _first_failure(pairs, no_common_witness)
-

@@ -640,6 +640,16 @@ def test_check_two_local_report_matches_a_search_of_every_pair(m2z2, units2):
 
     for f in (partial(commutator, hidden), late_fault):
         cases.append((DerivationMap(m3z2, f, m3z2.elements()), {"pair_samples": 400}))
+    late = domain[-3]
+
+    def fault_then_raise(x):  # raises only at a point after the failing pair
+        if x == late:
+            raise ZeroDivisionError("a point after the failing pair")
+        return mid_stream(x)
+
+    cases.append((DerivationMap(m2z2, fault_then_raise, domain), {}))
+    cases.append((_pairwise_but_not_common(m2z2), {}))
+    cases.append((_needs_repins(m3z2, hidden), {}))
     failing = 0
     for D, budget in cases:
         report = check_two_local(D, **budget)
@@ -648,11 +658,28 @@ def test_check_two_local_report_matches_a_search_of_every_pair(m2z2, units2):
     assert failing >= 6
 
 
-def test_check_two_local_on_the_item_shape_runs_two_eliminations(monkeypatch, m3z2):
-    # the witness-search item checks the pairs (x, x), (x, y), (y, x), (y, y)
-    rng = random.Random("two-local-item")
-    a, x, y = (m3z2.element(rng.randrange(m3z2.cardinality)) for _ in range(3))
-    assert x != y
+def _pairwise_but_not_common(m2z2):
+    """A map on three points of M2(Z2), [a, x] with a different a at each,
+    that has a witness at every pair of points but none at all three."""
+    points = [m2z2.element(i) for i in (2, 3, 1)]
+    values = {x: commutator(m2z2.element(i), x) for x, i in zip(points, (4, 13, 6))}
+    for x, y in product(points, points):
+        assert witness_search(m2z2, [(x, values[x]), (y, values[y])]) is not None
+    assert witness_search(m2z2, list(values.items())) is None
+    return DerivationMap(m2z2, values.__getitem__, tuple(points))
+
+
+def _needs_repins(m3z2, hidden):
+    """An inner map whose first two points, 0 and 1, commute with every
+    element, so the pins' least witness is 0 and later points re-pin."""
+    rng = random.Random("two-local-repins")
+    draws = [m3z2.element(rng.randrange(m3z2.cardinality)) for _ in range(30)]
+    domain = tuple(dict.fromkeys([m3z2.zero, m3z2.one, *draws]))
+    return DerivationMap(m3z2, partial(commutator, hidden), domain)
+
+
+def _counting_eliminations(monkeypatch) -> list:
+    """The lane counts of every _Coordinates._eliminate call from now on."""
     eliminate, runs = _Coordinates._eliminate, []
 
     def counted(self, rows, lanes):
@@ -660,12 +687,97 @@ def test_check_two_local_on_the_item_shape_runs_two_eliminations(monkeypatch, m3
         return eliminate(self, rows, lanes)
 
     monkeypatch.setattr(_Coordinates, "_eliminate", counted)
+    return runs
+
+
+def test_check_two_local_falls_back_to_the_scan_without_a_common_witness(monkeypatch, m2z2):
+    D = _pairwise_but_not_common(m2z2)
+    runs = _counting_eliminations(monkeypatch)
+    report = check_two_local(D)
+    assert report.passed and report.checked == 9
+    assert (report.checked, report.failures) == _two_local_reference(D)
+    # two solves of the certificate (2 pins, then 3, each above 4 identity
+    # lanes), then the scan's consistency tests: (x, x), then (x, y),
+    # (x, z) and (y, z); the others are proved by passed pairs
+    assert runs == [12, 16, 4, 8, 8, 8]
+
+
+def test_check_two_local_repins_within_the_bound(monkeypatch, m3z2):
+    D = _needs_repins(m3z2, m3z2.element(0o321))
+    runs = _counting_eliminations(monkeypatch)
+    _coordinates(m3z2)
+    before = _echelon.cache_info()
+    report = check_two_local(D)
+    assert report.passed and report.checked == len(D.domain) ** 2
+    assert runs == [27, 36, 45]  # solves over 2, 3 and 4 pins, N = 9 lanes each
+    assert _echelon.cache_info() == before  # the solves are uncached
+
+
+@pytest.mark.parametrize("spec,bound", [("mat:zmod:2:2", 4 * 1 + 1), ("mat:zmod:4:2", 4 * 2 + 1)])
+def test_check_two_local_certifies_every_inner_map_within_the_bound(monkeypatch, spec, bound):
+    # N log2(m) + 1 eliminations, N = 4 coordinates over Z_m, on the full
+    # default stream of every inner map
+    carrier = parse_ring_spec(spec)
+    runs = _counting_eliminations(monkeypatch)
+    counts = []
+    for a in carrier.elements():
+        del runs[:]
+        report = check_two_local(inner_derivation(a, carrier))
+        assert report.passed
+        counts.append(len(runs))
+    assert 1 <= min(counts) and max(counts) <= bound
+
+
+def test_check_two_local_reports_a_diagonal_failure_before_a_later_raise(m2z2, units2):
+    # (e11, e11) fails, and the map raises at e12, the second distinct
+    # point, which the scan never evaluates
+    e11, e12 = units2[(1, 1)], units2[(1, 2)]
+    domain = verification_domain(m2z2)
+    assert domain[:2] == (e11, e12)
+
+    def evaluate(x):
+        if x == e12:
+            raise ZeroDivisionError("second point")
+        return x
+
+    report = check_two_local(DerivationMap(m2z2, evaluate, domain))
+    assert report.checked == 1
+    assert report.failures == [Failure((e11, e11), (e11, e11), None, "no common witness")]
+
+
+@pytest.mark.parametrize("late", ["raise", "foreign"])
+def test_check_two_local_raises_at_a_late_point_as_the_scan_does(m2z2, late):
+    a, domain = m2z2.element(6), verification_domain(m2z2)
+    late_point = domain[-3]
+
+    def evaluate(x):
+        if x != late_point:
+            return commutator(a, x)
+        if late == "foreign":
+            return zero_matrix(zmod(3), 2)
+        raise ZeroDivisionError("late point")
+
+    D = DerivationMap(m2z2, evaluate, domain)
+    error = ShapeMismatchError if late == "foreign" else ZeroDivisionError
+    with pytest.raises(error) as want:
+        _two_local_reference(D)
+    with pytest.raises(error) as got:
+        check_two_local(D)
+    assert str(got.value) == str(want.value)
+
+
+def test_check_two_local_on_the_item_shape_runs_one_elimination(monkeypatch, m3z2):
+    # the witness-search item checks the pairs (x, x), (x, y), (y, x), (y, y)
+    rng = random.Random("two-local-item")
+    a, x, y = (m3z2.element(rng.randrange(m3z2.cardinality)) for _ in range(3))
+    assert x != y
+    runs = _counting_eliminations(monkeypatch)
     _coordinates(m3z2)
     before = _echelon.cache_info()
     D = DerivationMap(m3z2, inner_derivation(a, m3z2).evaluate, (x, y), witness=a)
     report = check_two_local(D, pair_cap=4)
     assert report.passed and report.checked == 4
-    assert runs == [9, 18]  # (x, x) with one constraint, then (x, y)
+    assert runs == [18]  # the two points are the pins: one consistency test
     assert _echelon.cache_info() == before
 
 

@@ -36,6 +36,7 @@ CONFIGS = {
     ),
     "two-local-check-zmod2-n2": dict(experiment="two-local-check", ring="zmod:2", n=2),
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
+    "two-local-check-zmod2-n3": dict(experiment="two-local-check", ring="zmod:2", n=3),
     "prop10-zmod2-n2-g10": dict(experiment="prop10", ring="zmod:2", n=2, gen_pairs=10),
     "prop10-zmod4-n2": dict(experiment="prop10", ring="zmod:4", n=2),
     "prop10-zmod2-n3": dict(experiment="prop10", ring="zmod:2", n=3, gen_pairs=25),

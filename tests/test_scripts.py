@@ -125,3 +125,14 @@ def test_sloc_counts_code_lines_only(tmp_path, capsys):
         "     1  b.py",
         "     8  total",
     ]
+
+
+SLOC_BUDGET = 1969  # the library's code-line budget, set in ROADMAP.md
+
+
+def test_library_stays_within_its_code_line_budget():
+    total = sum(
+        sloc.code_lines(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "adlocal").glob("*.py")
+    )
+    assert total <= SLOC_BUDGET, f"{total} code lines in src/adlocal, budget {SLOC_BUDGET}"
