@@ -367,20 +367,27 @@ class _OffTable(Exception):
 class _RowDerivation(dict):
     """A map D on a carrier with a row table, memoised by the row codes of
     its argument: ``self[c]`` is the row codes of D at the matrix with row
-    codes ``c``.  D runs once per distinct argument, on a Matrix built only
-    then.  A point of :meth:`pair` or a value off the table raises
+    codes ``c``.  D runs once per distinct argument: at the point itself
+    for a point of :meth:`pair`, otherwise at the carrier's listed object
+    with row codes ``c`` once the carrier has been listed, and at a Matrix
+    built only then before that.  The points of a sampled pair stream on a
+    listed carrier, its units and its draws, are listed objects too, so
+    there D meets only listed objects, and a table keyed by them finds
+    each key by identity, with nothing allocated.  A point of
+    :meth:`pair` or a value off the table raises
     :class:`_OffTable`.
 
     :meth:`pair` is the pair check of :func:`_operator_pair` on row codes."""
 
-    __slots__ = ("rt", "evaluate")
+    __slots__ = ("carrier", "rt", "evaluate")
 
-    def __init__(self, rt, evaluate):
+    def __init__(self, carrier, evaluate):
         super().__init__()
-        self.rt, self.evaluate = rt, evaluate
+        self.carrier, self.rt, self.evaluate = carrier, carrier.row_codes, evaluate
 
     def __missing__(self, c):
-        return self._store(c, self.rt.matrix(c))
+        rt, listed = self.rt, self.carrier._elements
+        return self._store(c, rt.matrix(c) if listed is None else listed[rt.index(c)])
 
     def _store(self, c, x):
         v = self.rt.codes(self.evaluate(x))
@@ -465,7 +472,7 @@ def check_derivation(
         return _first_failure(pairs, check_pair)
 
     if carrier.row_codes is not None:
-        memo = _RowDerivation(carrier.row_codes, D.evaluate)
+        memo = _RowDerivation(carrier, D.evaluate)
         try:
             return scan(memo.at, memo.additive, memo.pair)
         except _OffTable:
@@ -894,8 +901,9 @@ def check_two_local(
     implements the map at both points; pass iff every pair has one, and
     stop at the first pair without one.
 
-    The stream is first certified whole: when one element implements the
-    map at every point of the stream (:func:`_common_witness`), every pair
+    The stream is drawn once, into a list that both stages read.  It is
+    first certified whole: when one element implements the map at every
+    point of the stream (:func:`_common_witness`), every pair
     has it as a witness and the report passes with every pair checked.
     On M_n(R) over a commutative R every inner 2-local derivation is
     inner, so that settles most streams with a few uncached eliminations.
@@ -920,15 +928,14 @@ def check_two_local(
     if carrier.cardinality is None:
         raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
-    stream = partial(_pair_stream, carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
-    pairs, length = stream()
+    pairs, length = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
+    pairs = list(pairs)
     points = list(dict.fromkeys(chain.from_iterable(pairs)))
     try:
         if points and _common_witness(carrier, ev, points):
             return VerificationReport(length)
     except Exception:
         pass  # the scan raises it again, or fails at a pair before it
-    pairs, _ = stream()
     passed, witnessed = set(), set()
 
     def no_common_witness(x, y):

@@ -11,7 +11,10 @@ idempotent e = e_11 + ... + e_nn finishes the extension from a 2x2 corner
 to M_n(R) for any n.  The rule keeps every block in its row band: the top
 m rows of a doubled value depend only on the top m rows of the argument,
 and the bottom m rows only on its bottom m rows, so a doubled map is
-memoised one half-row band at a time.
+memoised one half-row band at a time.  On a row table each band's image
+also has its share of the canonical index, so once the carrier has been
+listed a value is the listed element at the sum of the two shares, and
+no matrix is built.
 
 A 2-local oracle extends through its induced map: that map extends by the
 same doubling and compression, and each queried pair of the extension is
@@ -80,10 +83,19 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
     are (D b11 | (D+id) b12), read off the top m rows of the argument, and
     the bottom m rows are ((D-id) b21 | D b22), read off its bottom m rows.
     So the map is memoised half by half, keyed by the raw row data of the
-    half (row codes, or row tuples above ROW_TABLE_CAP), and an evaluation
-    is two dict lookups and a concatenation.  A half seen for the first
-    time is split into its two blocks, which go through the block maps, so
-    D still runs once per distinct block value."""
+    half (row codes, or row tuples above ROW_TABLE_CAP).  A half seen for
+    the first time is split into its two blocks, which go through the
+    block maps, so D still runs once per distinct block value.
+
+    Above the cap an evaluation is two dict lookups and a concatenation of
+    rows.  On a row table each half also has a memo of its image's share
+    of the canonical index: the index of the image with the other half's
+    rows zero (see :meth:`adlocal.matrix.RowTable.index`).  Each
+    evaluation asks whether M_2m(R) has been listed by then, since it may
+    be listed after the map is built.  If it has, the value is the listed
+    element at the sum of the two shares, and no matrix is built; if not,
+    it is a Matrix on the concatenated row codes, and no share is
+    computed."""
     A = D.carrier
     if not isinstance(A, MatrixRing):
         raise ShapeMismatchError("doubling needs a matrix-ring carrier")
@@ -115,10 +127,23 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
             return _Memo(image)
 
     top, bottom = band(dv, pv), band(mv, dv)
+    if rt is None:
+
+        def evaluate(x):
+            data = x._data
+            return _coded(R, 2 * m, rt, top[data[:m]] + bottom[data[m:]])
+
+        return _map_on(big, evaluate)
+    n, pad = 2 * m, rt.zero[:m]
+    top_share = _Memo(lambda h: rt.index(top[h] + pad))
+    bottom_share = _Memo(lambda h: rt.index(pad + bottom[h]))
 
     def evaluate(x):
         data = x._data
-        return _coded(R, 2 * m, rt, top[data[:m]] + bottom[data[m:]])
+        listed = big._elements
+        if listed is None:
+            return _coded(R, n, rt, top[data[:m]] + bottom[data[m:]])
+        return listed[top_share[data[:m]] + bottom_share[data[m:]]]
 
     return _map_on(big, evaluate)
 

@@ -34,13 +34,13 @@ and the sampled axiom self-test of :func:`adlocal.rings.ring_axiom_check`
 draws with :meth:`RowTable.decode` and computes with :meth:`RowTable.plus`,
 :meth:`RowTable.times` and :meth:`RowTable.minus`, all without building
 Matrix objects.  The row-code format stays in this module: callers read
-and rebuild matrices only through ``RowTable.codes``, ``RowTable.decode``
-and ``RowTable.matrix``.
+and rebuild matrices only through ``RowTable.codes``, ``RowTable.decode``,
+``RowTable.index`` and ``RowTable.matrix``.
 
 Ring equality compares specs alone; matrices mix only over bases of the
 same spec and the same classes, down through nested matrix bases (see
 :func:`_same_ring`).  A carrier that has been listed hands out its listed
-objects from :meth:`MatrixRing.element`.
+objects from :meth:`MatrixRing.element` and :meth:`MatrixRing.units`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class RowTable:
 
     For loops on row-code tuples, ``codes`` reads the row codes of a
     value, ``matrix`` builds the Matrix back, ``decode`` gives the row
-    codes of a canonical index, ``zero`` is the zero matrix's codes, and
+    codes of a canonical index and ``index`` the index of row codes,
+    ``zero`` is the zero matrix's codes, and
     :meth:`plus`, :meth:`minus`, :meth:`times` and
     :meth:`derivation_pair` compute on codes; the Matrix product and
     negation are :meth:`times` and :meth:`minus`.
@@ -125,6 +126,16 @@ class RowTable:
             codes.append(c)
         codes.reverse()
         return tuple(codes)
+
+    def index(self, codes: tuple) -> int:
+        """The canonical index of the matrix with row codes ``codes``, the
+        inverse of :meth:`decode`.  Each row adds its code times its place
+        value, so the index of a matrix is the sum of the indices of its
+        row bands, each padded with zero rows (row code 0)."""
+        size, acc = self.size, 0
+        for c in codes:
+            acc = acc * size + c
+        return acc
 
     def plus(self, c: tuple, d: tuple) -> tuple:
         add = self.add
@@ -393,12 +404,9 @@ def commutator(a: Matrix, x: Matrix) -> Matrix:
 def matrix_index(x: Matrix) -> int:
     """Canonical integer: row-major base-|R| digits, entry (1,1) most significant."""
     rt = x._rt
-    acc = 0
     if rt is not None:
-        size = rt.size
-        for c in x._data:
-            acc = acc * size + c
-        return acc
+        return rt.index(x._data)
+    acc = 0
     base = x.ring
     card, index = base.cardinality, base.index
     for row in x._data:
@@ -478,7 +486,10 @@ class MatrixRing(Ring):
         # itertools.product varies the last slot fastest, which is exactly
         # ascending canonical order with row 1 most significant.
         base, n = self.base, self.n
-        return tuple(_coded(base, n, rt, c) for c in product(range(rt.size), repeat=n))
+        listed = tuple(_coded(base, n, rt, c) for c in product(range(rt.size), repeat=n))
+        # from here on the units are listed objects too, as the pair streams read them
+        self._units = tuple([listed[rt.index(u._data)] for u in self._units])
+        return listed
 
     def contains(self, a):
         """Whether ``a`` is an element: at once for a Matrix on this
@@ -500,7 +511,9 @@ class MatrixRing(Ring):
         return "[" + ",".join("[" + ",".join(s(v) for v in row) + "]" for row in a.rows) + "]"
 
     def units(self) -> tuple:
-        """All matrix units in row-major order e_11, e_12, ..., e_nn."""
+        """All matrix units in row-major order e_11, e_12, ..., e_nn: the
+        carrier's own objects from :meth:`elements` once it has been listed
+        with a row table."""
         return self._units
 
 

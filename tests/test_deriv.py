@@ -51,6 +51,7 @@ from adlocal.deriv import (
     _pair_stream,
     _sampled_domain,
 )
+from adlocal.rings import Zmod
 from adlocal.sampling import rng_for
 
 
@@ -1097,3 +1098,58 @@ def test_check_derivation_evaluation_budget():
     rep = check_derivation(D, pair_cap=0, pair_samples=100_000, seed=2)
     assert rep.passed and rep.checked == 256 + 100_000
     assert len(calls) == len(set(calls)) == m4.cardinality
+
+
+# (checked, failures) of check_derivation for table-backed maps on the
+# listed M4(Z2), recorded while the row-code memo still evaluated maps at
+# fresh matrices: on the certified default stream, then on the extend-m4
+# stream of 256 unit pairs and 400 samples.  A failure reads (input
+# indices, expected index, got index, note).
+LISTED_M4_REPORTS = {
+    "inner": ((100_256, []), (656, [])),
+    "identity": ((1, [((32768, 32768), 0, 32768, "leibniz")]),) * 2,
+    "leibniz": ((64, [((4096, 1), 53521, 49425, "leibniz")]),) * 2,
+    "additivity": ((176, [((32, 1), 12940, 45708, "additivity")]),) * 2,
+    "off-table": ((100_256, []), (656, [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_M4_REPORTS))
+def test_check_derivation_on_a_listed_carrier_meets_only_listed_objects(name):
+    m4 = matrix_ring(zmod(2), 4)
+    listed, index = m4.elements(), m4.index
+    units = m4.units()
+    a, e11, e44 = m4.element(48813), units[0], units[15]
+    z = units[10] + e44  # e33 + e44, first met as the sum of the 176th pair
+    foreign = Zmod(2)
+    rules = {
+        "inner": lambda x: commutator(a, x),
+        "identity": lambda x: x,
+        # additive; its Leibniz defect first shows at (e14, e44), pair 64
+        "leibniz": lambda x: commutator(a, x) + e44 * x * e44,
+        "additivity": lambda x: commutator(a, x) + (e11 if x == z else m4.zero),
+        # an equal value over another Z2 object leaves the row table, and
+        # the check starts over on the operators
+        "off-table": lambda x: (
+            Matrix(foreign, commutator(a, x).rows) if x == z else commutator(a, x)
+        ),
+    }
+    table = {x: rules[name](x) for x in listed}
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return table[x]
+
+    D = DerivationMap(m4, evaluate, verification_domain(m4))
+    streams = ({}, {"pair_cap": 0, "pair_samples": 400})
+    for kwargs, want in zip(streams, LISTED_M4_REPORTS[name]):
+        calls.clear()
+        rep = check_derivation(D, **kwargs)
+        failures = [
+            (tuple(map(index, f.inputs)), index(f.expected), index(f.got), f.note)
+            for f in rep.failures
+        ]
+        assert (rep.checked, failures) == want, kwargs
+        # the operators' restart evaluates D at sums and products it builds
+        assert all(x is listed[index(x)] for x in calls) is (name != "off-table"), kwargs

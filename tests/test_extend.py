@@ -33,6 +33,7 @@ from adlocal import (
     zmod,
 )
 from adlocal import extend
+from adlocal.rings import Zmod
 from adlocal.sampling import rng_for
 
 
@@ -229,6 +230,61 @@ def test_double_derivation_matches_four_block_reference(case, kind):
         b = Matrix(A, ((p, q), (r, s)))
         got, want = doubled.evaluate(block_flatten(b)), block_flatten(rule(b))
         assert got == want and got.rows == want.rows, b
+
+
+def four_block(D):
+    """The corner rule of D on flat 2m x 2m matrices: split into the 2x2
+    grid of m x m blocks, apply :func:`corner_rule`, flatten back."""
+    A, rule = D.carrier, corner_rule(D)
+    m = A.n
+
+    def evaluate(x):
+        rows = x.rows
+        grid = tuple(
+            tuple(
+                Matrix(A.base, tuple(r[j * m : (j + 1) * m] for r in rows[i * m : (i + 1) * m]))
+                for j in (0, 1)
+            )
+            for i in (0, 1)
+        )
+        return block_flatten(rule(Matrix(A, grid)))
+
+    return evaluate
+
+
+def test_doubled_map_returns_listed_elements_once_its_carrier_is_listed():
+    # a Z2 object of its own has its own M2 and M4, so the M4(Z2) the other
+    # tests share is neither listed nor left unlisted here
+    z2 = Zmod(2)
+    A, m4 = matrix_ring(z2, 2), matrix_ring(z2, 4)
+    rng = rng_for(30, "double-before-and-after-listing")
+    D = inner_derivation(A.element(rng.randrange(A.cardinality)), A)
+    doubled, reference = double_derivation(D), four_block(D)
+    points = [m4.element(rng.randrange(m4.cardinality)) for _ in range(300)]
+    points += [corner_embed(v, 4) for v in A.elements()]
+    wants = [reference(x) for x in points]
+    assert m4._elements is None
+    before = [doubled.evaluate(x) for x in points]
+    listed = m4.elements()
+    after = [doubled.evaluate(x) for x in points]
+    for x, want, old, new in zip(points, wants, before, after):
+        assert old == want and new == want, x
+        assert new is listed[m4.index(want)], x
+
+
+def test_extension_to_m8_stays_on_the_row_table(z2, m2z2):
+    # M8(Z2) has 2^64 elements and is never listed: every value of the
+    # two doublings from M2(Z2) is a Matrix built on the M8 row table
+    m4, m8 = matrix_ring(z2, 4), matrix_ring(z2, 8)
+    rng = rng_for(30, "extension-to-m8")
+    D = inner_derivation(m2z2.element(rng.randrange(m2z2.cardinality)), m2z2)
+    ext = extend_derivation_to_n(D, 8)
+    reference = four_block(DerivationMap(m4, four_block(D), ()))
+    points = list(m8.units()) + [m8.element(rng.randrange(m8.cardinality)) for _ in range(300)]
+    for x in points:
+        got = ext.evaluate(x)
+        assert got.__class__ is Matrix and m8.row_codes.codes(got) is not None
+        assert got == reference(x), x
 
 
 def test_compression_preserves_leibniz(z2):
