@@ -404,9 +404,14 @@ def commutator(a: Matrix, x: Matrix) -> Matrix:
 def matrix_index(x: Matrix) -> int:
     """Canonical integer: row-major base-|R| digits, entry (1,1) most significant."""
     rt = x._rt
-    if rt is not None:
-        return rt.index(x._data)
     acc = 0
+    if rt is not None:
+        # RowTable.index, inlined: one call less on the oracle and
+        # witness-search paths, which index every point they meet
+        size = rt.size
+        for c in x._data:
+            acc = acc * size + c
+        return acc
     base = x.ring
     card, index = base.cardinality, base.index
     for row in x._data:
