@@ -11,13 +11,15 @@ import argparse
 
 from adlocal import (
     adversarial_oracle,
+    assemble_offdiagonal,
+    collect_unit_witnesses,
     commutator,
+    extract_witness,
     inner_derivation,
     maps_equal,
     matrix_ring,
     matrix_to_strings,
     parse_ring_spec,
-    run_extraction,
     verification_elements,
 )
 
@@ -40,22 +42,25 @@ def main() -> None:
     print(f"hidden element a = {show(a)}")
 
     oracle = adversarial_oracle(a, carrier)
-    state = run_extraction(oracle, args.n)
-    print(f"\noracle answered {state.oracle_queries} unit/staircase queries:")
-    for (i, j), w in sorted(state.unit_witnesses.items()):
+    abar = extract_witness(oracle, args.n)
+    # the oracle answers each pair once, so these are the answers the
+    # extraction read
+    witnesses = collect_unit_witnesses(oracle, args.n)
+    print(f"\noracle answered {len(witnesses)} unit/staircase queries:")
+    for (i, j), w in sorted(witnesses.items()):
         print(f"  pair (e_{i}{j}, staircase) -> {show(w)}")
-    print(f"\noff-diagonal assembly: {show(state.offdiag)}")
-    print(f"diagonal source (fixed pair {state.fixed_pair}): {show(state.diag_source)}")
-    print(f"assembled witness:     {show(state.abar)}")
+    print(f"\noff-diagonal assembly: {show(assemble_offdiagonal(witnesses, args.n))}")
+    print(f"diagonal source (fixed pair (1, 2)): {show(witnesses[(1, 2)])}")
+    print(f"assembled witness:     {show(abar)}")
 
     elements = verification_elements(carrier)
     verdict = maps_equal(
-        inner_derivation(state.abar, carrier), inner_derivation(a, carrier), elements
+        inner_derivation(abar, carrier).evaluate, inner_derivation(a, carrier).evaluate, elements
     )
     count = len(elements)
     scope = f"all {count}" if count == carrier.cardinality else f"{count} sampled"
-    shift = carrier.sub(state.abar, a)
-    # run_extraction refused a non-commutative base, so a difference that
+    shift = carrier.sub(abar, a)
+    # extract_witness refused a non-commutative base, so a difference that
     # commutes with every matrix unit is a scalar matrix, hence central
     central = all(commutator(shift, e) == carrier.zero for e in carrier.units())
     print(f"\nimplements the hidden map on {scope} elements: {verdict.passed}")

@@ -42,11 +42,9 @@ from .extend import (
     extend_two_local_to_n,
 )
 from .extract import (
-    ExtractionState,
     assemble_offdiagonal,
     collect_unit_witnesses,
     extract_witness,
-    run_extraction,
     verify_diagonal_differences,
     verify_unit_image_formula,
 )

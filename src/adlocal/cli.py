@@ -52,7 +52,7 @@ from .matrix import (
     staircase,
 )
 from .rings import parse_ring_spec
-from .sampling import rng_for
+from .sampling import _draws
 from .twogen import check_inner_on_subring, generate_subring
 
 EXHAUSTIVE_WITNESS_CAP = 512
@@ -138,18 +138,11 @@ def _accepted_control(report, inputs):
     return [_fail_record(inputs, "rejection of the identity map", "accepted", "negative control")]
 
 
-def _draws(cfg, carrier, label, count):
-    """``count`` seeded elements of the carrier from the substream ``label``."""
-    rng = rng_for(cfg.seed, f"{label}:{carrier.spec}")
-    card = carrier.cardinality
-    return [carrier.element(rng.randrange(card)) for _ in range(count)]
-
-
 def _witness_targets(cfg, carrier):
     card = carrier.cardinality
     if card is not None and card <= EXHAUSTIVE_WITNESS_CAP:
         return carrier.elements()
-    return _draws(cfg, carrier, "witnesses", cfg.witness_samples)
+    return _draws(carrier, cfg.seed, "witnesses", cfg.witness_samples)
 
 
 def _run_extract_all(cfg, base):
@@ -258,7 +251,7 @@ def _run_prop10(cfg, base):
     ambient = matrix_ring(base, cfg.n)
     e12 = matrix_unit(base, cfg.n, 1, 2)
     e21 = matrix_unit(base, cfg.n, 2, 1)
-    triples = iter(_draws(cfg, ambient, "gen-pairs", 3 * cfg.gen_pairs))
+    triples = iter(_draws(ambient, cfg.seed, "gen-pairs", 3 * cfg.gen_pairs))
     for x, y, a in [(e12, e21, e12), *zip(triples, triples, triples)]:
         S = generate_subring(x, y, ambient)
         oracle = adversarial_oracle(a, ambient)
@@ -284,7 +277,7 @@ def _run_two_local_check(cfg, base):
     if card is not None and card <= 64:
         targets = carrier.elements()
     else:
-        targets = _draws(cfg, carrier, "two-local-maps", 16)
+        targets = _draws(carrier, cfg.seed, "two-local-maps", 16)
     for a in targets:
         rep = check_two_local(
             inner_derivation(a, carrier),
@@ -364,15 +357,15 @@ def run(config: ExperimentConfig) -> RunReport:
     )
 
 
-def emit_report(report: RunReport, path: str | None = None, stream=None) -> str:
+def emit_report(report: RunReport, path: str | None = None) -> str:
     """Serialize with the fixed key order, that of the RunReport fields;
-    write to the path or the stream."""
+    write to the path, or to stdout without one."""
     text = json.dumps(asdict(report), indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)
     return text
 
 

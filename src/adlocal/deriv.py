@@ -64,9 +64,9 @@ from .errors import (
     InfiniteRingError,
     PreconditionError,
 )
-from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, matrix_ring, staircase
+from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, staircase
 from .rings import Ring, _per_ring
-from .sampling import rng_for
+from .sampling import _draws, rng_for
 
 DEFAULT_SEED = 0
 FULL_DOMAIN_CAP = 4096
@@ -186,10 +186,7 @@ def _sampled_domain(carrier: Ring, seed: int, sample: int) -> tuple:
     """Units, then the staircase, then ``sample`` seeded draws of the
     carrier, each element once, in the order first met; interned on the
     carrier object, as :func:`verification_domain` is."""
-    rng = rng_for(seed, f"domain:{carrier.spec}")
-    card = carrier.cardinality
-    draws = [carrier.element(rng.randrange(card)) for _ in range(sample)]
-    return tuple(dict.fromkeys(_domain_lead(carrier) + draws))
+    return tuple(dict.fromkeys(_domain_lead(carrier) + _draws(carrier, seed, "domain", sample)))
 
 
 @_per_ring
@@ -212,31 +209,18 @@ def verification_elements(carrier: Ring, seed: int = DEFAULT_SEED) -> tuple:
     return _sampled_domain(carrier, seed, DOMAIN_SAMPLE)
 
 
-def inner_derivation(a, carrier: Ring | None = None) -> DerivationMap:
+def inner_derivation(a, carrier: Ring) -> DerivationMap:
     """The map x -> a*x - x*a, with a full verification domain when small."""
-    if carrier is None:
-        if not isinstance(a, Matrix):
-            raise TypeError("carrier required for non-matrix elements")
-        carrier = matrix_ring(a.ring, a.n)
     evaluate = partial(carrier.commutator, a)
     return DerivationMap(carrier, evaluate, verification_domain(carrier), witness=a)
 
 
-def _as_callable(f):
-    if isinstance(f, DerivationMap):
-        return f.evaluate
-    if isinstance(f, WitnessOracle):
-        return f.value
-    return f
-
-
-def maps_equal(f, g, domain) -> VerificationReport:
-    """Pointwise equality over the domain, up to the first difference,
-    where the Failure expects g(x) and got f(x)."""
-    fe, ge = _as_callable(f), _as_callable(g)
+def maps_equal(f: Callable, g: Callable, domain) -> VerificationReport:
+    """Pointwise equality of two callables over the domain, up to the first
+    difference, where the Failure expects g(x) and got f(x)."""
 
     def differs(x):
-        fx, gx = fe(x), ge(x)
+        fx, gx = f(x), g(x)
         if fx != gx:
             return Failure((x,), gx, fx, "maps differ")
         return None
@@ -826,7 +810,7 @@ def pair_oracle(carrier: Ring, evaluate) -> WitnessOracle:
     return _memo_oracle(carrier, answer, values)
 
 
-def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
+def adversarial_oracle(a: Matrix, carrier: Ring) -> WitnessOracle:
     """Oracle of the inner derivation of ``a``, carried as its induced map,
     that answers each pair with the canonically minimal implementing
     element, never ``a`` itself unless that happens to be minimal.  The
@@ -836,8 +820,6 @@ def adversarial_oracle(a: Matrix, carrier: Ring | None = None) -> WitnessOracle:
     [a, x] and [a, y] alone, found without them.  ``a`` is packed at the
     first answer, which raises any refusal of :func:`witness_search`,
     ShapeMismatchError for an ``a`` of another ring included."""
-    if carrier is None:
-        carrier = matrix_ring(a.ring, a.n)
     index, element = carrier.index, carrier.element
 
     @lru_cache(maxsize=None)

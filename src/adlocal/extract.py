@@ -1,18 +1,21 @@
 """Witness extraction: recover one implementing element for an inner
 2-local derivation on M_n(R) from its pair oracle.
 
-The construction interrogates the oracle only on the pairs (e_ij, x_o),
-where x_o is the staircase element.  Off-diagonal entries of the result
-come from the transposed sandwich e_ii * a(ji) * e_jj of the collected
-witnesses; diagonal entries come from the witness answered for one fixed
-unit pair.  Over a commutative base ring the assembled element implements
-the induced map everywhere; verifying that is the caller's job
+The construction interrogates the oracle only on the n(n-1) pairs
+(e_ij, x_o), where x_o is the staircase element.  Off-diagonal entries of
+the result come from the transposed sandwich e_ii * a(ji) * e_jj of the
+collected witnesses (:func:`assemble_offdiagonal`); diagonal entries come
+from the witness answered for the fixed unit pair (e_12, x_o), one of the
+unit queries, so its answer is reused rather than asked again.  The paper
+allows any fixed pair; the elements they give differ by a central element.
+Over a commutative base ring the assembled element implements the induced
+map everywhere; verifying that is the caller's job
 (:func:`adlocal.deriv.maps_equal`), extraction itself only assembles.
+An oracle whose carrier is not M_n of some base ring is refused with
+ShapeMismatchError before any query.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .deriv import Failure, VerificationReport, WitnessOracle, _first_failure
 from .errors import (
@@ -22,21 +25,16 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .matrix import Matrix, _same_ring, commutator, pierce_component, staircase
+from .matrix import Matrix, MatrixRing, _same_ring, commutator, pierce_component, staircase
 from .rings import is_commutative
 
 
-@dataclass
-class ExtractionState:
-    """Everything the assembly produced, kept for auditing."""
-
-    n: int
-    fixed_pair: tuple
-    unit_witnesses: dict
-    offdiag: Matrix
-    diag_source: Matrix
-    abar: Matrix
-    oracle_queries: int
+def _unit_carrier(oracle: WitnessOracle, n: int) -> MatrixRing:
+    """The oracle's carrier, refused unless it is M_n of some base ring."""
+    carrier = oracle.carrier
+    if not isinstance(carrier, MatrixRing) or carrier.n != n:
+        raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")
+    return carrier
 
 
 def collect_unit_witnesses(oracle: WitnessOracle, n: int) -> dict:
@@ -50,9 +48,7 @@ def collect_unit_witnesses(oracle: WitnessOracle, n: int) -> dict:
     """
     if n < 2:
         raise DimensionError("unit witnesses need dimension at least 2")
-    carrier = oracle.carrier
-    if carrier.n != n:
-        raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")
+    carrier = _unit_carrier(oracle, n)
     units = carrier.units()  # row-major: e_ij at (i - 1) * n + j - 1
     xo = staircase(carrier.base, n)
     witnesses = {}
@@ -88,56 +84,26 @@ def assemble_offdiagonal(unit_witnesses: dict, n: int) -> Matrix:
     return Matrix(base, tuple(tuple(r) for r in rows))
 
 
-def run_extraction(
-    oracle: WitnessOracle,
-    n: int,
-    i_o: int = 1,
-    j_o: int = 2,
-    force: bool = False,
-) -> ExtractionState:
-    """Assemble the implementing element from n(n-1) oracle queries.
+def extract_witness(oracle: WitnessOracle, n: int, force: bool = False) -> Matrix:
+    """Assemble the implementing element from n(n-1) oracle queries: the
+    off-diagonal assembly with the diagonal of the witness of (e_12, x_o).
 
-    The fixed pair coincides with one of the unit queries, so its answer
-    is reused rather than asked again.  A non-commutative base ring is
-    outside the construction's guarantee and is refused unless ``force``.
-    A fixed pair that is not two distinct indices in 1..n raises
-    ValueError before any oracle query.
+    A non-commutative base ring is outside the construction's guarantee
+    and is refused unless ``force``.  Both refusals come before any oracle
+    query.
     """
-    if i_o == j_o or not (1 <= i_o <= n and 1 <= j_o <= n):
-        raise ValueError(f"fixed pair ({i_o},{j_o}) needs distinct indices in 1..{n}")
-    base = oracle.carrier.base
+    base = _unit_carrier(oracle, n).base
     if not is_commutative(base) and not force:
         raise NonCommutativeBaseError(
             f"{base.spec} is not commutative; extraction is only guaranteed "
             "over commutative base rings (force=True probes anyway)"
         )
     witnesses = collect_unit_witnesses(oracle, n)
-    c = witnesses[(i_o, j_o)]
-    offdiag = assemble_offdiagonal(witnesses, n)
-    rows = [list(r) for r in offdiag.rows]
-    c_rows = c.rows
+    rows = [list(r) for r in assemble_offdiagonal(witnesses, n).rows]
+    diag = witnesses[(1, 2)].rows
     for i in range(n):
-        rows[i][i] = c_rows[i][i]
-    abar = Matrix(base, tuple(tuple(r) for r in rows))
-    return ExtractionState(
-        n=n,
-        fixed_pair=(i_o, j_o),
-        unit_witnesses=witnesses,
-        offdiag=offdiag,
-        diag_source=c,
-        abar=abar,
-        oracle_queries=n * (n - 1),
-    )
-
-
-def extract_witness(
-    oracle: WitnessOracle,
-    n: int,
-    i_o: int = 1,
-    j_o: int = 2,
-    force: bool = False,
-) -> Matrix:
-    return run_extraction(oracle, n, i_o, j_o, force).abar
+        rows[i][i] = diag[i][i]
+    return Matrix(base, tuple(tuple(r) for r in rows))
 
 
 def verify_unit_image_formula(
@@ -145,14 +111,16 @@ def verify_unit_image_formula(
     n: int,
     i: int,
     j: int,
-    unit_witnesses: dict | None = None,
+    unit_witnesses: dict,
 ) -> VerificationReport:
     """Check that the induced unit image decomposes against the assembled
     off-diagonal sum:
 
         value(e_ij) = S e_ij - e_ij S + (a(ij))_ii e_ij - e_ij (a(ij))_jj
 
-    with S the off-diagonal assembly.  For n >= 3 the check also replays
+    with S the off-diagonal assembly of ``unit_witnesses``, the table
+    :func:`collect_unit_witnesses` returns for the oracle, which callers
+    collect once for all (i, j).  For n >= 3 the check also replays
     the identities behind that decomposition: the Pierce components (i,i)
     and (j,j), then for every index m distinct from i and j the two
     witness overlaps, which query the extra witnesses select(e_im, e_ij)
@@ -173,11 +141,7 @@ def verify_unit_image_formula(
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"unit ({i},{j}) needs distinct indices in 1..{n}")
-    carrier = oracle.carrier
-    if carrier.n != n:
-        raise ShapeMismatchError(f"dimension {n} is not that of {carrier.spec}")
-    if unit_witnesses is None:
-        unit_witnesses = collect_unit_witnesses(oracle, n)
+    carrier = _unit_carrier(oracle, n)
     units = carrier.units()  # row-major: e_kl at (k - 1) * n + l - 1
     e = {(k, l): units[(k - 1) * n + l - 1] for k in range(1, n + 1) for l in range(1, n + 1)}
     S = assemble_offdiagonal(unit_witnesses, n)

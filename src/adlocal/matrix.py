@@ -35,7 +35,13 @@ draws with :meth:`RowTable.decode` and computes with :meth:`RowTable.plus`,
 :meth:`RowTable.times` and :meth:`RowTable.minus`, all without building
 Matrix objects.  The row-code format stays in this module: callers read
 and rebuild matrices only through ``RowTable.codes``, ``RowTable.decode``,
-``RowTable.index`` and ``RowTable.matrix``.
+``RowTable.index`` and ``RowTable.matrix``.  One caller is the exception:
+:func:`adlocal.extend.double_derivation` reads ``Matrix._data``,
+``MatrixRing._elements`` and ``RowTable.size`` and builds values with
+:func:`_coded` directly.  Its evaluation runs once per point of a doubled
+map, and an accessor call there is a measurable cost: one more call per
+index (``matrix_index`` through ``RowTable.index``) cost the ``closure``
+benchmark workload 1.4%, so the doubled map's loop stays inlined too.
 
 Ring equality compares specs alone; matrices mix only over bases of the
 same spec and the same classes, down through nested matrix bases (see
@@ -563,25 +569,19 @@ def matrix_ring(base: Ring, n: int) -> MatrixRing:
     return ring
 
 
-def join_blocks(grid) -> Matrix:
-    """Flat matrix of a k x k grid (rows of m x m blocks over one ring)."""
-    first = grid[0][0]
-    ring, m = first.ring, first.n
-    rows = []
-    for line in grid:
-        line_rows = [blk.rows for blk in line]
-        for r in range(m):
-            rows.append(tuple(v for blk_rows in line_rows for v in blk_rows[r]))
-    return Matrix(ring, tuple(rows))
-
-
 def block_flatten(b: Matrix) -> Matrix:
     """The flat 2m x 2m matrix over R of a 2x2 matrix over M_m(R): block
     (I, J) lands at rows (I-1)m+1..Im and columns (J-1)m+1..Jm.  This is
     the ring isomorphism M_2(M_m(R)) -> M_2m(R)."""
     if not isinstance(b.ring, MatrixRing):
         raise ShapeMismatchError("block_flatten needs a matrix over a matrix ring")
-    return join_blocks(b.rows)
+    first = b.rows[0][0]
+    rows = []
+    for line in b.rows:
+        line_rows = [blk.rows for blk in line]
+        for r in range(first.n):
+            rows.append(tuple(v for blk_rows in line_rows for v in blk_rows[r]))
+    return Matrix(first.ring, tuple(rows))
 
 
 def corner_extract(x: Matrix, m: int) -> Matrix:

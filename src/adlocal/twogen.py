@@ -49,7 +49,7 @@ from .deriv import (
     _first_failure,
 )
 from .errors import ClosureBudgetError, InfiniteRingError, PreconditionError
-from .matrix import Matrix, matrix_ring
+from .matrix import Matrix
 from .rings import Ring
 
 
@@ -64,7 +64,7 @@ class GeneratedSubring:
     span_generators: tuple
 
 
-def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> GeneratedSubring:
+def generate_subring(x: Matrix, y: Matrix, ambient: Ring) -> GeneratedSubring:
     """Least subset containing {x, y} closed under addition, negation and
     multiplication, in canonical element order.
 
@@ -84,8 +84,6 @@ def generate_subring(x: Matrix, y: Matrix, ambient: Ring | None = None) -> Gener
     ambient ring's operators.  Both walks keep the same span generators in
     the same order, and ``generators`` are the caller's x and y.
     """
-    if ambient is None:
-        ambient = matrix_ring(x.ring, x.n)
     if not (ambient.contains(x) and ambient.contains(y)):
         raise ValueError("generators do not live in the ambient ring")
     if ambient.cardinality is None:

@@ -55,8 +55,8 @@ def test_report_key_order(capsys):
 
 def test_byte_determinism():
     cfg = ExperimentConfig(ring="zmod:2", n=2, experiment="extract-all", seed=0)
-    first = emit_report(run(cfg), path=None, stream=open("/dev/null", "w"))
-    second = emit_report(run(cfg), path=None, stream=open("/dev/null", "w"))
+    first = emit_report(run(cfg), path=None)
+    second = emit_report(run(cfg), path=None)
     strip = lambda text: "\n".join(
         line for line in text.splitlines() if '"elapsed_ms"' not in line
     )

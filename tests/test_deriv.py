@@ -60,16 +60,16 @@ def zero2(z2):
 
 
 def test_inner_derivation_examples(z2, m2z2, units2):
-    zmap = inner_derivation(zero2(z2))
+    zmap = inner_derivation(zero2(z2), m2z2)
     assert all(zmap.evaluate(x) == zero2(z2) for x in m2z2.elements())
-    idmap = inner_derivation(identity_matrix(z2, 2))
+    idmap = inner_derivation(identity_matrix(z2, 2), m2z2)
     assert all(idmap.evaluate(x) == zero2(z2) for x in m2z2.elements())
-    d = inner_derivation(units2[(1, 2)])
+    d = inner_derivation(units2[(1, 2)], m2z2)
     assert d.evaluate(units2[(2, 1)]) == units2[(1, 1)] + units2[(2, 2)]
 
 
-def test_check_derivation_inner_passes(units2):
-    report = check_derivation(inner_derivation(units2[(1, 2)]))
+def test_check_derivation_inner_passes(m2z2, units2):
+    report = check_derivation(inner_derivation(units2[(1, 2)], m2z2))
     assert report.passed
     assert report.checked == 256
 
@@ -102,9 +102,9 @@ def test_central_shift(m2z2, z2):
     ident = identity_matrix(z2, 2)
     for a in m2z2.elements():
         for z in (zero2(z2), ident):
-            left = inner_derivation(a)
-            right = inner_derivation(a + z)
-            assert maps_equal(left, right, m2z2.elements())
+            left = inner_derivation(a, m2z2)
+            right = inner_derivation(a + z, m2z2)
+            assert maps_equal(left.evaluate, right.evaluate, m2z2.elements())
 
 
 def test_witness_search_examples(m2z2, units2, z2):
@@ -359,9 +359,9 @@ def test_delta_table_of_a_carried_map_runs_no_elimination(m3z2, z2):
 
 
 def test_adversarial_oracle_examples(units2, z2, m2z2):
-    o12 = adversarial_oracle(units2[(1, 2)])
+    o12 = adversarial_oracle(units2[(1, 2)], m2z2)
     assert o12.select(units2[(1, 2)], units2[(1, 2)]) == zero2(z2)
-    o11 = adversarial_oracle(units2[(1, 1)])
+    o11 = adversarial_oracle(units2[(1, 1)], m2z2)
     assert o11.select(units2[(2, 1)], units2[(1, 2)]) == units2[(2, 2)]
     assert o11.select(zero2(z2), zero2(z2)) == zero2(z2)
 
@@ -515,12 +515,12 @@ def test_check_two_local_stops_at_first_failing_pair(m2z2, units2):
 
 def test_consistent_oracle_maps_zero_to_zero(m2z2, units2, z2):
     for a in (units2[(1, 2)], units2[(1, 1)], identity_matrix(z2, 2)):
-        oracle = adversarial_oracle(a)
+        oracle = adversarial_oracle(a, m2z2)
         assert oracle.value(zero2(z2)) == zero2(z2)
 
 
-def test_check_two_local_inner_passes(units2):
-    report = check_two_local(inner_derivation(units2[(1, 2)]))
+def test_check_two_local_inner_passes(m2z2, units2):
+    report = check_two_local(inner_derivation(units2[(1, 2)], m2z2))
     assert report.passed
 
 
@@ -784,18 +784,20 @@ def test_check_two_local_on_the_item_shape_runs_one_elimination(monkeypatch, m3z
 
 def test_maps_equal_first_difference(units2, m2z2):
     same = maps_equal(
-        inner_derivation(units2[(1, 1)]), inner_derivation(units2[(2, 2)]), m2z2.elements()
+        inner_derivation(units2[(1, 1)], m2z2).evaluate,
+        inner_derivation(units2[(2, 2)], m2z2).evaluate,
+        m2z2.elements(),
     )
     assert same.passed
-    f, g = inner_derivation(units2[(1, 2)]), inner_derivation(units2[(2, 1)])
-    diff = maps_equal(f, g, verification_domain(m2z2))
+    f, g = inner_derivation(units2[(1, 2)], m2z2), inner_derivation(units2[(2, 1)], m2z2)
+    diff = maps_equal(f.evaluate, g.evaluate, verification_domain(m2z2))
     assert not diff.passed
     e11 = units2[(1, 1)]
     assert diff.failures[0].inputs == (e11,)
     assert len(diff.failures) == 1
     assert (diff.failures[0].expected, diff.failures[0].got) == (g.evaluate(e11), f.evaluate(e11))
-    d = inner_derivation(units2[(1, 2)])
-    assert maps_equal(d, d, verification_domain(m2z2))
+    d = inner_derivation(units2[(1, 2)], m2z2)
+    assert maps_equal(d.evaluate, d.evaluate, verification_domain(m2z2))
 
 
 def _recorded(cases, reads):

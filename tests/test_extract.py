@@ -16,7 +16,7 @@ from adlocal import (
     maps_equal,
     matrix_ring,
     matrix_unit,
-    run_extraction,
+    pierce_component,
     staircase,
     verify_diagonal_differences,
     verify_unit_image_formula,
@@ -25,20 +25,20 @@ from adlocal import (
 )
 
 
-def test_collect_unit_witnesses_for_e12_oracle(units2, z2):
-    table = collect_unit_witnesses(adversarial_oracle(units2[(1, 2)]), 2)
+def test_collect_unit_witnesses_for_e12_oracle(units2, z2, m2z2):
+    table = collect_unit_witnesses(adversarial_oracle(units2[(1, 2)], m2z2), 2)
     assert table[(1, 2)] == zero_matrix(z2, 2)
     assert table[(2, 1)] == units2[(1, 2)]
 
 
-def test_collect_unit_witnesses_for_e11_oracle(units2):
-    table = collect_unit_witnesses(adversarial_oracle(units2[(1, 1)]), 2)
+def test_collect_unit_witnesses_for_e11_oracle(units2, m2z2):
+    table = collect_unit_witnesses(adversarial_oracle(units2[(1, 1)], m2z2), 2)
     assert table[(1, 2)] == units2[(2, 2)]
     assert table[(2, 1)] == units2[(2, 2)]
 
 
-def test_collect_unit_witnesses_zero_oracle(z2):
-    table = collect_unit_witnesses(adversarial_oracle(zero_matrix(z2, 2)), 2)
+def test_collect_unit_witnesses_zero_oracle(z2, m2z2):
+    table = collect_unit_witnesses(adversarial_oracle(zero_matrix(z2, 2), m2z2), 2)
     assert all(w == zero_matrix(z2, 2) for w in table.values())
 
 
@@ -60,10 +60,27 @@ def test_collect_unit_witnesses_queries_units_in_row_major_order(m3z2, z2):
         collect_unit_witnesses(hidden, 2)
 
 
-def test_assemble_offdiagonal_examples(units2, z2):
-    table12 = collect_unit_witnesses(adversarial_oracle(units2[(1, 2)]), 2)
+@pytest.mark.parametrize(
+    "extract",
+    [
+        extract_witness,
+        collect_unit_witnesses,
+        lambda oracle, n: verify_unit_image_formula(oracle, n, 1, 2, {}),
+    ],
+)
+def test_oracle_over_a_non_matrix_carrier_is_refused_before_any_query(z2, extract):
+    # a carrier without matrix units used to raise AttributeError
+    calls = []
+    oracle = WitnessOracle(z2, lambda x, y: calls.append((x, y)))
+    with pytest.raises(ShapeMismatchError):
+        extract(oracle, 2)
+    assert calls == []
+
+
+def test_assemble_offdiagonal_examples(units2, z2, m2z2):
+    table12 = collect_unit_witnesses(adversarial_oracle(units2[(1, 2)], m2z2), 2)
     assert assemble_offdiagonal(table12, 2) == units2[(1, 2)]
-    table11 = collect_unit_witnesses(adversarial_oracle(units2[(1, 1)]), 2)
+    table11 = collect_unit_witnesses(adversarial_oracle(units2[(1, 1)], m2z2), 2)
     assert assemble_offdiagonal(table11, 2) == zero_matrix(z2, 2)
     zeros = {k: zero_matrix(z2, 2) for k in ((1, 2), (2, 1))}
     assert assemble_offdiagonal(zeros, 2) == zero_matrix(z2, 2)
@@ -92,37 +109,25 @@ def test_assemble_missing_witness(units2):
         assemble_offdiagonal({}, 2)
 
 
-def test_diag_source_examples(units2, z2):
+def test_diag_source_examples(units2, z2, m2z2):
     # the witness answered for the fixed pair (e12, x_o)
-    assert run_extraction(adversarial_oracle(units2[(1, 2)]), 2).diag_source == zero_matrix(z2, 2)
-    assert run_extraction(adversarial_oracle(units2[(1, 1)]), 2).diag_source == units2[(2, 2)]
-    assert run_extraction(adversarial_oracle(zero_matrix(z2, 2)), 2).diag_source == zero_matrix(z2, 2)
-
-
-@pytest.mark.parametrize("extract", [run_extraction, extract_witness])
-@pytest.mark.parametrize("i_o, j_o", [(1, 1), (0, 2), (1, 4)])
-def test_invalid_fixed_pair_is_refused_before_any_query(m3z2, extract, i_o, j_o):
-    inner = adversarial_oracle(m3z2.element(311), m3z2)
-    calls = []
-
-    def counting_select(x, y):
-        calls.append((x, y))
-        return inner.select(x, y)
-
-    with pytest.raises(ValueError):
-        extract(WitnessOracle(m3z2, counting_select), 3, i_o, j_o)
-    assert calls == []
+    diag_source = lambda a: collect_unit_witnesses(adversarial_oracle(a, m2z2), 2)[(1, 2)]
+    assert diag_source(units2[(1, 2)]) == zero_matrix(z2, 2)
+    assert diag_source(units2[(1, 1)]) == units2[(2, 2)]
+    assert diag_source(zero_matrix(z2, 2)) == zero_matrix(z2, 2)
 
 
 def test_extract_witness_examples(units2, z2, m2z2):
-    abar = extract_witness(adversarial_oracle(units2[(1, 2)]), 2)
+    abar = extract_witness(adversarial_oracle(units2[(1, 2)], m2z2), 2)
     assert abar == units2[(1, 2)]
-    abar11 = extract_witness(adversarial_oracle(units2[(1, 1)]), 2)
+    abar11 = extract_witness(adversarial_oracle(units2[(1, 1)], m2z2), 2)
     assert abar11 == units2[(2, 2)]
     assert maps_equal(
-        inner_derivation(abar11), inner_derivation(units2[(1, 1)]), m2z2.elements()
+        inner_derivation(abar11, m2z2).evaluate,
+        inner_derivation(units2[(1, 1)], m2z2).evaluate,
+        m2z2.elements(),
     )
-    assert extract_witness(adversarial_oracle(zero_matrix(z2, 2)), 2) == zero_matrix(z2, 2)
+    assert extract_witness(adversarial_oracle(zero_matrix(z2, 2), m2z2), 2) == zero_matrix(z2, 2)
 
 
 def test_extraction_query_budget(m2z2, m3z2):
@@ -136,11 +141,11 @@ def test_extraction_query_budget(m2z2, m3z2):
             return inner.select(x, y)
 
         oracle = WitnessOracle(carrier, counting_select)
-        state = run_extraction(oracle, n)
+        abar = extract_witness(oracle, n)
         assert len(calls) == n * (n - 1)
-        assert state.oracle_queries == n * (n - 1)
         # the fixed pair's answer is the cached unit witness
-        assert state.diag_source == state.unit_witnesses[(1, 2)]
+        diag_source = collect_unit_witnesses(inner, n)[(1, 2)]
+        assert all(abar.entry(k, k) == diag_source.entry(k, k) for k in range(1, n + 1))
 
 
 def _is_central(carrier, z):
@@ -155,7 +160,9 @@ def test_extraction_sound_dimension_two(mod):
     for a in carrier.elements():
         abar = extract_witness(adversarial_oracle(a, carrier), 2)
         assert maps_equal(
-            inner_derivation(abar, carrier), inner_derivation(a, carrier), carrier.elements()
+            inner_derivation(abar, carrier).evaluate,
+            inner_derivation(a, carrier).evaluate,
+            carrier.elements(),
         )
         assert _is_central(carrier, carrier.sub(abar, a))
 
@@ -174,24 +181,32 @@ def test_fixed_pair_independence(m3z2):
     for idx in range(0, 512, 37):
         a = m3z2.element(idx)
         oracle = adversarial_oracle(a, m3z2)
-        reference = extract_witness(oracle, 3, 1, 2)
-        for i_o, j_o in pairs[1:]:
-            other = extract_witness(oracle, 3, i_o, j_o)
+        reference = extract_witness(oracle, 3)
+        table = collect_unit_witnesses(oracle, 3)
+        for fixed_pair in pairs:
+            # the assembly of extract_witness with the diagonal of fixed_pair
+            w = table[fixed_pair]
+            diagonal = sum((pierce_component(w, k, k) for k in (1, 2, 3)), m3z2.zero)
+            other = assemble_offdiagonal(table, 3) + diagonal
+            if fixed_pair == (1, 2):
+                assert other == reference
             assert _is_central(m3z2, m3z2.sub(other, reference))
 
 
-def test_unit_image_formula_n2(units2, z2):
-    rep = verify_unit_image_formula(adversarial_oracle(units2[(1, 1)]), 2, 1, 2)
+def test_unit_image_formula_n2(units2, z2, m2z2):
+    oracle = adversarial_oracle(units2[(1, 1)], m2z2)
+    rep = verify_unit_image_formula(oracle, 2, 1, 2, collect_unit_witnesses(oracle, 2))
     assert rep.passed
     assert rep.checked == 1  # no replay possible without a third index
-    zero_rep = verify_unit_image_formula(adversarial_oracle(zero_matrix(z2, 2)), 2, 2, 1)
+    zero = adversarial_oracle(zero_matrix(z2, 2), m2z2)
+    zero_rep = verify_unit_image_formula(zero, 2, 2, 1, collect_unit_witnesses(zero, 2))
     assert zero_rep.passed
 
 
 def test_unit_image_formula_n3_replays_components(m3z2):
     a = m3z2.element(311)
     oracle = adversarial_oracle(a, m3z2)
-    rep = verify_unit_image_formula(oracle, 3, 1, 2)
+    rep = verify_unit_image_formula(oracle, 3, 1, 2, collect_unit_witnesses(oracle, 3))
     assert rep.passed
     assert rep.checked == 9  # formula + the eight component identities
 
@@ -205,8 +220,9 @@ def test_unit_image_formula_reads_the_carriers_units(monkeypatch, m3z2):
 
     monkeypatch.setattr(adlocal.extract, "matrix_unit", refuse, raising=False)
     oracle = adversarial_oracle(m3z2.element(311), m3z2)
+    table = collect_unit_witnesses(oracle, 3)
     for i, j in ((1, 2), (3, 1)):
-        rep = verify_unit_image_formula(oracle, 3, i, j)
+        rep = verify_unit_image_formula(oracle, 3, i, j, table)
         assert rep.passed and rep.checked == 9
 
 
@@ -227,7 +243,8 @@ def test_unit_image_formula_holds_for_any_witness_at_n2(z2, units2, m2z2):
     oracle = adversarial_oracle(m2z2.element(9), m2z2)
     for unit, z in ((units2[(1, 2)], units2[(2, 1)]), (units2[(2, 1)], units2[(1, 2)])):
         for i, j in ((1, 2), (2, 1)):
-            rep = verify_unit_image_formula(_shifted_answer(oracle, (unit, xo), z), 2, i, j)
+            shifted = _shifted_answer(oracle, (unit, xo), z)
+            rep = verify_unit_image_formula(shifted, 2, i, j, collect_unit_witnesses(shifted, 2))
             assert rep.passed and rep.checked == 1
 
 
@@ -250,7 +267,7 @@ def test_unit_image_formula_stops_at_the_first_failing_identity(
     x, y = query
     point = (e(*x), staircase(z2, 3) if y is None else e(*y))
     oracle = _shifted_answer(adversarial_oracle(m3z2.element(311), m3z2), point, e(*z))
-    rep = verify_unit_image_formula(oracle, 3, *ij)
+    rep = verify_unit_image_formula(oracle, 3, *ij, collect_unit_witnesses(oracle, 3))
     assert rep.checked == checked and len(rep.failures) == 1
     failure = rep.failures[0]
     assert (failure.note, failure.inputs) == (tag, tuple(e(*u) for u in inputs))
@@ -258,8 +275,9 @@ def test_unit_image_formula_stops_at_the_first_failing_identity(
 
 
 def test_unit_image_formula_dimension_mismatch(m3z2):
+    oracle = adversarial_oracle(m3z2.element(5), m3z2)
     with pytest.raises(ShapeMismatchError):
-        verify_unit_image_formula(adversarial_oracle(m3z2.element(5), m3z2), 2, 1, 2)
+        verify_unit_image_formula(oracle, 2, 1, 2, collect_unit_witnesses(oracle, 3))
 
 
 @pytest.mark.parametrize("i, j", [(1, 4), (0, 2), (4, 1), (2, 2)])
@@ -271,8 +289,9 @@ def test_unit_image_formula_bad_unit_is_refused_before_any_query(m3z2, i, j):
         calls.append((x, y))
         return inner.select(x, y)
 
+    table = collect_unit_witnesses(inner, 3)
     with pytest.raises(ValueError):
-        verify_unit_image_formula(WitnessOracle(m3z2, counting_select), 3, i, j)
+        verify_unit_image_formula(WitnessOracle(m3z2, counting_select), 3, i, j, table)
     assert calls == []
 
 

@@ -5,7 +5,6 @@ After a change that is meant to alter results, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
-import io
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,7 @@ CONFIGS = {
 def report_bytes(name: str) -> str:
     report = run(ExperimentConfig(**CONFIGS[name]))
     report.elapsed_ms = 0
-    return emit_report(report, stream=io.StringIO())
+    return emit_report(report)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -79,6 +79,31 @@ def test_extraction_demo_runs(monkeypatch, capsys):
     assert "difference from the hidden element is central: True" in out
 
 
+README_DEMO_OUT = """\
+carrier M_2(zmod:3), 81 elements
+hidden element a = [[1, 1], [2, 2]]
+
+oracle answered 2 unit/staircase queries:
+  pair (e_12, staircase) -> [[0, 0], [2, 1]]
+  pair (e_21, staircase) -> [[0, 1], [2, 1]]
+
+off-diagonal assembly: [[0, 1], [2, 0]]
+diagonal source (fixed pair (1, 2)): [[0, 0], [2, 1]]
+assembled witness:     [[0, 1], [2, 1]]
+
+implements the hidden map on all 81 elements: True
+difference from the hidden element is central: True
+difference: [[2, 0], [0, 2]]
+"""
+
+
+def test_extraction_demo_prints_the_readme_example(monkeypatch, capsys):
+    argv = ["extraction_demo.py", "--ring", "zmod:3", "--n", "2", "--index", "44"]
+    monkeypatch.setattr(sys, "argv", argv)
+    extraction_demo.main()
+    assert capsys.readouterr().out == README_DEMO_OUT
+
+
 def test_extraction_demo_samples_above_the_enumeration_cap(monkeypatch, capsys):
     # M5(Z2) has 2^25 elements, too many to enumerate: the maps are compared
     # on the sampled verification elements and centrality is decided on the

@@ -25,29 +25,29 @@ from adlocal.sampling import rng_for
 
 
 def test_closure_of_offdiagonal_units_is_everything(m2z2, units2):
-    S = generate_subring(units2[(1, 2)], units2[(2, 1)])
+    S = generate_subring(units2[(1, 2)], units2[(2, 1)], m2z2)
     assert len(S.elements) == 16
     assert set(S.elements) == set(m2z2.elements())
 
 
-def test_closure_budget_is_element_cap(monkeypatch, units2):
+def test_closure_budget_is_element_cap(monkeypatch, m2z2, units2):
     # <e12, e21> is all 16 elements of M2(Z2): built under a cap of 16,
     # refused under 15
     monkeypatch.setattr(twogen, "ELEMENT_CAP", 16)
-    assert len(generate_subring(units2[(1, 2)], units2[(2, 1)]).elements) == 16
+    assert len(generate_subring(units2[(1, 2)], units2[(2, 1)], m2z2).elements) == 16
     monkeypatch.setattr(twogen, "ELEMENT_CAP", 15)
     with pytest.raises(ClosureBudgetError, match="more than 15 elements"):
-        generate_subring(units2[(1, 2)], units2[(2, 1)])
+        generate_subring(units2[(1, 2)], units2[(2, 1)], m2z2)
 
 
-def test_closure_of_idempotent_and_zero(z2, units2):
-    S = generate_subring(units2[(1, 1)], zero_matrix(z2, 2))
+def test_closure_of_idempotent_and_zero(z2, m2z2, units2):
+    S = generate_subring(units2[(1, 1)], zero_matrix(z2, 2), m2z2)
     assert set(S.elements) == {zero_matrix(z2, 2), units2[(1, 1)]}
 
 
-def test_closure_of_zero(z2):
+def test_closure_of_zero(z2, m2z2):
     zero = zero_matrix(z2, 2)
-    S = generate_subring(zero, zero)
+    S = generate_subring(zero, zero, m2z2)
     assert S.elements == (zero,)
 
 
@@ -56,7 +56,7 @@ def test_closure_is_closed_and_canonical(m3z2):
     for _ in range(4):
         x = m3z2.element(rng.randrange(512))
         y = m3z2.element(rng.randrange(512))
-        S = generate_subring(x, y)
+        S = generate_subring(x, y, m3z2)
         elems = set(S.elements)
         assert x in elems and y in elems and m3z2.zero in elems
         for u in list(elems)[:40]:
@@ -73,15 +73,15 @@ def test_closure_idempotence(m3z2):
     rng = rng_for(1, "closure-idem")
     x = m3z2.element(rng.randrange(512))
     y = m3z2.element(rng.randrange(512))
-    S = generate_subring(x, y)
+    S = generate_subring(x, y, m3z2)
     u = S.elements[len(S.elements) // 2]
     v = S.elements[len(S.elements) // 3]
-    T = generate_subring(u, v)
+    T = generate_subring(u, v, m3z2)
     assert set(T.elements) <= set(S.elements)
 
 
-def test_check_inner_restriction_of_inner_map(units2):
-    S = generate_subring(units2[(1, 2)], units2[(2, 1)])
+def test_check_inner_restriction_of_inner_map(m2z2, units2):
+    S = generate_subring(units2[(1, 2)], units2[(2, 1)], m2z2)
     d = units2[(1, 1)]
     delta = {p: commutator(d, p) for p in S.elements}
     report = check_inner_on_subring(S, delta, d)
@@ -89,7 +89,7 @@ def test_check_inner_restriction_of_inner_map(units2):
 
 
 def test_check_inner_every_ambient_witness(m2z2, units2):
-    S = generate_subring(units2[(1, 2)], units2[(2, 1)])
+    S = generate_subring(units2[(1, 2)], units2[(2, 1)], m2z2)
     for d in m2z2.elements():
         delta = {p: commutator(d, p) for p in S.elements}
         assert check_inner_on_subring(S, delta, d).passed
@@ -99,7 +99,7 @@ def test_check_inner_with_adversarial_values(m2z2, units2):
     # values produced through per-element adversarial witnesses; the
     # generator-pair witness may differ from the hidden element
     e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    S = generate_subring(e12, e21)
+    S = generate_subring(e12, e21, m2z2)
     oracle = adversarial_oracle(e12, m2z2)
     delta = {p: oracle.value(p) for p in S.elements}
     d = witness_search(m2z2, [(e12, delta[e12]), (e21, delta[e21])])
@@ -110,7 +110,7 @@ def test_check_inner_with_adversarial_values(m2z2, units2):
 
 def test_check_inner_rejects_identity_map(m2z2, units2):
     e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    S = generate_subring(e12, e21)
+    S = generate_subring(e12, e21, m2z2)
     identity_table = {p: p for p in S.elements}
     d = witness_search(m2z2, [(e12, e12), (e21, e21)])
     assert d == units2[(2, 2)]
@@ -124,7 +124,7 @@ def test_check_inner_rejects_identity_map(m2z2, units2):
 
 def test_check_inner_reports_non_additive(m2z2, units2, z2):
     e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    S = generate_subring(e12, e21)
+    S = generate_subring(e12, e21, m2z2)
     d = units2[(1, 1)]
     table = {p: commutator(d, p) for p in S.elements}
     table[units2[(2, 2)]] = units2[(1, 2)]  # break additivity somewhere
@@ -138,7 +138,7 @@ def test_check_inner_stops_at_first_unimplemented_element(m2z2, units2):
     # trace-0 generators, but d fails at each of the eight elements of
     # trace 1; the report keeps only the first of them in canonical order
     e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    S = generate_subring(e12, e21)
+    S = generate_subring(e12, e21, m2z2)
     d = units2[(1, 1)]
 
     def delta(p):
@@ -160,7 +160,7 @@ def test_check_inner_precondition(m2z2, units2):
     from adlocal import PreconditionError
 
     e12, e21 = units2[(1, 2)], units2[(2, 1)]
-    S = generate_subring(e12, e21)
+    S = generate_subring(e12, e21, m2z2)
     delta = {p: commutator(units2[(1, 1)], p) for p in S.elements}
     with pytest.raises(PreconditionError):
         check_inner_on_subring(S, delta, units2[(1, 2)])
