@@ -28,7 +28,6 @@ from .errors import (
     ClosureBudgetError,
     DimensionError,
     InconsistentOracleError,
-    InfiniteRingError,
     MissingWitnessError,
     NonCommutativeBaseError,
     PreconditionError,

@@ -139,8 +139,7 @@ def _accepted_control(report, inputs):
 
 
 def _witness_targets(cfg, carrier):
-    card = carrier.cardinality
-    if card is not None and card <= EXHAUSTIVE_WITNESS_CAP:
+    if carrier.cardinality <= EXHAUSTIVE_WITNESS_CAP:
         return carrier.elements()
     return _draws(carrier, cfg.seed, "witnesses", cfg.witness_samples)
 
@@ -273,8 +272,7 @@ def _run_prop10(cfg, base):
 
 def _run_two_local_check(cfg, base):
     carrier = matrix_ring(base, cfg.n)
-    card = carrier.cardinality
-    if card is not None and card <= 64:
+    if carrier.cardinality <= 64:
         targets = carrier.elements()
     else:
         targets = _draws(carrier, cfg.seed, "two-local-maps", 16)

@@ -53,19 +53,14 @@ carrier's operators, which other carriers use from the start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, product
 from operator import itemgetter
 from typing import Callable
 
-from .errors import (
-    CarrierTooLargeError,
-    InconsistentOracleError,
-    InfiniteRingError,
-    PreconditionError,
-)
-from .matrix import COORDINATE_CAP, Matrix, MatrixRing, _module_rank, staircase
-from .rings import Ring, _per_ring
+from .errors import CarrierTooLargeError, InconsistentOracleError, PreconditionError
+from .matrix import Matrix, MatrixRing, _module_rank, staircase
+from .rings import Ring
 from .sampling import _draws, rng_for
 
 DEFAULT_SEED = 0
@@ -181,32 +176,33 @@ def _domain_lead(carrier: Ring) -> list:
     return lead
 
 
-@_per_ring
-def _sampled_domain(carrier: Ring, seed: int, sample: int) -> tuple:
-    """Units, then the staircase, then ``sample`` seeded draws of the
-    carrier, each element once, in the order first met; interned on the
-    carrier object, as :func:`verification_domain` is."""
-    return tuple(dict.fromkeys(_domain_lead(carrier) + _draws(carrier, seed, "domain", sample)))
+@cache
+def _sampled_domain(carrier: Ring, seed: int) -> tuple:
+    """Units, then the staircase, then DOMAIN_SAMPLE seeded draws of the
+    carrier, each element once, in the order first met; one per carrier
+    object and seed, as :func:`verification_domain` is one per carrier
+    object."""
+    return tuple(
+        dict.fromkeys(_domain_lead(carrier) + _draws(carrier, seed, "domain", DOMAIN_SAMPLE))
+    )
 
 
-@_per_ring
+@cache
 def verification_domain(carrier: Ring) -> tuple:
     """Units, then the staircase, then all remaining elements in canonical
     order (carriers of at most FULL_DOMAIN_CAP elements) or DOMAIN_SAMPLE
     draws at DEFAULT_SEED (larger ones)."""
-    card = carrier.cardinality
-    if card is not None and card <= FULL_DOMAIN_CAP:
+    if carrier.cardinality <= FULL_DOMAIN_CAP:
         return tuple(dict.fromkeys(_domain_lead(carrier) + list(carrier.elements())))
-    return _sampled_domain(carrier, DEFAULT_SEED, DOMAIN_SAMPLE)
+    return _sampled_domain(carrier, DEFAULT_SEED)
 
 
 def verification_elements(carrier: Ring, seed: int = DEFAULT_SEED) -> tuple:
     """Element set for map-equality checks: exhaustive up to ELEMENT_CAP,
     otherwise units + staircase + DOMAIN_SAMPLE seeded draws."""
-    card = carrier.cardinality
-    if card is not None and card <= ELEMENT_CAP:
+    if carrier.cardinality <= ELEMENT_CAP:
         return carrier.elements()
-    return _sampled_domain(carrier, seed, DOMAIN_SAMPLE)
+    return _sampled_domain(carrier, seed)
 
 
 def inner_derivation(a, carrier: Ring) -> DerivationMap:
@@ -239,7 +235,7 @@ def _pair_stream(carrier, domain, pair_cap, pair_samples, seed, label):
     rng = rng_for(seed, f"{label}:{carrier.spec}")
     try:
         pick = carrier.elements().__getitem__
-    except (CarrierTooLargeError, InfiniteRingError):
+    except CarrierTooLargeError:
         pick = carrier.element
 
     def stream():
@@ -721,25 +717,16 @@ def _echelon(coords: _Coordinates, points: tuple) -> tuple:
     return coords.echelon(points)
 
 
-@_per_ring
+@cache
 def _coordinates(carrier: Ring) -> _Coordinates:
-    """The coordinates of a carrier with at most COORDINATE_CAP of them,
-    interned on the carrier object."""
-    if carrier.cardinality is None:
-        raise InfiniteRingError("witness search needs a finite carrier")
+    """The coordinates of a carrier, one per carrier object."""
     rank = _module_rank(carrier)
     if rank is None:
         raise PreconditionError(
             f"{carrier.spec} is not built from zmod, poly and mat descriptors; "
             "witness search needs its Z_m coordinates"
         )
-    m, size = rank
-    if size > COORDINATE_CAP:
-        raise CarrierTooLargeError(
-            f"{carrier.spec} has {size} Z_{m} coordinates; witness search "
-            f"handles at most {COORDINATE_CAP}"
-        )
-    return _Coordinates(carrier, m, size)
+    return _Coordinates(carrier, *rank)
 
 
 def witness_search(carrier: Ring, constraints) -> Matrix | None:
@@ -755,9 +742,8 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     canonical order would meet.  The Howell form of the points is reused
     across calls with the same carrier and the same points (see
     :meth:`_Coordinates.solve`), up to ECHELON_CACHE_FORMS forms, and the
-    result is the same with or without it.  Carriers with more than
-    COORDINATE_CAP coordinates are refused with CarrierTooLargeError,
-    carriers that are not built from zmod, poly and mat descriptors with
+    result is the same with or without it.  Carriers that are not built
+    from zmod, poly and mat descriptors are refused with
     PreconditionError, and on a matrix carrier a point or target of
     another size or base ring with ShapeMismatchError.
     """
@@ -907,8 +893,6 @@ def check_two_local(
     Additivity of the map is deliberately not required.
     """
     carrier = D.carrier
-    if carrier.cardinality is None:
-        raise InfiniteRingError("two-local check needs a finite carrier")
     ev = _Memo(D.evaluate).__getitem__
     pairs, length = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
     pairs = list(pairs)

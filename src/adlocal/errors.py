@@ -5,10 +5,6 @@ class AdlocalError(Exception):
     """Base class for all library errors."""
 
 
-class InfiniteRingError(AdlocalError):
-    """An operation needed to enumerate a ring with no finite cardinality."""
-
-
 class CarrierTooLargeError(AdlocalError):
     """Enumeration refused: the carrier is too large to scan exhaustively."""
 

@@ -49,6 +49,7 @@ from .matrix import (
     Matrix,
     MatrixRing,
     _coded,
+    _computed,
     corner_embed,
     corner_extract,
     matrix_ring,
@@ -120,8 +121,8 @@ def double_derivation(D: DerivationMap) -> DerivationMap:
 
         def band(left, right):
             def image(h):
-                u = left(Matrix(R, tuple([row[:m] for row in h]))).rows
-                v = right(Matrix(R, tuple([row[m:] for row in h]))).rows
+                u = left(_computed(R, tuple([row[:m] for row in h]))).rows
+                v = right(_computed(R, tuple([row[m:] for row in h]))).rows
                 return tuple(map(add, u, v))
 
             return _Memo(image)

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .matrix import Matrix, MatrixRing, _same_ring, commutator, pierce_component, staircase
+from .matrix import Matrix, MatrixRing, commutator, pierce_component, staircase
 from .rings import is_commutative
 
 
@@ -184,7 +184,7 @@ def verify_diagonal_differences(b: Matrix, c: Matrix) -> VerificationReport:
     must have identical diagonal differences: c_kk - c_ll = b_kk - b_ll
     for every pair of distinct indices, checked up to the first pair that
     differs."""
-    if b.n != c.n or not _same_ring(b.ring, c.ring):
+    if b.n != c.n or b.ring is not c.ring:
         raise PreconditionError("operands live in different matrix rings")
     base, n = b.ring, b.n
     xo = staircase(base, n)

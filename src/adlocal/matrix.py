@@ -43,20 +43,20 @@ map, and an accessor call there is a measurable cost: one more call per
 index (``matrix_index`` through ``RowTable.index``) cost the ``closure``
 benchmark workload 1.4%, so the doubled map's loop stays inlined too.
 
-Ring equality compares specs alone; matrices mix only over bases of the
-same spec and the same classes, down through nested matrix bases (see
-:func:`_same_ring`).  A carrier that has been listed hands out its listed
-objects from :meth:`MatrixRing.element` and :meth:`MatrixRing.units`.
+A ring is equal only to itself, so matrices mix only over one base ring
+object.  A carrier that has been listed hands out its listed objects from
+:meth:`MatrixRing.element` and :meth:`MatrixRing.units`.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import product
 from operator import getitem
 
 from .errors import CarrierTooLargeError, DimensionError, ShapeMismatchError
-from .rings import PolyQuot, Ring, Zmod, _per_ring, ring_axiom_check
+from .rings import PolyQuot, Ring, Zmod, ring_axiom_check
 
 ROW_TABLE_CAP = 256
 COORDINATE_CAP = 64
@@ -183,12 +183,11 @@ class RowTable:
         return tuple(total), tuple(dtotal), tuple(prod), tuple(leib)
 
 
-@_per_ring
+@cache
 def row_table(base: Ring, n: int) -> RowTable | None:
-    """The row table of M_n(base), interned on the base ring object, or
+    """The row table of M_n(base), one per base ring object and n, or
     None above ROW_TABLE_CAP."""
-    card = base.cardinality
-    if card is None or card**n > ROW_TABLE_CAP:
+    if base.cardinality**n > ROW_TABLE_CAP:
         return None
     return RowTable(base, n)
 
@@ -200,7 +199,10 @@ class Matrix:
     """Immutable n x n matrix over a base ring.
 
     ``_data`` holds the row codes when ``_rt`` is the row table of
-    M_n(ring), and the row tuples themselves when there is none.
+    M_n(ring), and the row tuples themselves when there is none.  The
+    constructor refuses rows that are not n canonical entries of the ring
+    with ValueError; values the library computes skip that check
+    (:func:`_coded`).
     """
 
     __slots__ = ("ring", "n", "_rt", "_data", "_hash")
@@ -208,14 +210,15 @@ class Matrix:
     def __init__(self, ring: Ring, rows: tuple):
         n = len(rows)
         rt = row_table(ring, n)
-        self.ring, self.n, self._rt, self._hash = ring, n, rt, None
-        if rt is None:
-            self._data = rows
-            return
-        try:
-            self._data = tuple(map(rt.code.__getitem__, rows))
-        except KeyError:
-            raise ValueError(f"{rows!r} are not canonical rows over {ring.spec}") from None
+        if rt is not None:
+            data = tuple(map(rt.code.get, rows))
+            canonical = None not in data
+        else:
+            data = rows
+            canonical = all(len(row) == n and all(map(ring.contains, row)) for row in rows)
+        if not canonical:
+            raise ValueError(f"{rows!r} are not canonical rows over {ring.spec}")
+        self.ring, self.n, self._rt, self._data, self._hash = ring, n, rt, data, None
 
     @property
     def rows(self) -> tuple:
@@ -234,13 +237,13 @@ class Matrix:
     def _check_compatible(self, other):
         if not isinstance(other, Matrix):
             raise ShapeMismatchError(f"expected a Matrix, got {other!r}")
-        if self.n != other.n or not _same_ring(self.ring, other.ring):
+        if self.n != other.n or self.ring is not other.ring:
             raise ShapeMismatchError(
                 f"operands live in M_{self.n}({self.ring.spec}) and "
                 f"M_{other.n}({other.ring.spec})"
             )
 
-    # Row tables are interned per (base ring object, n), so sharing one is
+    # Row tables are one per (base ring object, n), so sharing one is
     # the compatibility check of the fast paths.  Row code 0 is the zero row.
 
     def __add__(self, other):
@@ -252,14 +255,14 @@ class Matrix:
         self._check_compatible(other)
         add = self.ring.add
         rows = tuple(tuple(map(add, r, s)) for r, s in zip(self.rows, other.rows))
-        return Matrix(self.ring, rows)
+        return _computed(self.ring, rows)
 
     def __neg__(self):
         rt = self._rt
         if rt is not None:
             return _coded(self.ring, self.n, rt, rt.minus(self._data))
         neg = self.ring.neg
-        return Matrix(self.ring, tuple(tuple(map(neg, r)) for r in self._data))
+        return _coded(self.ring, self.n, None, tuple(tuple(map(neg, r)) for r in self._data))
 
     def __sub__(self, other):
         rt = self._rt
@@ -287,7 +290,7 @@ class Matrix:
                     acc = add(acc, rmul(x, y))
                 line.append(acc)
             out.append(tuple(line))
-        return Matrix(ring, tuple(out))
+        return _computed(ring, tuple(out))
 
     def __eq__(self, other):
         if self is other:
@@ -297,7 +300,7 @@ class Matrix:
         rt = self._rt
         if rt is not None and other._rt is rt:
             return self._data == other._data
-        return self.n == other.n and _same_ring(self.ring, other.ring) and self.rows == other.rows
+        return self.n == other.n and self.ring is other.ring and self.rows == other.rows
 
     def __ne__(self, other):
         rt = self._rt
@@ -316,25 +319,21 @@ class Matrix:
         return f"[{body}]@{self.ring.spec}"
 
 
-def _same_ring(r: Ring, s: Ring) -> bool:
-    """Whether matrices over r and over s may mix: the same spec and, down
-    through nested matrix bases, the same ring classes.  Ring equality
-    compares specs alone, and two classes with one spec need not share
-    their arithmetic."""
-    while r is not s:
-        if r.__class__ is not s.__class__ or r.spec != s.spec:
-            return False
-        if not isinstance(r, MatrixRing):
-            return True
-        r, s = r.base, s.base
-    return True
-
-
-def _coded(ring: Ring, n: int, rt: RowTable, codes: tuple) -> Matrix:
-    """A matrix straight from its row codes."""
+def _coded(ring: Ring, n: int, rt: RowTable | None, codes: tuple) -> Matrix:
+    """A matrix straight from its row codes on ``rt``, or from its rows
+    when ``rt`` is None, unchecked."""
     x = _new(Matrix)
     x.ring, x.n, x._rt, x._data, x._hash = ring, n, rt, codes, None
     return x
+
+
+def _computed(ring: Ring, rows: tuple) -> Matrix:
+    """A matrix from rows the library computed: coded on the row table of
+    its size, kept unchecked above ROW_TABLE_CAP."""
+    n = len(rows)
+    if row_table(ring, n) is None:
+        return _coded(ring, n, None, rows)
+    return Matrix(ring, rows)
 
 
 def zero_matrix(ring: Ring, n: int) -> Matrix:
@@ -441,8 +440,13 @@ class MatrixRing(Ring):
         self.base = base
         self.n = n
         self.spec = f"mat:{base.spec}:{n}"
-        card = base.cardinality
-        self.cardinality = None if card is None else card ** (n * n)
+        rank = _module_rank(self)
+        if rank is not None and rank[1] > COORDINATE_CAP:
+            raise CarrierTooLargeError(
+                f"{self.spec} has {rank[1]} Z_{rank[0]} coordinates; "
+                f"at most {COORDINATE_CAP} are supported"
+            )
+        self.cardinality = base.cardinality ** (n * n)
         self.commutative_declared = n == 1 and base.commutative_declared
         self.row_codes = row_table(base, n)
         self._zero = zero_matrix(base, n)
@@ -473,7 +477,7 @@ class MatrixRing(Ring):
         """The element with canonical index ``i``, after a range check:
         the carrier's own object from :meth:`elements` once it has been
         listed, a Matrix decoded from ``i`` before that."""
-        if self.cardinality is not None and not 0 <= i < self.cardinality:
+        if not 0 <= i < self.cardinality:
             raise IndexError(f"no element {i} in {self.spec}")
         listed = self._elements
         if listed is not None:
@@ -487,8 +491,7 @@ class MatrixRing(Ring):
             i, d = divmod(i, card)
             digits.append(base.element(d))
         digits.reverse()
-        rows = tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n))
-        return Matrix(base, rows)
+        return _coded(base, n, None, tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n)))
 
     def _listed(self):
         rt = self.row_codes
@@ -504,16 +507,15 @@ class MatrixRing(Ring):
 
     def contains(self, a):
         """Whether ``a`` is an element: at once for a Matrix on this
-        carrier's row table; otherwise a Matrix of size n over a base of
-        the same spec and class (see :func:`_same_ring`) whose entries the
-        base contains."""
+        carrier's row table; otherwise a Matrix of size n over this
+        carrier's base ring object whose entries the base contains."""
         rt = self.row_codes
         if rt is not None and a.__class__ is Matrix and a._rt is rt:
             return True
         return (
             isinstance(a, Matrix)
             and a.n == self.n
-            and _same_ring(a.ring, self.base)
+            and a.ring is self.base
             and all(self.base.contains(v) for row in a.rows for v in row)
         )
 
@@ -548,22 +550,14 @@ def _module_rank(carrier: Ring) -> tuple | None:
     return None
 
 
-@_per_ring
+@cache
 def matrix_ring(base: Ring, n: int) -> MatrixRing:
-    """M_n(R) descriptor, interned on the base ring object and axiom-checked
-    on first construction.
+    """M_n(R) descriptor, one per base ring object and n, axiom-checked on
+    first construction.
 
-    A carrier of more than COORDINATE_CAP Z_m coordinates is refused with
-    CarrierTooLargeError before anything is built.
+    :class:`MatrixRing` refuses a carrier of more than COORDINATE_CAP Z_m
+    coordinates with CarrierTooLargeError before anything is built.
     """
-    rank = _module_rank(base)
-    if rank is not None:
-        m, size = rank[0], rank[1] * n * n
-        if size > COORDINATE_CAP:
-            raise CarrierTooLargeError(
-                f"mat:{base.spec}:{n} has {size} Z_{m} coordinates; "
-                f"at most {COORDINATE_CAP} are supported"
-            )
     ring = MatrixRing(base, n)
     ring_axiom_check(ring)
     return ring
@@ -581,7 +575,7 @@ def block_flatten(b: Matrix) -> Matrix:
         line_rows = [blk.rows for blk in line]
         for r in range(first.n):
             rows.append(tuple(v for blk_rows in line_rows for v in blk_rows[r]))
-    return Matrix(first.ring, tuple(rows))
+    return _computed(first.ring, tuple(rows))
 
 
 def corner_extract(x: Matrix, m: int) -> Matrix:
@@ -594,7 +588,7 @@ def corner_extract(x: Matrix, m: int) -> Matrix:
         small = row_table(x.ring, m)
         shift = rt.size // small.size
         return _coded(x.ring, m, small, tuple([c // shift for c in x._data[:m]]))
-    return Matrix(x.ring, tuple([row[:m] for row in x._data[:m]]))
+    return _computed(x.ring, tuple([row[:m] for row in x._data[:m]]))
 
 
 def corner_embed(x: Matrix, n: int) -> Matrix:
@@ -608,4 +602,4 @@ def corner_embed(x: Matrix, n: int) -> Matrix:
         return _coded(x.ring, n, big, tuple([c * shift for c in x._data]) + (0,) * (n - x.n))
     pad = (x.ring.zero,) * (n - x.n)
     rows = tuple([row + pad for row in x.rows]) + ((x.ring.zero,) * n,) * (n - x.n)
-    return Matrix(x.ring, rows)
+    return _coded(x.ring, n, None, rows)

@@ -1,19 +1,23 @@
 """Finite base rings with exact arithmetic and a canonical element order.
 
-Every ring here is a finite associative unital ring.  Elements are plain
-hashable Python values (ints for residues, coefficient tuples for truncated
-polynomials, Matrix values for matrix rings), arithmetic is exact, and each
-ring fixes a canonical total order through ``index``/``element`` with the
-zero element at index 0.  The canonical order is what makes "minimal
-witness" well defined everywhere else in the package.
+Every ring here is a finite associative unital ring, equal only to itself:
+two ring objects with one spec are two rings.  The caches keyed by a ring
+(``functools.cache``) hold each ring for the life of the process, as the
+interned factories :func:`zmod` and :func:`polyquot` do.  Elements are
+plain hashable Python values (ints for residues, coefficient tuples for
+truncated polynomials, Matrix values for matrix rings), arithmetic is
+exact, and each ring fixes a canonical total order through
+``index``/``element`` with the zero element at index 0.  The canonical
+order is what makes "minimal witness" well defined everywhere else in the
+package.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache, wraps
+from functools import cache, lru_cache
 
-from .errors import CarrierTooLargeError, InfiniteRingError
+from .errors import CarrierTooLargeError
 
 AXIOM_EXHAUSTIVE_CAP = 100
 AXIOM_SAMPLE_TRIPLES = 10_000
@@ -22,7 +26,8 @@ ENUMERATION_CAP = 1 << 17
 
 
 class Ring:
-    """Associative unital ring with exact arithmetic and canonical order.
+    """Finite associative unital ring with exact arithmetic and canonical
+    order, equal only to itself.
 
     Subclasses provide the primitive operations.  Ring objects and their
     elements are immutable values, safe to share between workers; all
@@ -30,7 +35,7 @@ class Ring:
     """
 
     spec: str
-    cardinality: int | None
+    cardinality: int
     commutative_declared: bool
     # the row table of a matrix ring that has one
     # (adlocal.matrix.RowTable); None for every other ring
@@ -81,8 +86,6 @@ class Ring:
         cached = self._elements
         if cached is None:
             card = self.cardinality
-            if card is None:
-                raise InfiniteRingError(f"{self.spec} has no finite enumeration")
             if card > ENUMERATION_CAP:
                 raise CarrierTooLargeError(
                     f"{self.spec} has {card} elements; refusing to enumerate"
@@ -94,14 +97,6 @@ class Ring:
         """All elements in canonical order, listed afresh; subclasses may
         list them faster."""
         return tuple(map(self.element, range(self.cardinality)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Ring) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
 
     def __repr__(self):
         return f"<ring {self.spec}>"
@@ -235,32 +230,14 @@ class PolyQuot(Ring):
         return "+".join(terms) if terms else "0"
 
 
-def _per_ring(fn):
-    """Cache ``fn(ring, *args)`` on the ring object itself, not by spec:
-    two objects with one spec need not share their arithmetic."""
-    attr = f"_{fn.__name__}_cache"
-
-    @wraps(fn)
-    def cached(ring, *args):
-        try:
-            return ring.__dict__[attr][args]
-        except KeyError:
-            value = fn(ring, *args)
-            ring.__dict__.setdefault(attr, {})[args] = value
-            return value
-
-    return cached
-
-
-@_per_ring
+@cache
 def is_commutative(ring: Ring) -> bool:
-    """Decide commutativity: exhaustive pairwise check for small finite rings.
+    """Decide commutativity: exhaustive pairwise check for small rings.
 
-    Rings above the exhaustive cap (or infinite ones) answer with the
-    declared flag.  The verdict is cached on the ring object.
+    Rings above the exhaustive cap answer with the declared flag.  The
+    verdict is cached per ring object.
     """
-    card = ring.cardinality
-    if card is None or card > COMMUTATIVITY_EXHAUSTIVE_CAP:
+    if ring.cardinality > COMMUTATIVITY_EXHAUSTIVE_CAP:
         return ring.commutative_declared
     els, mul = ring.elements(), ring.mul
     return all(mul(a, b) == mul(b, a) for a in els for b in els)
@@ -282,8 +259,6 @@ def ring_axiom_check(ring: Ring) -> None:
     element as its Matrix.
     """
     card = ring.cardinality
-    if card is None:
-        return
     add, mul, neg = ring.add, ring.mul, ring.neg
     zero, one = ring.zero, ring.one
 

@@ -10,7 +10,6 @@ from adlocal import (
     CarrierTooLargeError,
     DerivationMap,
     InconsistentOracleError,
-    InfiniteRingError,
     Matrix,
     MatrixRing,
     PreconditionError,
@@ -49,7 +48,6 @@ from adlocal.deriv import (
     _coordinates,
     _echelon,
     _pair_stream,
-    _sampled_domain,
 )
 from adlocal.rings import Zmod
 from adlocal.sampling import rng_for
@@ -112,14 +110,6 @@ def test_witness_search_examples(m2z2, units2, z2):
     found = witness_search(m2z2, [(units2[(1, 2)], units2[(1, 2)]), (units2[(2, 1)], units2[(2, 1)])])
     assert found == units2[(2, 2)]
     assert witness_search(m2z2, [(units2[(1, 1)], units2[(1, 1)])]) is None
-
-
-def test_witness_search_infinite_refused():
-    class FakeRing:
-        cardinality = None
-
-    with pytest.raises(InfiniteRingError):
-        witness_search(FakeRing(), [])
 
 
 def _scan(carrier, constraints):
@@ -409,15 +399,13 @@ def test_adversarial_oracle_refuses_at_the_first_select():
         commutative_declared = True
         commutator = staticmethod(lambda a, x: 0)
 
-    m9 = MatrixRing(zmod(2), 9)
-    for carrier, a, x, error in (
-        (m9, m9.zero, m9.zero, CarrierTooLargeError),
-        (Custom(), 1, 0, PreconditionError),
-    ):
-        oracle = adversarial_oracle(a, carrier)
-        for _ in range(2):
-            with pytest.raises(error):
-                oracle.select(x, x)
+    # a carrier over the coordinate cap is refused before any oracle
+    with pytest.raises(CarrierTooLargeError):
+        MatrixRing(zmod(2), 9)
+    oracle = adversarial_oracle(1, Custom())
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            oracle.select(0, 0)
 
 
 def test_adversarial_oracle_cache_traffic_matches_pair_oracle(m3z2):
@@ -865,11 +853,8 @@ def test_sampled_domains_are_lead_then_distinct_draws(z3):
                 want.append(v)
         assert verification_domain(carrier) == tuple(want)
     assert len(verification_domain(m3z3)) < 10_010
-    # verification_elements draws the same stream, and a shorter sample of
-    # it is a prefix
+    # verification_elements draws the same stream
     assert verification_elements(m4z3) == verification_domain(m4z3)
-    few = _sampled_domain(m4z3, 0, 5)
-    assert len(few) == 22 and few == tuple(want[:22])
 
 
 # Differential tests of check_derivation against the ordered pair scan,
@@ -1106,13 +1091,15 @@ def test_check_derivation_evaluation_budget():
 # listed M4(Z2), recorded while the row-code memo still evaluated maps at
 # fresh matrices: on the certified default stream, then on the extend-m4
 # stream of 256 unit pairs and 400 samples.  A failure reads (input
-# indices, expected index, got index, note).
+# indices, expected index, got index, note).  In the off-table row the
+# foreign value shares its index with the sum it fails to equal: a ring is
+# equal only to itself.
 LISTED_M4_REPORTS = {
     "inner": ((100_256, []), (656, [])),
     "identity": ((1, [((32768, 32768), 0, 32768, "leibniz")]),) * 2,
     "leibniz": ((64, [((4096, 1), 53521, 49425, "leibniz")]),) * 2,
     "additivity": ((176, [((32, 1), 12940, 45708, "additivity")]),) * 2,
-    "off-table": ((100_256, []), (656, [])),
+    "off-table": ((176, [((32, 1), 12940, 12940, "additivity")]),) * 2,
 }
 
 
@@ -1130,8 +1117,9 @@ def test_check_derivation_on_a_listed_carrier_meets_only_listed_objects(name):
         # additive; its Leibniz defect first shows at (e14, e44), pair 64
         "leibniz": lambda x: commutator(a, x) + e44 * x * e44,
         "additivity": lambda x: commutator(a, x) + (e11 if x == z else m4.zero),
-        # an equal value over another Z2 object leaves the row table, and
-        # the check starts over on the operators
+        # a value over another Z2 object leaves the row table, and the check
+        # starts over on the operators; they meet it at the first pair whose
+        # sum is z and find it unequal to the sum, though its index is the same
         "off-table": lambda x: (
             Matrix(foreign, commutator(a, x).rows) if x == z else commutator(a, x)
         ),

@@ -26,7 +26,7 @@ from adlocal import (
     zero_matrix,
     zmod,
 )
-from adlocal.matrix import Matrix
+from adlocal.matrix import Matrix, row_table
 from adlocal.sampling import rng_for
 
 
@@ -465,6 +465,29 @@ def test_entrywise_arithmetic_above_row_table_cap():
     assert [matrix_index(x) for x in els] == list(range(257))
 
 
+@pytest.mark.parametrize("modulus", [2, 7])
+def test_matrix_refuses_rows_that_are_not_canonical(modulus, monkeypatch):
+    # M3(Z2) codes its rows on a row table and M3(Z7) has none; both
+    # refuse an entry outside 0..m-1 and a row of the wrong length
+    base, zero = zmod(modulus), (0, 0, 0)
+    assert (row_table(base, 3) is None) is (modulus == 7)
+    for rows in (((1, 2, modulus + 2), zero, zero), ((1, 2), zero, zero)):
+        with pytest.raises(ValueError, match="are not canonical rows over"):
+            Matrix(base, rows)
+    a = Matrix(base, ((1, 1, 0), zero, zero))
+    assert a.rows == ((1, 1, 0), zero, zero)
+    carrier = MatrixRing(base, 3)
+
+    def refuse(v):
+        raise AssertionError("entry checked")
+
+    # values the library computes are not checked again
+    monkeypatch.setattr(base, "contains", refuse)
+    for value in (a + a, a - a, a * a, -a, corner_extract(a, 2), corner_embed(a, 4)):
+        assert value.ring is base
+    assert carrier.element(1).rows == (zero, zero, (0, 0, 1))
+
+
 # Differential test of the commutator kernel against the operators and
 # against entrywise arithmetic: the fused row-code pass on carriers with a
 # row table (M2(M2(Z2)) has a non-commutative base), the fallback above it.
@@ -614,3 +637,6 @@ def test_matrix_ring_refuses_more_than_64_coordinates(z2):
     for base, n in ((z2, 9), (polyquot(2, 2), 6), (matrix_ring(z2, 2), 5)):
         with pytest.raises(CarrierTooLargeError, match="at most 64"):
             matrix_ring(base, n)
+    # the constructor itself refuses
+    with pytest.raises(CarrierTooLargeError, match="mat:zmod:2:9 has 81 Z_2 coordinates"):
+        MatrixRing(z2, 9)
