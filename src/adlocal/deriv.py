@@ -21,8 +21,9 @@ would build, so results do not depend on the cache.
 :func:`check_two_local` asks only whether a witness exists, and its
 seeded pairs seldom recur, so it leaves the cache alone.  It first looks
 for one element implementing the map at every point of its stream
-(:func:`_common_witness`), a few uncached solves over a handful of pinned
-points, which settles the inner maps the paper is about at once; only
+(:func:`_common_witness`): the map's carried ``witness``, checked at every
+point, then a few uncached solves over a handful of pinned points, which
+settles the inner maps the paper is about at once; only
 when there is none does it decide each pair by one uncached elimination
 of the image rows (:meth:`_Coordinates.consistent`).  One elimination
 loop, :meth:`_Coordinates._eliminate`, serves them all.  A point, target or
@@ -136,7 +137,10 @@ class DerivationMap:
 
     The container itself does not assume the map is a derivation; that is
     what :func:`check_derivation` decides.  Maps known to be inner carry
-    their implementing element in ``witness``.
+    their implementing element in ``witness``.  :func:`check_two_local`
+    checks it first as a common witness, at every point of its stream,
+    and never trusts it: a wrong element or a foreign object changes no
+    report, only the work done to reach it.
     """
 
     carrier: Ring
@@ -807,15 +811,15 @@ def adversarial_oracle(a: Matrix, carrier: Ring) -> WitnessOracle:
     first answer, which raises any refusal of :func:`witness_search`,
     ShapeMismatchError for an ``a`` of another ring included."""
     index, element = carrier.index, carrier.element
-
-    @lru_cache(maxsize=None)
-    def hidden():
-        coords = _coordinates(carrier)
-        coords.check_shape(a)
-        return coords, coords.pack(a)
+    hidden = None
 
     def answer(pair):
-        coords, b = hidden()
+        nonlocal hidden
+        if hidden is None:
+            coords = _coordinates(carrier)
+            coords.check_shape(a)
+            hidden = coords, coords.pack(a)
+        coords, b = hidden
         x, y = index(pair[0]), index(pair[1])
         points = (x,) if x == y else (x, y) if x < y else (y, x)
         return element(coords.least(_echelon(coords, points), b))
@@ -823,12 +827,18 @@ def adversarial_oracle(a: Matrix, carrier: Ring) -> WitnessOracle:
     return _memo_oracle(carrier, answer, _Memo(partial(carrier.commutator, a)))
 
 
-def _common_witness(carrier: Ring, ev, points: list) -> bool:
+def _common_witness(carrier: Ring, ev, points: list, witness) -> bool:
     """True iff one element b has [b, x] = ev(x) at every one of the
     distinct ``points``, given in the order the pair stream first meets
     them; such a b implements the map at both points of every pair.
 
-    The first two points are the pins.  When they are all the points, one
+    The first two points are the pins, evaluated and shape-checked first.
+    The first candidate is ``witness``, when the carrier contains it: it
+    is checked at every point in order, up to the first miss, and when
+    there is none it is the b sought, found without a solve.  It is a
+    candidate, never trusted, so a wrong element or a foreign object only
+    costs that check.  After a miss, or without a candidate, the pins
+    decide: when they are all the points, one
     :meth:`_Coordinates.consistent` decides, and no witness is built.
     Otherwise :meth:`_Coordinates.solve` finds a b for the pins, uncached,
     and b is checked at every other point in order, evaluating each point
@@ -843,9 +853,11 @@ def _common_witness(carrier: Ring, ev, points: list) -> bool:
     """
     coords = _coordinates(carrier)
     pins = _constraints(coords, [(x, ev(x)) for x in points[:2]])
+    element, commutator = carrier.element, carrier.commutator
+    if carrier.contains(witness) and all(commutator(witness, x) == ev(x) for x in points):
+        return True
     if len(points) <= 2:
         return coords.consistent(pins)
-    element, commutator = carrier.element, carrier.commutator
     rest = points[2:]
     while True:
         found = coords.solve(pins, _Coordinates.echelon)
@@ -873,8 +885,12 @@ def check_two_local(
     first certified whole: when one element implements the map at every
     point of the stream (:func:`_common_witness`), every pair
     has it as a witness and the report passes with every pair checked.
+    The map's ``D.witness``, when the carrier contains it, is the first
+    element tried, so an inner map that carries its element is certified
+    by one commutator per point and no elimination.
     On M_n(R) over a commutative R every inner 2-local derivation is
-    inner, so that settles most streams with a few uncached eliminations.
+    inner, so the other maps are mostly settled with a few uncached
+    eliminations.
     Should the certificate find no common witness, or raise, the scan below
     decides, with its own report or exception: a map may raise at a point
     the scan never reaches, after a failing pair.
@@ -898,7 +914,7 @@ def check_two_local(
     pairs = list(pairs)
     points = list(dict.fromkeys(chain.from_iterable(pairs)))
     try:
-        if points and _common_witness(carrier, ev, points):
+        if points and _common_witness(carrier, ev, points, D.witness):
             return VerificationReport(length)
     except Exception:
         pass  # the scan raises it again, or fails at a pair before it

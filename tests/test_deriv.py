@@ -629,6 +629,18 @@ def test_check_two_local_report_matches_a_search_of_every_pair(m2z2, units2):
 
     for f in (partial(commutator, hidden), late_fault):
         cases.append((DerivationMap(m3z2, f, m3z2.elements()), {"pair_samples": 400}))
+    # carried witnesses: the true one, one that misses only at later points
+    # (late_fault), one of another ring, and an object that is no Matrix
+    for f, witness in (
+        (partial(commutator, hidden), hidden),
+        (late_fault, hidden),
+        (partial(commutator, hidden), matrix_ring(zmod(3), 3).element(0o321)),
+        (late_fault, "not a matrix"),
+    ):
+        D = DerivationMap(m3z2, f, m3z2.elements(), witness=witness)
+        cases.append((D, {"pair_samples": 400}))
+    for f in (mid_stream, partial(commutator, a)):  # a misses only at the faults
+        cases.append((DerivationMap(m2z2, f, domain, witness=a), {}))
     late = domain[-3]
 
     def fault_then_raise(x):  # raises only at a point after the failing pair
@@ -705,16 +717,21 @@ def test_check_two_local_repins_within_the_bound(monkeypatch, m3z2):
 @pytest.mark.parametrize("spec,bound", [("mat:zmod:2:2", 4 * 1 + 1), ("mat:zmod:4:2", 4 * 2 + 1)])
 def test_check_two_local_certifies_every_inner_map_within_the_bound(monkeypatch, spec, bound):
     # N log2(m) + 1 eliminations, N = 4 coordinates over Z_m, on the full
-    # default stream of every inner map
+    # default stream of every inner map given without its witness, and
+    # none when the map carries it
     carrier = parse_ring_spec(spec)
     runs = _counting_eliminations(monkeypatch)
-    counts = []
+    counts, carried = [], []
     for a in carrier.elements():
-        del runs[:]
-        report = check_two_local(inner_derivation(a, carrier))
-        assert report.passed
-        counts.append(len(runs))
+        inner = inner_derivation(a, carrier)
+        bare = DerivationMap(carrier, inner.evaluate, inner.domain)
+        for out, D in ((counts, bare), (carried, inner)):
+            del runs[:]
+            report = check_two_local(D)
+            assert report.passed
+            out.append(len(runs))
     assert 1 <= min(counts) and max(counts) <= bound
+    assert max(carried) == 0
 
 
 def test_check_two_local_reports_a_diagonal_failure_before_a_later_raise(m2z2, units2):
@@ -746,13 +763,14 @@ def test_check_two_local_raises_at_a_late_point_as_the_scan_does(m2z2, late):
             return zero_matrix(zmod(3), 2)
         raise ZeroDivisionError("late point")
 
-    D = DerivationMap(m2z2, evaluate, domain)
     error = ShapeMismatchError if late == "foreign" else ZeroDivisionError
-    with pytest.raises(error) as want:
-        _two_local_reference(D)
-    with pytest.raises(error) as got:
-        check_two_local(D)
-    assert str(got.value) == str(want.value)
+    for witness in (None, a):  # a implements the map at every other point
+        D = DerivationMap(m2z2, evaluate, domain, witness=witness)
+        with pytest.raises(error) as want:
+            _two_local_reference(D)
+        with pytest.raises(error) as got:
+            check_two_local(D)
+        assert str(got.value) == str(want.value)
 
 
 def test_check_two_local_on_the_item_shape_runs_one_elimination(monkeypatch, m3z2):
@@ -763,11 +781,15 @@ def test_check_two_local_on_the_item_shape_runs_one_elimination(monkeypatch, m3z
     runs = _counting_eliminations(monkeypatch)
     _coordinates(m3z2)
     before = _echelon.cache_info()
-    D = DerivationMap(m3z2, inner_derivation(a, m3z2).evaluate, (x, y), witness=a)
-    report = check_two_local(D, pair_cap=4)
-    assert report.passed and report.checked == 4
-    assert runs == [18]  # the two points are the pins: one consistency test
-    assert _echelon.cache_info() == before
+    # the two points are the pins: one consistency test, and none when the
+    # map carries a witness that implements it at both
+    for witness, want in ((None, [18]), (a, [])):
+        del runs[:]
+        D = DerivationMap(m3z2, inner_derivation(a, m3z2).evaluate, (x, y), witness=witness)
+        report = check_two_local(D, pair_cap=4)
+        assert report.passed and report.checked == 4
+        assert runs == want
+        assert _echelon.cache_info() == before
 
 
 def test_maps_equal_first_difference(units2, m2z2):
