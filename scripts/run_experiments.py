@@ -24,6 +24,7 @@ BATTERY = [
     ("extend-deriv", "zmod:2", 3, {}),
     ("extend-deriv", "zmod:2", 4, {}),
     ("extend-2local", "zmod:2", 4, {"two_local_pairs": 200}),
+    ("extend-2local", "zmod:2", 5, {}),
     ("prop9", "zmod:2", 4, {}),
     ("prop9", "zmod:2", 5, {}),
     ("prop9", "poly:2:2", 3, {"witness_samples": 4}),

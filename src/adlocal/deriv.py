@@ -19,18 +19,17 @@ least-recently-used cache, :func:`_echelon`, holding at most
 ECHELON_CACHE_FORMS forms; a reused form is the one a fresh elimination
 would build, so results do not depend on the cache.
 :func:`check_two_local` asks only whether a witness exists, and its
-seeded pairs seldom recur, so it leaves the cache alone.  It first looks
-for one element implementing the map at every point of its stream
-(:func:`_common_witness`): the map's carried ``witness``, checked at every
-point, then a few uncached solves over a handful of pinned points, which
-settles the inner maps the paper is about at once; only
-when there is none does it decide each pair by one uncached elimination
-of the image rows (:meth:`_Coordinates.consistent`).  One elimination
-loop, :meth:`_Coordinates._eliminate`, serves them all.  A point, target or
-hidden element of another ring is refused with ShapeMismatchError.  The
-oracles here are deliberately adversarial - they answer with the minimal
-witness, never with the element that secretly induced the map - so
-downstream algorithms cannot cheat by recognizing their input.
+seeded pairs seldom recur, so it leaves the cache alone.  It scans its
+pairs lazily: a pair passes at once where the map's carried ``witness``
+implements it at both points, which settles the inner maps the paper is
+about, and any other pair not proved by an earlier one is decided by one
+uncached elimination of the image rows (:meth:`_Coordinates.consistent`).
+One elimination loop, :meth:`_Coordinates._eliminate`, serves them all.
+A point, target or hidden element of another ring is refused with
+ShapeMismatchError.  The oracles here are deliberately adversarial - they
+answer with the minimal witness, never with the element that secretly
+induced the map - so downstream algorithms cannot cheat by recognizing
+their input.
 :func:`pair_oracle` finds it from the map's values;
 :func:`adversarial_oracle` reduces its hidden element modulo the pair's
 common centralizer, which gives the same element.
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
 from typing import Callable
 
@@ -138,9 +137,10 @@ class DerivationMap:
     The container itself does not assume the map is a derivation; that is
     what :func:`check_derivation` decides.  Maps known to be inner carry
     their implementing element in ``witness``.  :func:`check_two_local`
-    checks it first as a common witness, at every point of its stream,
-    and never trusts it: a wrong element or a foreign object changes no
-    report, only the work done to reach it.
+    tests it at each point of its stream and passes a pair at once where
+    it implements the map at both points.  It never trusts it: a wrong
+    element or a foreign object changes no report, only the work done to
+    reach it.
     """
 
     carrier: Ring
@@ -644,7 +644,7 @@ class _Coordinates:
         prow, pdiv = self._eliminate(rows, (len(points) + 1) * size)
         return tuple(prow), bytes(pdiv) if self.m < 256 else tuple(pdiv)
 
-    def solve(self, cons, echelon) -> int | None:
+    def solve(self, cons) -> int | None:
         """Canonical index of the minimal b with [b, x] = t for every
         (x, t) in ``cons``, or None.
 
@@ -660,18 +660,16 @@ class _Coordinates:
         The solution set does not depend on the order of the
         constraints, so they are taken in canonical order of their points
         x_1 ... x_K.  The form depends on those points alone, not on the
-        targets, and ``echelon(self, points)`` gives it: the process-wide
-        cache :func:`_echelon` for :func:`witness_search`, or the uncached
-        :meth:`echelon` for :func:`_common_witness`, whose pin sets seldom
-        recur.  A reused form is the one a fresh elimination would build,
-        so the answer does not depend on the source.
+        targets, so it comes from the process-wide cache :func:`_echelon`.
+        A reused form is the one a fresh elimination would build, so the
+        answer does not depend on the cache.
         """
         m, mu, shift, width = self.m, self.mu, self.shift, self.width
         index = self.carrier.index
         points = [index(x) for x, _ in cons]
         if len(points) > 1:
             points, cons = zip(*sorted(zip(points, cons), key=itemgetter(0)))
-        form = echelon(self, tuple(points))
+        form = _echelon(self, tuple(points))
         v = self._reduce(form, self._targets([t for _, t in cons], 1), self.size)
         if v is None:
             return None
@@ -755,7 +753,7 @@ def witness_search(carrier: Ring, constraints) -> Matrix | None:
     cons = _constraints(coords, constraints)
     if not cons:
         return carrier.zero
-    found = coords.solve(cons, _echelon)
+    found = coords.solve(cons)
     return None if found is None else carrier.element(found)
 
 
@@ -827,50 +825,6 @@ def adversarial_oracle(a: Matrix, carrier: Ring) -> WitnessOracle:
     return _memo_oracle(carrier, answer, _Memo(partial(carrier.commutator, a)))
 
 
-def _common_witness(carrier: Ring, ev, points: list, witness) -> bool:
-    """True iff one element b has [b, x] = ev(x) at every one of the
-    distinct ``points``, given in the order the pair stream first meets
-    them; such a b implements the map at both points of every pair.
-
-    The first two points are the pins, evaluated and shape-checked first.
-    The first candidate is ``witness``, when the carrier contains it: it
-    is checked at every point in order, up to the first miss, and when
-    there is none it is the b sought, found without a solve.  It is a
-    candidate, never trusted, so a wrong element or a foreign object only
-    costs that check.  After a miss, or without a candidate, the pins
-    decide: when they are all the points, one
-    :meth:`_Coordinates.consistent` decides, and no witness is built.
-    Otherwise :meth:`_Coordinates.solve` finds a b for the pins, uncached,
-    and b is checked at every other point in order, evaluating each point
-    only once every earlier one has been checked.  The first point where
-    [b, x] differs from ev(x) joins the pins and the solve runs again;
-    False once the pins have no common witness.  A rerun drops the old b,
-    so each one shrinks the pins' solution set, a coset of a subgroup of
-    Z_m^N, to a proper subcoset, at most half its size.  The first set has
-    at most m^N elements, so there are at most N*log2(m) + 1 solves, each
-    over a handful of pins, however many points there are.  No system is
-    built over all the points at once.
-    """
-    coords = _coordinates(carrier)
-    pins = _constraints(coords, [(x, ev(x)) for x in points[:2]])
-    element, commutator = carrier.element, carrier.commutator
-    if carrier.contains(witness) and all(commutator(witness, x) == ev(x) for x in points):
-        return True
-    if len(points) <= 2:
-        return coords.consistent(pins)
-    rest = points[2:]
-    while True:
-        found = coords.solve(pins, _Coordinates.echelon)
-        if found is None:
-            return False
-        b = element(found)
-        miss = next((x for x in rest if commutator(b, x) != ev(x)), None)
-        if miss is None:
-            return True
-        rest.remove(miss)
-        pins += _constraints(coords, [(miss, ev(miss))])
-
-
 def check_two_local(
     D: DerivationMap,
     pair_cap: int = TWO_LOCAL_PAIR_CAP,
@@ -881,52 +835,48 @@ def check_two_local(
     implements the map at both points; pass iff every pair has one, and
     stop at the first pair without one.
 
-    The stream is drawn once, into a list that both stages read.  It is
-    first certified whole: when one element implements the map at every
-    point of the stream (:func:`_common_witness`), every pair
-    has it as a witness and the report passes with every pair checked.
-    The map's ``D.witness``, when the carrier contains it, is the first
-    element tried, so an inner map that carries its element is certified
-    by one commutator per point and no elimination.
-    On M_n(R) over a commutative R every inner 2-local derivation is
-    inner, so the other maps are mostly settled with a few uncached
-    eliminations.
-    Should the certificate find no common witness, or raise, the scan below
-    decides, with its own report or exception: a map may raise at a point
-    the scan never reaches, after a failing pair.
+    The stream is read lazily, one pair at a time.  Each point is
+    evaluated once, when a pair first meets it, and its value is
+    shape-checked then.  When the carrier contains the map's ``D.witness``,
+    the witness is tested at each point, one commutator per point.  A pair
+    passes at once when the witness implements the map at both of its
+    points.  It is never trusted: a wrong element or a foreign object
+    changes no report, only the work done to reach it.  On M_n(R) over a
+    commutative R every inner 2-local derivation is inner, so an inner map
+    that carries its element passes with no elimination.
 
-    The scan asks :meth:`_Coordinates.consistent` at each pair, which
-    decides that existence by one uncached elimination and builds no
-    witness, so the check leaves the cache :func:`_echelon` as it found
-    it.  Two kinds of pair pass without a solve, because a passed pair
-    proves them: (y, x) once (x, y) has passed, and (z, z) once some
-    passed pair contains z, as a common witness of (x, z) implements the
-    map at z alone.  So the report is the one a solve of every pair gives.
-    The carrier's coordinates are built only for a stream with pairs, so
-    a stream without pairs passes with 0 checked, and refusals are those
-    of :func:`witness_search`.
+    Any other pair asks :meth:`_Coordinates.consistent`, which decides
+    that existence by one uncached elimination and builds no witness, so
+    the check leaves the cache :func:`_echelon` as it found it.  Two kinds
+    of pair pass without a solve, because a passed pair proves them:
+    (y, x) once (x, y) has passed, and (z, z) once some passed pair
+    contains z, as a common witness of (x, z) implements the map at z
+    alone.  So the report is the one a solve of every pair gives.  The
+    carrier's coordinates are built at the first pair, so a stream without
+    pairs passes with 0 checked, and refusals are those of
+    :func:`witness_search`.
 
     Additivity of the map is deliberately not required.
     """
-    carrier = D.carrier
-    ev = _Memo(D.evaluate).__getitem__
-    pairs, length = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
-    pairs = list(pairs)
-    points = list(dict.fromkeys(chain.from_iterable(pairs)))
-    try:
-        if points and _common_witness(carrier, ev, points, D.witness):
-            return VerificationReport(length)
-    except Exception:
-        pass  # the scan raises it again, or fails at a pair before it
+    carrier, witness = D.carrier, D.witness
+    carried, commutator = carrier.contains(witness), carrier.commutator
+    pairs, _ = _pair_stream(carrier, D.domain, pair_cap, pair_samples, seed, "two-local")
     passed, witnessed = set(), set()
 
+    def point(x):
+        fx = D.evaluate(x)
+        _coordinates(carrier).check_shape(x, fx)
+        return fx, carried and commutator(witness, x) == fx
+
+    points = _Memo(point)
+
     def no_common_witness(x, y):
-        if (x, y) in passed or (x == y and x in witnessed):
+        (fx, x_by_witness), (fy, y_by_witness) = points[x], points[y]
+        if x_by_witness and y_by_witness or (x, y) in passed or (x == y and x in witnessed):
             return None
-        constraints = [(x, ev(x)), (y, ev(y))]
-        coords = _coordinates(carrier)
-        if not coords.consistent(_constraints(coords, constraints)):
-            return Failure((x, y), (ev(x), ev(y)), None, "no common witness")
+        cons = [(x, fx)] if x == y else [(x, fx), (y, fy)]
+        if not _coordinates(carrier).consistent(cons):
+            return Failure((x, y), (fx, fy), None, "no common witness")
         passed.update(((x, y), (y, x)))
         witnessed.update((x, y))
         return None

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import partial
 from itertools import permutations, product
 
@@ -649,8 +650,14 @@ def test_check_two_local_report_matches_a_search_of_every_pair(m2z2, units2):
         return mid_stream(x)
 
     cases.append((DerivationMap(m2z2, fault_then_raise, domain), {}))
-    cases.append((_pairwise_but_not_common(m2z2), {}))
-    cases.append((_needs_repins(m3z2, hidden), {}))
+    # witnesses that settle some pairs and leave the others to the scan:
+    # element 4 implements the map at its first two points only, and the
+    # true witness of an inner map whose first points are central
+    pairwise = _pairwise_but_not_common(m2z2)
+    cases.append((pairwise, {}))
+    cases.append((replace(pairwise, witness=m2z2.element(4)), {}))
+    led = _led_by_central_points(m3z2, hidden)
+    cases += [(led, {}), (replace(led, witness=hidden), {})]
     failing = 0
     for D, budget in cases:
         report = check_two_local(D, **budget)
@@ -670,9 +677,9 @@ def _pairwise_but_not_common(m2z2):
     return DerivationMap(m2z2, values.__getitem__, tuple(points))
 
 
-def _needs_repins(m3z2, hidden):
+def _led_by_central_points(m3z2, hidden):
     """An inner map whose first two points, 0 and 1, commute with every
-    element, so the pins' least witness is 0 and later points re-pin."""
+    element, so that any element implements the map at both of them."""
     rng = random.Random("two-local-repins")
     draws = [m3z2.element(rng.randrange(m3z2.cardinality)) for _ in range(30)]
     domain = tuple(dict.fromkeys([m3z2.zero, m3z2.one, *draws]))
@@ -697,41 +704,48 @@ def test_check_two_local_falls_back_to_the_scan_without_a_common_witness(monkeyp
     report = check_two_local(D)
     assert report.passed and report.checked == 9
     assert (report.checked, report.failures) == _two_local_reference(D)
-    # two solves of the certificate (2 pins, then 3, each above 4 identity
-    # lanes), then the scan's consistency tests: (x, x), then (x, y),
-    # (x, z) and (y, z); the others are proved by passed pairs
-    assert runs == [12, 16, 4, 8, 8, 8]
+    # the consistency tests of (x, x), then (x, y), (x, z) and (y, z), each
+    # over 4 lanes a point; the others are proved by passed pairs
+    assert runs == [4, 8, 8, 8]
 
 
-def test_check_two_local_repins_within_the_bound(monkeypatch, m3z2):
-    D = _needs_repins(m3z2, m3z2.element(0o321))
-    runs = _counting_eliminations(monkeypatch)
+def test_check_two_local_passes_a_bare_inner_map_and_leaves_the_cache(m3z2):
+    D = _led_by_central_points(m3z2, m3z2.element(0o321))
     _coordinates(m3z2)
     before = _echelon.cache_info()
     report = check_two_local(D)
     assert report.passed and report.checked == len(D.domain) ** 2
-    assert runs == [27, 36, 45]  # solves over 2, 3 and 4 pins, N = 9 lanes each
-    assert _echelon.cache_info() == before  # the solves are uncached
+    assert _echelon.cache_info() == before  # the consistency tests are uncached
 
 
-@pytest.mark.parametrize("spec,bound", [("mat:zmod:2:2", 4 * 1 + 1), ("mat:zmod:4:2", 4 * 2 + 1)])
-def test_check_two_local_certifies_every_inner_map_within_the_bound(monkeypatch, spec, bound):
-    # N log2(m) + 1 eliminations, N = 4 coordinates over Z_m, on the full
-    # default stream of every inner map given without its witness, and
-    # none when the map carries it
+@pytest.mark.parametrize("spec", ["mat:zmod:2:2", "mat:zmod:4:2"])
+def test_check_two_local_passes_every_carried_inner_map_without_elimination(monkeypatch, spec):
+    # the full default stream of every inner map that carries its element
     carrier = parse_ring_spec(spec)
     runs = _counting_eliminations(monkeypatch)
-    counts, carried = [], []
     for a in carrier.elements():
-        inner = inner_derivation(a, carrier)
-        bare = DerivationMap(carrier, inner.evaluate, inner.domain)
-        for out, D in ((counts, bare), (carried, inner)):
-            del runs[:]
-            report = check_two_local(D)
-            assert report.passed
-            out.append(len(runs))
-    assert 1 <= min(counts) and max(counts) <= bound
-    assert max(carried) == 0
+        assert check_two_local(inner_derivation(a, carrier)).passed
+    assert runs == []
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_two_local_rejects_the_identity_at_its_first_pair(n):
+    # the negative control: (e11, e11) has no witness, as [b, e11] has a
+    # zero diagonal; the check reads no further and evaluates the map once
+    carrier = matrix_ring(zmod(2), n)
+    e11 = matrix_unit(zmod(2), n, 1, 1)
+    seen = []
+
+    def identity(x):
+        seen.append(x)
+        return x
+
+    report = check_two_local(DerivationMap(carrier, identity, verification_domain(carrier)))
+    assert (report.checked, report.failures) == (
+        1,
+        [Failure((e11, e11), (e11, e11), None, "no common witness")],
+    )
+    assert seen == [e11]
 
 
 def test_check_two_local_reports_a_diagonal_failure_before_a_later_raise(m2z2, units2):
@@ -781,9 +795,10 @@ def test_check_two_local_on_the_item_shape_runs_one_elimination(monkeypatch, m3z
     runs = _counting_eliminations(monkeypatch)
     _coordinates(m3z2)
     before = _echelon.cache_info()
-    # the two points are the pins: one consistency test, and none when the
-    # map carries a witness that implements it at both
-    for witness, want in ((None, [18]), (a, [])):
+    # without a witness, one consistency test for (x, x) and one for
+    # (x, y), which proves the other two; none when the map carries a
+    # witness that implements it at both points
+    for witness, want in ((None, [9, 18]), (a, [])):
         del runs[:]
         D = DerivationMap(m3z2, inner_derivation(a, m3z2).evaluate, (x, y), witness=witness)
         report = check_two_local(D, pair_cap=4)

@@ -33,6 +33,7 @@ CONFIGS = {
     "extend-2local-zmod2-n4": dict(
         experiment="extend-2local", ring="zmod:2", n=4, two_local_pairs=200
     ),
+    "extend-2local-zmod2-n5": dict(experiment="extend-2local", ring="zmod:2", n=5),
     "two-local-check-zmod2-n2": dict(experiment="two-local-check", ring="zmod:2", n=2),
     "two-local-check-zmod3-n2": dict(experiment="two-local-check", ring="zmod:3", n=2),
     "two-local-check-zmod2-n3": dict(experiment="two-local-check", ring="zmod:2", n=3),
