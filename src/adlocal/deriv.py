@@ -870,7 +870,7 @@ def check_two_local(
 
     points = _Memo(point)
 
-    def no_common_witness(x, y):
+    def check_pair(x, y):
         (fx, x_by_witness), (fy, y_by_witness) = points[x], points[y]
         if x_by_witness and y_by_witness or (x, y) in passed or (x == y and x in witnessed):
             return None
@@ -881,4 +881,4 @@ def check_two_local(
         witnessed.update((x, y))
         return None
 
-    return _first_failure(pairs, no_common_witness)
+    return _first_failure(pairs, check_pair)
