@@ -16,6 +16,7 @@ BATTERY = [
     ("extract-all", "zmod:3", 2, {}),
     ("extract-all", "zmod:2", 3, {}),
     ("extract-all", "zmod:2", 5, {"witness_samples": 3}),
+    ("extract-all", "zmod:7", 3, {"witness_samples": 3}),
     ("extract-all", "poly:2:3", 2, {}),
     ("lemma2", "zmod:2", 2, {}),
     ("lemma2", "zmod:3", 2, {}),

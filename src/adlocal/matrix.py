@@ -30,8 +30,8 @@ D(x)y + xD(y) of a pair in one pass of :meth:`RowTable.derivation_pair`,
 the coset-tree walks of :mod:`adlocal.deriv` and :mod:`adlocal.twogen`
 add with :meth:`RowTable.plus`, :func:`adlocal.twogen.generate_subring`
 grows a closure with :meth:`RowTable.plus` and :meth:`RowTable.times`,
-and the sampled axiom self-test of :func:`adlocal.rings.ring_axiom_check`
-draws with :meth:`RowTable.decode` and computes with :meth:`RowTable.plus`,
+and the sampled axiom self-test of :func:`adlocal.rings.ring_axiom_check`,
+which runs only over a base whose axioms are not proven, draws with :meth:`RowTable.decode` and computes with :meth:`RowTable.plus`,
 :meth:`RowTable.times` and :meth:`RowTable.minus`, all without building
 Matrix objects.  The row-code format stays in this module: callers read
 and rebuild matrices only through ``RowTable.codes``, ``RowTable.decode``,
@@ -56,7 +56,7 @@ from itertools import product
 from operator import getitem
 
 from .errors import CarrierTooLargeError, DimensionError, ShapeMismatchError
-from .rings import PolyQuot, Ring, Zmod, ring_axiom_check
+from .rings import PolyQuot, Ring, Zmod, _op_tables, ring_axiom_check
 
 ROW_TABLE_CAP = 256
 COORDINATE_CAP = 64
@@ -87,10 +87,8 @@ class RowTable:
     def __init__(self, base: Ring, n: int):
         els = base.elements()
         card = len(els)
-        index = base.index
-        add_t = [[index(base.add(a, b)) for b in els] for a in els]
-        mul_t = [[index(base.mul(a, b)) for b in els] for a in els]
-        neg_t = [index(base.neg(a)) for a in els]
+        # the tables rings._proven matches against the checked ones of the base
+        add_t, mul_t, neg_t = _op_tables(base)
         digits = tuple(product(range(card), repeat=n))
         of_digits = {d: c for c, d in enumerate(digits)}.__getitem__
         self.ring, self.n, self.zero = base, n, (0,) * n
@@ -553,7 +551,9 @@ def _module_rank(carrier: Ring) -> tuple | None:
 @cache
 def matrix_ring(base: Ring, n: int) -> MatrixRing:
     """M_n(R) descriptor, one per base ring object and n, axiom-checked on
-    first construction.
+    first construction: at once over a base whose axioms are proven (a
+    small ring that passed its exhaustive check with a canonical listing,
+    or a matrix ring over one), by the sampled check over any other base.
 
     :class:`MatrixRing` refuses a carrier of more than COORDINATE_CAP Z_m
     coordinates with CarrierTooLargeError before anything is built.

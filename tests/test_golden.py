@@ -19,6 +19,9 @@ CONFIGS = {
     "extract-all-zmod2-n5-w3": dict(
         experiment="extract-all", ring="zmod:2", n=5, witness_samples=3
     ),
+    "extract-all-zmod7-n3-w3": dict(
+        experiment="extract-all", ring="zmod:7", n=3, witness_samples=3
+    ),
     "extract-all-matzmod22-n2-force": dict(
         experiment="extract-all", ring="mat:zmod:2:2", n=2, force=True
     ),

@@ -539,7 +539,7 @@ def test_commutator_falls_back_above_row_table_cap():
     z7 = zmod(7)
     rng = rng_for(0, "commutator:M3(Z7)")
     draw = lambda: Matrix(z7, tuple(tuple(rng.randrange(7) for _ in range(3)) for _ in range(3)))
-    carrier = MatrixRing(z7, 3)  # no axiom check: matrix_ring's sampled one takes about 2 s
+    carrier = MatrixRing(z7, 3)  # the descriptor alone, without matrix_ring's axiom check
     for _ in range(300):
         a, x = draw(), draw()
         assert a._rt is None

@@ -1,10 +1,12 @@
 import operator
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlocal import (
+    PolyQuot,
     PreconditionError,
     ShapeMismatchError,
     Zmod,
@@ -18,6 +20,7 @@ from adlocal import (
     verify_diagonal_differences,
     zmod,
 )
+from adlocal import rings
 from adlocal.deriv import _coordinates, verification_domain
 from adlocal.matrix import Matrix, MatrixRing, row_table
 from adlocal.rings import AXIOM_EXHAUSTIVE_CAP, COMMUTATIVITY_EXHAUSTIVE_CAP
@@ -123,6 +126,13 @@ class _WrongNegAbove95(Zmod):
         return a if a > 95 else -a % self.modulus
 
 
+class _AddIsZero(Zmod):
+    # every other law holds: a + b = 0 is associative and commutative,
+    # distributes, and a + (-a) = 0
+    def add(self, a, b):
+        return 0
+
+
 @pytest.mark.parametrize(
     "broken, message",
     [
@@ -133,6 +143,7 @@ class _WrongNegAbove95(Zmod):
         (_RightProjection, "right distributivity fails"),
         (_WrongUnit, "unit law fails at 19"),
         (_WrongNegAbove95, "additive inverse fails at 100"),
+        (_AddIsZero, "zero law fails at 19"),
     ],
 )
 def test_sampled_axiom_check_catches_broken_ring(broken, message):
@@ -155,13 +166,15 @@ def test_sampled_axiom_check_catches_broken_ring(broken, message):
         (_RightProjection, "multiplication not associative"),
         (_WrongUnit, "unit law fails at [[1,2],[2,1]]@zmod:4"),
         (_WrongNegAbove95, None),  # no residue of Z4 is above 95
+        (_AddIsZero, "unit law fails at [[1,2],[2,1]]@zmod:4"),
     ],
 )
 def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(broken, message):
     # M2 over a broken Z4 has 256 elements, so the seeded triples run on
     # its row table; the messages are those of the Matrix operators.  Row
     # tables are interned on the base ring object, so each broken base
-    # gets its own table and not the one of zmod(4).
+    # gets its own table and not the one of zmod(4).  _WrongNegAbove95(4)
+    # is a correct Z4: its M2 is proven from the base and draws nothing.
     ring = MatrixRing(broken(4), 2)
     assert ring.cardinality > AXIOM_EXHAUSTIVE_CAP and ring.row_codes is not None
     if message is None:
@@ -170,6 +183,127 @@ def test_sampled_axiom_check_on_a_matrix_ring_over_a_broken_base(broken, message
     with pytest.raises(ValueError) as info:
         ring_axiom_check(ring)
     assert str(info.value) == f"mat:zmod:4:2: {message}"
+
+
+def test_exhaustive_axiom_check_checks_the_zero_law():
+    with pytest.raises(ValueError) as info:
+        ring_axiom_check(_AddIsZero(4))
+    assert str(info.value) == "zmod:4: zero law fails at 1"
+
+
+class _Relisted(Zmod):
+    # a correct Z4 listed as 0, 3, 2, 1: element 1 has index 3
+    def _listed(self):
+        return (0, 3, 2, 1)
+
+
+class _ZeroSecond(Zmod):
+    # a correct Z4 listed canonically as 1, 0, 2, 3: zero is element 1
+    def index(self, a):
+        return (1, 0, 2, 3)[a]
+
+    element = index
+
+
+class _FloatSums(Zmod):
+    # a correct Z4 by ==, listed canonically, but each sum is a float
+    # that index places at 0, so its row table would add wrongly
+    def add(self, a, b):
+        return float((a + b) % self.modulus)
+
+    def index(self, a):
+        return a if type(a) is int else 0
+
+
+class _FloatNegs(_FloatSums):
+    # the same with sums of ints and a float for each negation
+    add = Zmod.add
+
+    def neg(self, a):
+        return float(-a % self.modulus)
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# (base, whether M_n over it is proven from the base)
+CERTIFIED_BASES = {
+    "zmod:2": (lambda: zmod(2), True),
+    "zmod:3": (lambda: zmod(3), True),
+    "zmod:4": (lambda: zmod(4), True),
+    "zmod:6": (lambda: zmod(6), True),
+    "poly:2:2": (lambda: polyquot(2, 2), True),
+    "poly:2:3": (lambda: polyquot(2, 3), True),
+    "poly:3:2": (lambda: polyquot(3, 2), True),
+    "mat:zmod:2:2": (lambda: matrix_ring(zmod(2), 2), True),
+    **{
+        cls.__name__: (lambda cls=cls: cls(4), cls is _WrongNegAbove95)
+        for cls in (
+            _AddNotAssociative,
+            _AddNotCommutative,
+            _MulNotAssociative,
+            _LeftProjection,
+            _RightProjection,
+            _WrongUnit,
+            _WrongNegAbove95,
+            _AddIsZero,
+            _Relisted,
+            _ZeroSecond,
+            _FloatSums,
+            _FloatNegs,
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", sorted(CERTIFIED_BASES))
+def test_matrix_ring_verdict_is_the_verdict_of_the_loop(monkeypatch, label, n):
+    # the loop is ring_axiom_check with no ring proven; matrix_ring must
+    # reach its verdict and message, with or without the certificate
+    make, proven = CERTIFIED_BASES[label]
+    base = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(rings, "_proven", lambda ring: False)
+        want = _verdict(ring_axiom_check, MatrixRing(base, n))
+    assert _verdict(matrix_ring, base, n) == want
+    assert rings._proven(MatrixRing(base, n)) is proven
+    if proven:
+        assert want is None
+
+
+def test_certificate_declines_the_zero_law_breach_and_non_canonical_indices():
+    # _AddIsZero fails its own check by the zero law alone; the others
+    # are rings by ==.  None proves a matrix ring over it
+    rings_by_eq = (_Relisted(4), _ZeroSecond(4), _FloatSums(4), _FloatNegs(4))
+    for base in rings_by_eq:
+        assert _verdict(ring_axiom_check, base) is None
+    for base in (_AddIsZero(4), *rings_by_eq):
+        assert not rings._proven(base)
+        assert not rings._proven(MatrixRing(base, 2))
+
+
+def test_a_carrier_over_a_proven_base_draws_no_sample(monkeypatch):
+    def no_sampler(seed):
+        raise AssertionError(f"drew the sample {seed}")
+
+    monkeypatch.setattr(rings, "random", SimpleNamespace(Random=no_sampler))
+    # fresh base objects, so matrix_ring builds and checks every carrier
+    for base, n in (
+        (Zmod(2), 5),
+        (PolyQuot(2, 2), 5),
+        (Zmod(7), 3),
+        (matrix_ring(Zmod(2), 4), 2),
+    ):
+        assert rings._proven(matrix_ring(base, n))
+    # a carrier with no proof does reach the sampler
+    with pytest.raises(AssertionError, match="drew the sample ring-axioms:mat:zmod:101:2"):
+        ring_axiom_check(MatrixRing(Zmod(101), 2))
 
 
 def test_is_commutative_z6():
